@@ -15,11 +15,8 @@ Modules:
              prolongation tangent structure
   cli        the `tancat` command
 
-The compiled polynomial kernel is selected at import in `tancat._kernel`
-(set TANCAT_PURE=1 to force the pure-Python fallback).
+The sparse polynomial kernel is pure Python and lives in `tancat.poly`, with
+packed exponent keys and int-or-Fraction coefficients private to that module.
 """
 
-from ._kernel import BACKEND as kernel_backend
-
-__all__ = ["kernel_backend"]
 __version__ = "0.1.0"

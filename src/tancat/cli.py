@@ -180,6 +180,14 @@ def cmd_selftest(args) -> int:
     return _emit(report, args.json)
 
 
+def positive_int(text: str) -> int:
+    """argparse type for sample counts and dimensions: 0 would make a vacuous PASS."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tancat",
@@ -210,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     tangent = sub.add_parser("tangent", help="tangent structure on the polynomial model")
     tangent_sub = tangent.add_subparsers(dest="action", required=True)
     t_check = tangent_sub.add_parser("check")
-    t_check.add_argument("-n", type=int, default=1)
+    t_check.add_argument("-n", type=positive_int, default=1)
     tangent.set_defaults(func=cmd_tangent)
 
     alg = sub.add_parser("algebroid", help="involution algebroid checks")
@@ -230,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     n_obj.add_argument("-V", dest="algebra", required=True)
     n_fun = nerve_sub.add_parser("functoriality")
     n_fun.add_argument("file")
-    n_fun.add_argument("--pairs", type=int, default=25)
+    n_fun.add_argument("--pairs", type=positive_int, default=25)
     n_fun.add_argument("--seed", type=int, default=env_seed)
     nerve.set_defaults(func=cmd_nerve)
 
@@ -241,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     selftest = sub.add_parser("selftest", help="run the acceptance suite")
     selftest.add_argument("--seed", type=int, default=env_seed)
-    selftest.add_argument("--cases", type=int, default=200)
+    selftest.add_argument("--cases", type=positive_int, default=200)
     selftest.add_argument("--mutate", choices=["bianchi", "alternating", "leibniz"])
     selftest.set_defaults(func=cmd_selftest)
     return parser

@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines (rref, solve, nullspace, inverse) used by the
+Small dense routines (rref, rank, nullspace, inverse) used by the
 universality checkers: every pullback/equalizer certificate in this package
 is an exact linear-algebra construction, never a numerical one.
 """
@@ -10,10 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
-
-
-def mat(rows: list[list]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def identity(n: int) -> Matrix:
@@ -34,10 +30,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 for j in range(m):
                     oi[j] += c * bt[j]
     return out
-
-
-def mat_vec(a: Matrix, v: list[Fraction]) -> list[Fraction]:
-    return [sum((c * x for c, x in zip(row, v)), Fraction(0)) for row in a]
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -67,24 +59,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
 
 def rank(a: Matrix) -> int:
     return len(rref(a)[1]) if a else 0
-
-
-def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
-    """One solution of A x = b, or None if inconsistent."""
-    if not a:
-        return [] if not any(b) else None
-    aug = [row[:] + [bi] for row, bi in zip(a, b)]
-    r, pivots = rref(aug)
-    cols = len(a[0])
-    for row in r:
-        if row[-1] and not any(row[:-1]):
-            return None
-    x = [Fraction(0)] * cols
-    for i, col in enumerate(pivots):
-        if col == cols:
-            return None
-        x[col] = r[i][-1]
-    return x
 
 
 def nullspace(a: Matrix) -> list[list[Fraction]]:

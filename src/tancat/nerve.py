@@ -325,7 +325,7 @@ def lie_layout_iso_inverse(A: AlgebroidData) -> PolyMap:
     n = d + 7 * r
     perm = [None] * n
     for out_i, comp in enumerate(iso.components):
-        (mono, coeff), = comp.terms.items()
+        (mono, coeff), = comp.monomials()
         src = mono.index(1)
         perm[src] = out_i
     comps = [Polynomial.var(n, perm[i] + 1) for i in range(n)]

@@ -6,14 +6,25 @@ implements the directional-derivative combinator D[f](x, v) = Jf(x)·v, the
 point in the first n variables and the direction in the last n.
 
 Polynomial text syntax (used in spec files and the CLI): `3/2*x1^2*x2 - x3`.
+
+Representation (private to this module): a dict from a packed exponent key to
+a nonzero coefficient.  Variable x_i owns bits 16(i-1) .. 16i-1 of the key,
+so multiplying monomials is one integer add (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  The top bit of each field is a guard bit: exponents are at most
+MAX_EXPONENT, the sum of two valid fields cannot carry into the next one, and
+a product whose keys set a guard bit raises PolyError instead of wrapping.
+Coefficients are canonical: an int when the denominator is 1, a Fraction
+otherwise.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache, reduce
+from operator import or_
 
-from . import _kernel as K
 from .report import CheckReport
 
 
@@ -21,38 +32,161 @@ class PolyError(ValueError):
     pass
 
 
-def _zero_mono(n: int) -> tuple[int, ...]:
-    return (0,) * n
+_FIELD = 16
+_FIELD_MASK = (1 << _FIELD) - 1
+MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
+
+
+@cache
+def _guard(n_vars: int) -> int:
+    """The guard bit of every field of an n_vars key."""
+    return int.from_bytes(b"\x80\x00" * n_vars, "big")
+
+
+def _overflow() -> PolyError:
+    return PolyError(f"exponent exceeds the limit of {MAX_EXPONENT} per variable")
+
+
+def _pack(mono) -> int:
+    key = 0
+    for i, e in enumerate(mono):
+        if not 0 <= e <= MAX_EXPONENT:
+            raise _overflow() if e > 0 else PolyError(f"negative exponent {e}")
+        key |= e << (_FIELD * i)
+    return key
+
+
+def _unpack(key: int, n_vars: int) -> tuple[int, ...]:
+    return tuple((key >> (_FIELD * i)) & _FIELD_MASK for i in range(n_vars))
+
+
+def _degree(key: int) -> int:
+    total = 0
+    while key:
+        total += key & _FIELD_MASK
+        key >>= _FIELD
+    return total
+
+
+def _canon(c):
+    """A Fraction with denominator 1 becomes an int."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _settle(terms: dict) -> bool:
+    """Make Fraction coefficients canonical in place; True if any remain."""
+    frac = False
+    for key, c in terms.items():
+        if type(c) is not int:
+            if c.denominator == 1:
+                terms[key] = c.numerator
+            else:
+                frac = True
+    return frac
+
+
+# -- the kernel: raw dicts in, raw dicts out ---------------------------------
+
+
+def _iadd(out: dict, b: dict) -> None:
+    """out += b, in place."""
+    get = out.get
+    for key, c in b.items():
+        s = get(key, 0) + c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+
+
+def _mul(a: dict, b: dict, guard: int) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        # A monomial times a polynomial: distinct keys stay distinct.
+        ((ka, ca),) = a.items()
+        if ca == 1:
+            out = {ka + kb: cb for kb, cb in b.items()}
+        else:
+            out = {ka + kb: ca * cb for kb, cb in b.items()}
+    else:
+        out = {}
+        get = out.get
+        b_items = b.items()
+        for ka, ca in a.items():
+            for kb, cb in b_items:
+                key = ka + kb
+                out[key] = get(key, 0) + ca * cb
+        if 0 in out.values():
+            out = {key: c for key, c in out.items() if c}
+    if reduce(or_, out, 0) & guard:
+        raise _overflow()
+    return out
+
+
+def _pow(a: dict, k: int, guard: int) -> dict:
+    """a ** k for k >= 1, by binary powering."""
+    result = None
+    while True:
+        if k & 1:
+            result = a if result is None else _mul(result, a, guard)
+        k >>= 1
+        if not k:
+            return result
+        a = _mul(a, a, guard)
+
+
+def _make(n_vars: int, terms: dict, frac: bool) -> "Polynomial":
+    p = object.__new__(Polynomial)
+    p.n_vars = n_vars
+    p._terms = terms
+    p._frac = frac
+    return p
 
 
 class Polynomial:
-    """Sparse polynomial in variables x1..xn with Fraction coefficients."""
+    """Sparse polynomial in variables x1..xn with rational coefficients."""
 
-    __slots__ = ("n_vars", "terms")
+    # _frac: some coefficient is a Fraction.  Results built only from int
+    # coefficients are already canonical and skip the _settle pass.
+    __slots__ = ("n_vars", "_terms", "_frac")
 
     def __init__(self, n_vars: int, terms: dict[tuple[int, ...], Fraction]):
+        """Build from {exponent tuple: coefficient}; zero coefficients drop out."""
+        packed = {}
+        for mono, coeff in terms.items():
+            if len(mono) != n_vars:
+                raise PolyError(f"monomial {mono} in {n_vars} variables")
+            c = Fraction(coeff)
+            if c:
+                packed[_pack(mono)] = c
         self.n_vars = n_vars
-        self.terms = terms
+        self._terms = packed
+        self._frac = _settle(packed)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(n_vars: int) -> "Polynomial":
-        return Polynomial(n_vars, {})
+        return _make(n_vars, {}, False)
 
     @staticmethod
     def const(n_vars: int, value) -> "Polynomial":
-        c = Fraction(value)
-        return Polynomial(n_vars, {_zero_mono(n_vars): c} if c else {})
+        c = _canon(Fraction(value))
+        return _make(n_vars, {0: c} if c else {}, type(c) is not int)
 
     @staticmethod
     def var(n_vars: int, index: int) -> "Polynomial":
         """The variable x_index, 1-based."""
         if not 1 <= index <= n_vars:
             raise PolyError(f"variable x{index} out of range for {n_vars} variables")
-        mono = [0] * n_vars
-        mono[index - 1] = 1
-        return Polynomial(n_vars, {tuple(mono): Fraction(1)})
+        return _make(n_vars, {1 << (_FIELD * (index - 1)): 1}, False)
+
+    def monomials(self):
+        """Yield (exponent tuple, coefficient) pairs."""
+        n = self.n_vars
+        for key, c in self._terms.items():
+            yield _unpack(key, n), c
 
     # -- ring operations ---------------------------------------------------
 
@@ -61,27 +195,56 @@ class Polynomial:
             raise PolyError(f"variable-count mismatch: {self.n_vars} vs {other.n_vars}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Polynomial.const(self.n_vars, other)
         self._require_same(other)
-        return Polynomial(self.n_vars, K.poly_add(self.terms, other.terms))
+        a, b = self._terms, other._terms
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        _iadd(out, b)
+        frac = (self._frac or other._frac) and _settle(out)
+        return _make(self.n_vars, out, frac)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Polynomial.const(self.n_vars, other)
         self._require_same(other)
-        return Polynomial(self.n_vars, K.poly_sub(self.terms, other.terms))
+        out = dict(self._terms)
+        get = out.get
+        for key, c in other._terms.items():
+            s = get(key, 0) - c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        frac = (self._frac or other._frac) and _settle(out)
+        return _make(self.n_vars, out, frac)
 
     def __neg__(self):
-        return Polynomial(self.n_vars, K.poly_neg(self.terms))
+        return _make(self.n_vars, {key: -c for key, c in self._terms.items()},
+                     self._frac)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(self.n_vars, K.poly_scale(self.terms, Fraction(other)))
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            c = _canon(Fraction(other))
+            if not c:
+                return _make(self.n_vars, {}, False)
+            out = {key: c * v for key, v in self._terms.items()}
+            frac = (self._frac or type(c) is not int) and _settle(out)
+            return _make(self.n_vars, out, frac)
         self._require_same(other)
-        return Polynomial(self.n_vars, K.poly_mul(self.terms, other.terms))
+        out = _mul(self._terms, other._terms, _guard(self.n_vars))
+        frac = (self._frac or other._frac) and _settle(out)
+        return _make(self.n_vars, out, frac)
 
     __rmul__ = __mul__
 
@@ -90,38 +253,43 @@ class Polynomial:
             raise PolyError("negative powers are not polynomials")
         if k == 0:
             return Polynomial.const(self.n_vars, 1)
-        if not self.terms:
+        terms = self._terms
+        if not terms:
             return Polynomial.zero(self.n_vars)
-        return Polynomial(self.n_vars, K.poly_pow(self.terms, k))
+        if k > MAX_EXPONENT and any(terms):
+            raise _overflow()
+        out = dict(terms) if k == 1 else _pow(terms, k, _guard(self.n_vars))
+        return _make(self.n_vars, out, self._frac and _settle(out))
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.n_vars == other.n_vars and self.terms == other.terms
+        return self.n_vars == other.n_vars and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.n_vars, frozenset(self.terms.items())))
+        return hash((self.n_vars, frozenset(self._terms.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def degree(self) -> int:
         """Total degree; the zero polynomial gets -1."""
-        return max((sum(m) for m in self.terms), default=-1)
+        return max(map(_degree, self._terms), default=-1)
 
     # -- calculus and substitution -----------------------------------------
 
     def partial(self, index: int) -> "Polynomial":
         """d/dx_index, 1-based."""
-        i = index - 1
-        out: dict[tuple[int, ...], Fraction] = {}
-        for mono, coeff in self.terms.items():
-            e = mono[i]
+        if not 1 <= index <= self.n_vars:
+            raise PolyError(f"variable x{index} out of range for {self.n_vars} variables")
+        shift = _FIELD * (index - 1)
+        one = 1 << shift
+        out = {}
+        for key, c in self._terms.items():
+            e = (key >> shift) & _FIELD_MASK
             if e:
-                new = list(mono)
-                new[i] = e - 1
-                out[tuple(new)] = coeff * e
-        return Polynomial(self.n_vars, out)
+                out[key - one] = c * e
+        return _make(self.n_vars, out, self._frac and _settle(out))
 
     def substitute(self, args: list["Polynomial"],
                    out_vars: int | None = None) -> "Polynomial":
@@ -139,38 +307,59 @@ class Polynomial:
             if a.n_vars != inferred:
                 raise PolyError("substitution arguments disagree on variable count")
         if not args:
-            zero = (0,) * inferred
-            return Polynomial(inferred, {zero: c for mono, c in self.terms.items()})
-        terms = K.poly_compose(self.terms, [a.terms for a in args], inferred)
-        return Polynomial(inferred, terms)
+            # A constant's only key is 0 in every variable count.
+            return _make(inferred, dict(self._terms), self._frac)
+        guard = _guard(inferred)
+        frac = self._frac
+        powers: dict[tuple[int, int], dict] = {}
+        out: dict = {}
+        for key, coeff in self._terms.items():
+            term = {0: coeff}
+            while key and term:
+                # The lowest nonzero field: variable i with exponent e.
+                i = ((key & -key).bit_length() - 1) // _FIELD
+                e = (key >> (_FIELD * i)) & _FIELD_MASK
+                key ^= e << (_FIELD * i)
+                power = powers.get((i, e))
+                if power is None:
+                    power = powers[i, e] = _pow(args[i]._terms, e, guard)
+                    frac = frac or args[i]._frac
+                term = _mul(term, power, guard)
+            _iadd(out, term)
+        return _make(inferred, out, frac and _settle(out))
 
     def shift_vars(self, offset: int, new_n: int) -> "Polynomial":
         """Reindex x_i -> x_{i+offset} inside a space of new_n variables."""
-        out = {}
-        for mono, coeff in self.terms.items():
-            new = [0] * new_n
-            for i, e in enumerate(mono):
-                if e:
-                    new[i + offset] = e
-            out[tuple(new)] = coeff
-        return Polynomial(new_n, out)
+        if offset < 0 or offset + self.n_vars > new_n:
+            raise PolyError(f"cannot shift {self.n_vars} variables by {offset} "
+                            f"into {new_n}")
+        shift = _FIELD * offset
+        return _make(new_n, {key << shift: c for key, c in self._terms.items()},
+                     self._frac)
 
     def eval(self, values) -> Fraction:
         vals = [Fraction(v) for v in values]
         if len(vals) != self.n_vars:
             raise PolyError(f"need {self.n_vars} values, got {len(vals)}")
-        return K.poly_eval(self.terms, vals)
+        total = Fraction(0)
+        for mono, coeff in self.monomials():
+            term = coeff
+            for v, e in zip(vals, mono):
+                if e:
+                    term *= v ** e
+            total += term
+        return total
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         # Graded-lex for printing: higher total degree first, then exponents.
-        keys = sorted(self.terms, key=lambda m: (-sum(m), tuple(-e for e in m)))
+        terms = sorted(self.monomials(),
+                       key=lambda t: (-sum(t[0]), tuple(-e for e in t[0])))
         parts = []
-        for mono in keys:
-            coeff = self.terms[mono]
+        for mono, coeff in terms:
             factors = [
                 f"x{i + 1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(mono)
@@ -231,7 +420,10 @@ class _PolyParser:
                 self.pos += 1
             if dstart == self.pos:
                 self.error("expected a denominator")
-            return Fraction(num, int(self.text[dstart:self.pos]))
+            den = int(self.text[dstart:self.pos])
+            if not den:
+                self.error("division by zero")
+            return Fraction(num, den)
         return Fraction(num)
 
     def atom(self, n_vars: int) -> Polynomial:
@@ -263,7 +455,10 @@ class _PolyParser:
                 self.pos += 1
             if start == self.pos:
                 self.error("expected an exponent")
-            p = p ** int(self.text[start:self.pos])
+            k = int(self.text[start:self.pos])
+            if k > MAX_EXPONENT:
+                self.error(f"exponent {k} exceeds the limit of {MAX_EXPONENT}")
+            p = p ** k
         return p
 
     def term(self, n_vars: int) -> Polynomial:
@@ -428,15 +623,14 @@ class PolyMap:
         """(matrix, offset) for an affine map; raises if degree > 1."""
         if not self.is_affine():
             raise PolyError("map is not affine-linear")
-        zero = _zero_mono(self.src_dim)
         matrix = []
         offset = []
         for c in self.components:
-            offset.append(c.terms.get(zero, Fraction(0)))
+            offset.append(Fraction(c._terms.get(0, 0)))
             row = [Fraction(0)] * self.src_dim
-            for mono, coeff in c.terms.items():
-                if sum(mono) == 1:
-                    row[mono.index(1)] = coeff
+            for key, coeff in c._terms.items():
+                if key:
+                    row[(key.bit_length() - 1) // _FIELD] = Fraction(coeff)
             matrix.append(row)
         return matrix, offset
 
@@ -452,7 +646,7 @@ def compose_maps(g: PolyMap, f: PolyMap) -> PolyMap:
     if f.tgt_dim != g.src_dim:
         raise PolyError(f"cannot compose: inner target {f.tgt_dim} vs outer source {g.src_dim}")
     args = list(f.components)
-    comps = [c.substitute(args) if args else Polynomial(f.src_dim, dict(c.terms))
+    comps = [c.substitute(args) if args else _make(f.src_dim, dict(c._terms), c._frac)
              for c in g.components]
     return PolyMap(f.src_dim, g.tgt_dim, comps)
 
@@ -498,7 +692,7 @@ def random_polynomial(rng: random.Random, n_vars: int, degree: int,
                 mono[rng.randrange(n_vars)] += 1
         c = rng.randint(*coeff_range)
         if c:
-            p = p + Polynomial(n_vars, {tuple(mono): Fraction(c)})
+            p = p + _make(n_vars, {_pack(mono): c}, False)
     return p
 
 

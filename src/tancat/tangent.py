@@ -97,7 +97,7 @@ def weil_prolong(V: WeilAlgebra, f: PolyMap) -> PolyMap:
     mono_pos = {mono: pos for pos, mono in enumerate(basis)}
     for out_i, comp in enumerate(f.components):
         value = _Jet(V, total, {})
-        for mono, coeff in comp.terms.items():
+        for mono, coeff in comp.monomials():
             term = _Jet.unit(V, total).scale(coeff)
             for var_i, exp in enumerate(mono):
                 if exp:

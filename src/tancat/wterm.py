@@ -187,8 +187,7 @@ class _TermParser:
     def braced_algebra(self) -> WeilAlgebra:
         self.expect("{")
         start = self.pos
-        depth = 0
-        while self.pos < len(self.text) and (self.text[self.pos] != "}" or depth):
+        while self.pos < len(self.text) and self.text[self.pos] != "}":
             self.pos += 1
         if self.pos >= len(self.text):
             self.error("unterminated '{'")
@@ -433,9 +432,6 @@ def _rewrite_once(t: WTerm, rng: random.Random) -> WTerm:
         # f = + . <0 . !, f>   (left unit law)
         bang = Gen("bang", algebra=W)
         return Compose(Gen("plus"), Pair(Compose(Gen("zero"), bang), t))
-    if choice == 6 and isinstance(t, Compose) and isinstance(t.outer, Compose):
-        # c . c . f -> f style cancellations arise from flip . flip = id
-        pass
     if choice == 7:
         # f -> c . c . f when f targets W*W;  f -> f . (c . c) when it starts there
         if t.target == WW:

@@ -5,8 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = ROOT / "docs" / "examples"
+GOLDEN_SELFTEST = Path(__file__).resolve().parent / "data" / "selftest_seed2024.json"
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -111,3 +114,50 @@ def test_selftest_mutation_harness():
     proc = run_cli("selftest", "--mutate", "bianchi")
     assert proc.returncode == 0
     assert "fail together" in proc.stdout
+
+
+def test_selftest_json_matches_golden():
+    proc = subprocess.run(
+        [sys.executable, "-m", "tancat.cli", "--json", "selftest", "--seed", "2024"],
+        cwd=ROOT, capture_output=True, check=False)
+    assert proc.returncode == 0
+    assert proc.stdout == GOLDEN_SELFTEST.read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ("selftest", "--cases", "0"),
+    ("tangent", "check", "-n", "-1"),
+    ("nerve", "functoriality", str(EXAMPLES / "action.json"), "--pairs", "0"),
+])
+def test_counts_below_one_rejected(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "must be at least 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def assert_input_error(proc, message):
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("component, message", [
+    ("1/0*x1", "division by zero"),
+    ("x1^99999999", "32767"),
+])
+def test_bad_polynomial_input_exits_two(tmp_path, component, message):
+    spec = tmp_path / "map.json"
+    spec.write_text(json.dumps({"kind": "map", "src_dim": 2, "tgt_dim": 1,
+                                "components": [component]}))
+    assert_input_error(run_cli("cdc", "check", str(spec)), message)
+
+
+def test_exponent_overflow_during_a_check_exits_two(tmp_path):
+    # Each exponent is within the limit, but X·∂Y reaches x1^39999.
+    section = tmp_path / "x.json"
+    section.write_text(json.dumps({"kind": "section", "components": ["x1^20000"]}))
+    proc = run_cli("algebroid", "bracket", str(EXAMPLES / "tangent1.json"),
+                   str(section), str(section))
+    assert_input_error(proc, "32767")

@@ -20,7 +20,7 @@ from tancat.poly import (PolyError, PolyMap, Polynomial, check_cdc_axioms,
 def naive_partial(poly: Polynomial, index: int) -> Polynomial:
     """Independent power-rule derivative working on raw dictionaries."""
     out = {}
-    for mono, coeff in poly.terms.items():
+    for mono, coeff in poly.monomials():
         e = mono[index - 1]
         if e == 0:
             continue
