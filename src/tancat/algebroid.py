@@ -17,10 +17,12 @@ connection they coincide with the flat ones, and the canonical involution is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import bundle as bundle_mod
 from . import weil
-from .flatspace import AnchoredShape, Prolongation, whiskered_generator
+from .flatspace import (AnchoredShape, Prolongation, prolongation,
+                        whiskered_generator)
 from .poly import PolyMap, Polynomial, compose_maps, parse_poly
 from .report import CheckReport
 from .tangent import structure_nat, weil_prolong
@@ -30,13 +32,16 @@ L2_ALGEBRA = WeilAlgebra((1, 1, 1))
 
 
 def _as_poly(entry, n_vars: int) -> Polynomial:
+    """A Polynomial, a polynomial string or an exact rational constant."""
     if isinstance(entry, Polynomial):
         if entry.n_vars != n_vars:
             raise ValueError(f"polynomial in {entry.n_vars} vars, expected {n_vars}")
         return entry
     if isinstance(entry, str):
         return parse_poly(entry, n_vars)
-    return Polynomial.const(n_vars, entry)
+    if isinstance(entry, (int, Fraction)) and not isinstance(entry, bool):
+        return Polynomial.const(n_vars, entry)
+    raise ValueError(f"entry {entry!r} is not a polynomial, a string or a rational")
 
 
 @dataclass(frozen=True)
@@ -113,9 +118,9 @@ def tangent_algebroid(d: int) -> AlgebroidData:
 def prolongation_space(A: AlgebroidData, level: str) -> Prolongation:
     """The flat prolongation: 'L' is A.(W⊗W), 'L2' is A.(W⊗W⊗W)."""
     if level == "L":
-        return Prolongation(A.shape, WW)
+        return prolongation(A.shape, WW)
     if level == "L2":
-        return Prolongation(A.shape, L2_ALGEBRA)
+        return prolongation(A.shape, L2_ALGEBRA)
     raise ValueError("level must be 'L' or 'L2' (general algebras live in nerve)")
 
 

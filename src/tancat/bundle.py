@@ -119,11 +119,6 @@ def add_over(block_split: int, u: PolyMap, w: PolyMap) -> PolyMap:
     return PolyMap(u.src_dim, u.tgt_dim, comps)
 
 
-def add_over_p(total: int, u: PolyMap, w: PolyMap) -> PolyMap:
-    """u +_p w in TE: shared base point (first total comps), added fibers."""
-    return add_over(total, u, w)
-
-
 def add_over_tq(bundle: TrivialBundle, u: PolyMap, w: PolyMap) -> PolyMap:
     """u +_{T.q} w in TE: shared (m, mdot), added (e, edot)."""
     d, k, t = bundle.base_dim, bundle.rank, bundle.total_dim
@@ -285,8 +280,8 @@ def check_universality(bundle: TrivialBundle, lift: Lift | None = None,
     y2 = PolyMap.pairing([PolyMap.projection(dom, 0, d),
                           PolyMap.projection(dom, 2 * d, k)])
     try:
-        nu = add_over_p(t, compose_maps(tangent_of(bundle.xi), v_part),
-                        compose_maps(lam, y2))
+        nu = add_over(t, compose_maps(tangent_of(bundle.xi), v_part),
+                      compose_maps(lam, y2))
     except ValueError as exc:
         report.add("ν is well-formed", False, str(exc))
         nu = None
@@ -312,7 +307,7 @@ def recovered_addition(bundle: TrivialBundle, lift: Lift | None = None) -> PolyM
                               PolyMap.projection(e2, d, k)])
     y_part = PolyMap.pairing([PolyMap.projection(e2, 0, d),
                               PolyMap.projection(e2, d + k, k)])
-    total = add_over_p(t, compose_maps(lam, x_part), compose_maps(lam, y_part))
+    total = add_over(t, compose_maps(lam, x_part), compose_maps(lam, y_part))
     rows = [
         sum((Polynomial.var(2 * t, j + 1) * c for j, c in enumerate(row) if c),
             Polynomial.zero(2 * t))
@@ -352,10 +347,6 @@ def trivial_connection(bundle: TrivialBundle) -> Connection:
     comps += [_var(n, t + i) for i in range(d)]
     comps += [Polynomial.zero(n)] * k
     nabla = PolyMap(n, 2 * t, comps)
-    return Connection(bundle, kappa, nabla)
-
-
-def make_connection(bundle: TrivialBundle, kappa: PolyMap, nabla: PolyMap) -> Connection:
     return Connection(bundle, kappa, nabla)
 
 
@@ -428,7 +419,7 @@ def check_connection(conn: Connection) -> CheckReport:
     mu_of = add_over_tq(b, compose_maps(zero_at(t), p_e),
                         compose_maps(lam, kappa))
     try:
-        decomposition = add_over_p(t, horizontal, mu_of)
+        decomposition = add_over(t, horizontal, mu_of)
         report.check("decomposition ∇(p,T.q) +_p μ(p,κ) = id",
                      decomposition - PolyMap.identity(2 * t))
     except ValueError as exc:

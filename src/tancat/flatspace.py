@@ -16,12 +16,22 @@ model's basis-ordered layout) are explicit permutations, not conventions.
 The structural maps of the Weil nerve are built here: whiskered generator
 actions (the flip takes the involution σ as an argument), span tensoring of
 evaluated maps, and fibered-sum pairing.
+
+Every space is obtained through `prolongation(shape, V)`, one
+least-recently-used cache of at most PROLONGATION_CACHE_SIZE spaces keyed on
+the (shape, V) pair.  Nerve evaluation asks for the same few spaces tens of
+thousands of times, and a shared space computes its legs (`rho_leg`,
+`proj1`, `embedding`, ...) once.  Sharing is safe because a space is a pure
+function of (shape, V) and is never mutated: blocks are a tuple of frozen
+Blocks, the legs are PolyMaps whose polynomials are immutable, and the
+cache keys are frozen dataclasses compared by value.  The bound keeps the
+memory flat however many algebroids one process checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import weil
 from .poly import PolyMap, Polynomial, compose_maps
@@ -69,6 +79,15 @@ class Block:
     offset: int
 
 
+PROLONGATION_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=PROLONGATION_CACHE_SIZE)
+def prolongation(shape: AnchoredShape, V: WeilAlgebra) -> "Prolongation":
+    """The shared flat space A.V; use this rather than building one."""
+    return Prolongation(shape, V)
+
+
 class Prolongation:
     """The flat space A.V with labeled coordinate blocks."""
 
@@ -79,12 +98,12 @@ class Prolongation:
         if V.n_factors == 0:
             self.head_width = 0
             self.inner: Prolongation | None = None
-            self.blocks = [Block(V.unit_monomial, d, 0)]
+            self.blocks = (Block(V.unit_monomial, d, 0),)
         else:
             n = V.widths[0]
             tail = WeilAlgebra(V.widths[1:])
             self.head_width = n
-            self.inner = Prolongation(shape, tail)
+            self.inner = prolongation(shape, tail)
             blocks: list[Block] = [Block(V.unit_monomial, d, 0)]
             offset = d
             for i in range(1, n + 1):
@@ -97,13 +116,13 @@ class Prolongation:
                 for inner_block in self.inner.fiber_blocks:
                     blocks.append(Block((i,) + inner_block.label, r, offset))
                     offset += r
-            self.blocks = blocks
+            self.blocks = tuple(blocks)
         self.dim = sum(b.size for b in self.blocks)
         self._by_label = {b.label: b for b in self.blocks}
 
-    @property
-    def fiber_blocks(self) -> list[Block]:
-        return [b for b in self.blocks if b.label != self.V.unit_monomial]
+    @cached_property
+    def fiber_blocks(self) -> tuple[Block, ...]:
+        return tuple(b for b in self.blocks if b.label != self.V.unit_monomial)
 
     def block(self, label: Label) -> Block:
         return self._by_label[label]
@@ -269,22 +288,22 @@ def head_generator(shape: AnchoredShape, kind: str, tail: WeilAlgebra,
     c:  A.(W⊗W⊗tail) -> same           (σ on the spine, flip on mixed blocks)
     """
     if kind == "p":
-        src = Prolongation(shape, _with_head(tail, weil.W))
-        tgt = Prolongation(shape, tail)
+        src = prolongation(shape, _with_head(tail, weil.W))
+        tgt = prolongation(shape, tail)
         labels = [(0,) + tgt.V.unit_monomial]
         labels += [(0,) + b.label for b in tgt.fiber_blocks]
         return src.select(src.dim, labels)
     if kind == "zero":
-        src = Prolongation(shape, tail)
-        tgt = Prolongation(shape, _with_head(tail, weil.W))
+        src = prolongation(shape, tail)
+        tgt = prolongation(shape, _with_head(tail, weil.W))
         assignment = {tgt.V.unit_monomial: src.V.unit_monomial}
         for b in src.fiber_blocks:
             assignment[(0,) + b.label] = b.label
         return _relabel_map(src, tgt, assignment)
     if kind in ("plus", "proj"):
         width = 2 if kind == "plus" else n
-        src = Prolongation(shape, _with_head(tail, WeilAlgebra((width,))))
-        tgt = Prolongation(shape, _with_head(tail, weil.W))
+        src = prolongation(shape, _with_head(tail, WeilAlgebra((width,))))
+        tgt = prolongation(shape, _with_head(tail, weil.W))
         comps: list[Polynomial] = []
         for block in tgt.blocks:
             head, rest = block.label[0], block.label[1:]
@@ -300,8 +319,8 @@ def head_generator(shape: AnchoredShape, kind: str, tail: WeilAlgebra,
                 comps.extend(total)
         return PolyMap(src.dim, tgt.dim, comps)
     if kind == "ell":
-        src = Prolongation(shape, _with_head(tail, weil.W))
-        tgt = Prolongation(shape, _with_head(tail, weil.WW))
+        src = prolongation(shape, _with_head(tail, weil.W))
+        tgt = prolongation(shape, _with_head(tail, weil.WW))
         assignment: dict[Label, Label] = {}
         for block in tgt.blocks:
             h1, h2, rest = block.label[0], block.label[1], block.label[2:]
@@ -313,8 +332,8 @@ def head_generator(shape: AnchoredShape, kind: str, tail: WeilAlgebra,
     if kind == "flip":
         if sigma is None:
             raise ValueError("the flip needs the algebroid involution σ")
-        space = Prolongation(shape, _with_head(tail, weil.WW))
-        l_space = Prolongation(shape, weil.WW)
+        space = prolongation(shape, _with_head(tail, weil.WW))
+        l_space = prolongation(shape, weil.WW)
         if sigma.src_dim != l_space.dim or sigma.tgt_dim != l_space.dim:
             raise ValueError("σ must act on the flat first prolongation")
         # σ applied to the spine blocks (x; u=(a), v=(b), w=(ab)).
@@ -366,8 +385,8 @@ def whiskered_generator(shape: AnchoredShape, kind: str, left: WeilAlgebra,
     tail_left = WeilAlgebra(left.widths[1:])
     inner = whiskered_generator(shape, kind, tail_left, right, sigma, i=i, n=n)
     head = (left.widths[0],)
-    src = Prolongation(shape, WeilAlgebra(head + tail_left.widths + src_mid + right.widths))
-    tgt = Prolongation(shape, WeilAlgebra(head + tail_left.widths + tgt_mid + right.widths))
+    src = prolongation(shape, WeilAlgebra(head + tail_left.widths + src_mid + right.widths))
+    tgt = prolongation(shape, WeilAlgebra(head + tail_left.widths + tgt_mid + right.widths))
     return whisker_head(src, tgt, inner)
 
 
@@ -382,8 +401,8 @@ def split_left(space: Prolongation, k: int) -> tuple[PolyMap, PolyMap, WeilAlgeb
     S1 = WeilAlgebra(V.widths[:k])
     S2 = WeilAlgebra(V.widths[k:])
     shape = space.shape
-    left_space = Prolongation(shape, S1)
-    right_space = Prolongation(shape, S2)
+    left_space = prolongation(shape, S1)
+    right_space = prolongation(shape, S2)
     unit2 = S2.unit_monomial
     # Map onto A.S1: blocks with trivial S2 part.
     left_labels = [b.label[:k] for b in left_space.blocks]
@@ -412,9 +431,9 @@ def split_left(space: Prolongation, k: int) -> tuple[PolyMap, PolyMap, WeilAlgeb
 def join_at(shape: AnchoredShape, S1: WeilAlgebra, S2: WeilAlgebra,
             left_map: PolyMap, right_map: PolyMap) -> PolyMap:
     """Inverse of split_left: assemble a map into A.(S1⊗S2)."""
-    space = Prolongation(shape, S1.tensor(S2))
-    left_space = Prolongation(shape, S1)
-    right_space = Prolongation(shape, S2)
+    space = prolongation(shape, S1.tensor(S2))
+    left_space = prolongation(shape, S1)
+    right_space = prolongation(shape, S2)
     basis1 = S1.basis()
     pos_of = {mu: i for i, mu in enumerate(basis1)}
     comps: list[Polynomial] = []
@@ -434,16 +453,22 @@ def join_at(shape: AnchoredShape, S1: WeilAlgebra, S2: WeilAlgebra,
 
 def tensor_action(shape: AnchoredShape,
                   left_phi: WeilMorphism, left_map: PolyMap,
-                  right_phi: WeilMorphism, right_map: PolyMap) -> PolyMap:
-    """(f ⊠ g) on flat coordinates for f over left_phi and g over right_phi."""
-    src_space = Prolongation(shape, left_phi.source.tensor(right_phi.source))
+                  right_source: WeilAlgebra, right_target: WeilAlgebra,
+                  right_map: PolyMap) -> PolyMap:
+    """(f ⊠ g) on flat coordinates.
+
+    f = left_map lies over the rig morphism left_phi, whose coefficient push
+    it needs; of g = right_map only the boundary algebras
+    right_source -> right_target matter.
+    """
+    src_space = prolongation(shape, left_phi.source.tensor(right_source))
     to_left, to_right, S1, S2 = split_left(src_space, left_phi.source.n_factors)
     t_g = weil_prolong(S1, right_map)
     pushed = compose_maps(
-        structure_nat(left_phi, Prolongation(shape, right_phi.target).dim),
+        structure_nat(left_phi, prolongation(shape, right_target).dim),
         compose_maps(t_g, to_right))
     new_left = compose_maps(left_map, to_left)
-    return join_at(shape, left_phi.target, right_phi.target, new_left, pushed)
+    return join_at(shape, left_phi.target, right_target, new_left, pushed)
 
 
 def pair_action(shape: AnchoredShape, left_map: PolyMap, right_map: PolyMap,
@@ -453,7 +478,7 @@ def pair_action(shape: AnchoredShape, left_map: PolyMap, right_map: PolyMap,
     if left_map.components[:d] != right_map.components[:d]:
         raise ValueError("fibered pairing needs equal base components")
     comps = list(left_map.components) + list(right_map.components[d:])
-    target = Prolongation(shape, WeilAlgebra((n + m,)) if n + m else WeilAlgebra(()))
+    target = prolongation(shape, WeilAlgebra((n + m,)) if n + m else WeilAlgebra(()))
     if len(comps) != target.dim:
         raise ValueError("fibered pairing received maps of the wrong shapes")
     return PolyMap(left_map.src_dim, target.dim, comps)

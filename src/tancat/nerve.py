@@ -22,7 +22,8 @@ from .algebroid import (L2_ALGEBRA, AlgebroidData, bracket_from_involution,
                         lift_prolongation_bundle, make_algebroid,
                         prolongation_space)
 from .flatspace import (AnchoredShape, Prolongation, head_generator,
-                        pair_action, tensor_action, whiskered_generator)
+                        pair_action, prolongation, tensor_action,
+                        whiskered_generator)
 from .poly import PolyMap, Polynomial, compose_maps
 from .report import CheckReport
 from .tangent import structure_nat, weil_prolong
@@ -36,14 +37,9 @@ class NerveModel:
         self.A = A
         self.sigma = sigma if sigma is not None else involution_from_bracket(A)
         self.shape = A.shape
-        self._spaces: dict[WeilAlgebra, Prolongation] = {}
 
     def object_of(self, algebra: WeilAlgebra) -> Prolongation:
-        space = self._spaces.get(algebra)
-        if space is None:
-            space = Prolongation(self.shape, algebra)
-            self._spaces[algebra] = space
-        return space
+        return prolongation(self.shape, algebra)
 
     def generator_map(self, term: wterm.Gen) -> PolyMap:
         kind = term.kind
@@ -66,9 +62,8 @@ class NerveModel:
 
     def tensor(self, left_term: wterm.WTerm, left_mor: PolyMap,
                right_term: wterm.WTerm, right_mor: PolyMap) -> PolyMap:
-        return tensor_action(self.shape,
-                             wterm.eval_weil(left_term), left_mor,
-                             wterm.eval_weil(right_term), right_mor)
+        return tensor_action(self.shape, wterm.eval_weil(left_term), left_mor,
+                             right_term.source, right_term.target, right_mor)
 
     def pair(self, left_term: wterm.WTerm, left_mor: PolyMap,
              right_term: wterm.WTerm, right_mor: PolyMap) -> PolyMap:
@@ -79,7 +74,7 @@ class NerveModel:
 
 def nerve_object(A: AlgebroidData, V: WeilAlgebra) -> Prolongation:
     """The flat prolongation A.V (dimension d + (dim V - 1)·r)."""
-    return Prolongation(A.shape, V)
+    return prolongation(A.shape, V)
 
 
 def nerve_generator_map(A: AlgebroidData, kind: str, left: WeilAlgebra,
@@ -91,12 +86,12 @@ def nerve_generator_map(A: AlgebroidData, kind: str, left: WeilAlgebra,
         if algebra is None:
             raise ValueError("id needs its algebra")
         return PolyMap.identity(
-            Prolongation(A.shape, left.tensor(algebra).tensor(right)).dim)
+            prolongation(A.shape, left.tensor(algebra).tensor(right)).dim)
     if kind == "bang":
         if algebra is None:
             raise ValueError("bang needs its algebra")
-        src = Prolongation(A.shape, left.tensor(algebra).tensor(right))
-        tgt = Prolongation(A.shape, left.tensor(right))
+        src = prolongation(A.shape, left.tensor(algebra).tensor(right))
+        tgt = prolongation(A.shape, left.tensor(right))
         k, j = left.n_factors, algebra.n_factors
         unit_mid = algebra.unit_monomial
         labels = [b.label[:k] + unit_mid + b.label[k:] for b in tgt.blocks]
@@ -123,8 +118,10 @@ def check_functoriality(A: AlgebroidData,
             report.add(f"pair#{idx} denotations agree", False,
                        f"{wterm.print_term(t1)} vs {wterm.print_term(t2)}")
             continue
-        m1 = wterm.eval_model(t1, model)
-        m2 = wterm.eval_model(t2, model)
+        # Both sides of a pair share most subterms; the memo lives for one pair.
+        memo: dict = {}
+        m1 = wterm.eval_model(t1, model, memo)
+        m2 = wterm.eval_model(t2, model, memo)
         report.check(f"pair#{idx} nerve images equal", m1 - m2,
                      f"{wterm.print_term(t1)} vs {wterm.print_term(t2)}")
     return report
@@ -144,8 +141,11 @@ def check_compose_functoriality(A: AlgebroidData, rng: random.Random,
             comp = wterm.Compose(t, s)
         except ValueError:
             continue
-        whole = wterm.eval_model(comp, model)
-        parts = compose_maps(wterm.eval_model(t, model), wterm.eval_model(s, model))
+        # Compose(t, s) contains t and s: one memo serves all three.
+        memo: dict = {}
+        whole = wterm.eval_model(comp, model, memo)
+        parts = compose_maps(wterm.eval_model(t, model, memo),
+                             wterm.eval_model(s, model, memo))
         report.check(f"case#{done} {wterm.print_term(comp)}", whole - parts)
         done += 1
     return report
@@ -167,8 +167,8 @@ def check_cartesian_p(A: AlgebroidData, sigma: PolyMap | None = None) -> CheckRe
     if sigma is None:
         sigma = involution_from_bracket(A)
     for V in (NAT, W, WW):
-        big = Prolongation(shape, WW.tensor(V))        # A.(W⊗W⊗V)
-        mid = Prolongation(shape, W.tensor(V))         # A.(W⊗V)
+        big = prolongation(shape, WW.tensor(V))        # A.(W⊗W⊗V)
+        mid = prolongation(shape, W.tensor(V))         # A.(W⊗V)
         alpha_mid = big.proj1                          # A.WWV -> T(A.WV)
         alpha_v = mid.proj1                            # A.WV  -> T(A.V)
         p_wv = whiskered_generator(shape, "p", W, V)   # A.(W⊗p⊗V): A.WWV -> A.WV
@@ -210,7 +210,7 @@ def check_cartesian_p(A: AlgebroidData, sigma: PolyMap | None = None) -> CheckRe
         alpha_s = compose_maps(alpha_v, PolyMap(n_params, mid.dim, sp))
         t_comps: list[Polynomial] = [None] * (2 * mid.dim)  # type: ignore[list-item]
         # Selected blocks of t (labels with head 0, in both halves) copy α(s).
-        small = Prolongation(shape, V)
+        small = prolongation(shape, V)
         for half in (0, 1):
             for bl in small.blocks:
                 tgt = mid.block((0,) + bl.label)
@@ -235,10 +235,10 @@ def check_cartesian_p(A: AlgebroidData, sigma: PolyMap | None = None) -> CheckRe
         term = wterm.parse_term(text)
         gen = wterm.eval_weil(term)
         whiskered = whiskered_generator(shape, kind, W, NAT, sigma=sigma)
-        lhs = compose_maps(Prolongation(shape, W.tensor(gen.target)).proj1, whiskered)
+        lhs = compose_maps(prolongation(shape, W.tensor(gen.target)).proj1, whiskered)
         rhs = compose_maps(
             weil_prolong(W, wterm.eval_model(term, model)),
-            Prolongation(shape, W.tensor(gen.source)).proj1)
+            prolongation(shape, W.tensor(gen.source)).proj1)
         report.check(f"naturality of α against {text} at V=N", lhs - rhs)
     return report
 
@@ -271,7 +271,7 @@ def lie_layout_iso(A: AlgebroidData) -> PolyMap:
     w_ab→ab, w_abc→abc.
     """
     d, r = A.base_dim, A.rank
-    big = Prolongation(A.shape, L2_ALGEBRA)
+    big = prolongation(A.shape, L2_ALGEBRA)
     n = d + 7 * r
     # Source layout (L(L'(A)) flat): x(d), v_c(r) | u_a, u_ac | v_b, v_bc | w_ab, w_abc
     offsets = {

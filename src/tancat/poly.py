@@ -641,13 +641,107 @@ class PolyMap:
     __repr__ = __str__
 
 
+def _variable(key: int) -> int | None:
+    """i when key is the monomial x_{i+1}, else None."""
+    bit = key.bit_length() - 1
+    if bit % _FIELD or key != 1 << bit:
+        return None
+    return bit // _FIELD
+
+
+def _selection_images(f: PolyMap) -> list[int | None] | None:
+    """The variable keys f selects, or None if f is not a selection.
+
+    f is a selection when every component is 0 or a bare variable with
+    coefficient 1; entry i is the key of the variable component i copies, or
+    None for a zero component.
+    """
+    images = []
+    for c in f.components:
+        terms = c._terms
+        if not terms:
+            images.append(None)
+            continue
+        if len(terms) != 1:
+            return None
+        for key in terms:
+            if terms[key] != 1 or _variable(key) is None:
+                return None
+        images.append(key)
+    return images
+
+
+def _move(key: int, images: list[int | None], guard: int) -> int | None:
+    """The key of monomial `key` after x_{i+1} -> images[i]; None if it dies."""
+    new = 0
+    while key:
+        # The lowest nonzero field: variable i with exponent e.
+        i = ((key & -key).bit_length() - 1) // _FIELD
+        e = (key >> (_FIELD * i)) & _FIELD_MASK
+        key ^= e << (_FIELD * i)
+        image = images[i]
+        if image is None:
+            return None
+        new += e * image
+        # Each field stays at most MAX_EXPONENT before an add, so one add
+        # cannot carry into the next field: checking now never misses.
+        if new & guard:
+            raise _overflow()
+    return new
+
+
+def _select(g: PolyMap, images: list[int | None], n_vars: int) -> list[Polynomial]:
+    """g's components with x_{i+1} renamed to images[i] (None: set to 0)."""
+    guard = _guard(n_vars)
+    kept = [key for key in images if key is not None]
+    # Two variables with one image: monomials can meet and cancel.
+    merges = len(set(kept)) < len(kept)
+    comps = []
+    for c in g.components:
+        out: dict = {}
+        for key, coeff in c._terms.items():
+            i = _variable(key)
+            new = images[i] if i is not None else _move(key, images, guard)
+            if new is None:
+                continue
+            out[new] = out.get(new, 0) + coeff if merges else coeff
+        frac = c._frac
+        if merges:
+            out = {key: coeff for key, coeff in out.items() if coeff}
+            frac = frac and _settle(out)
+        # _make inlined: this loop builds most polynomials of nerve evaluation.
+        p = object.__new__(Polynomial)
+        p.n_vars = n_vars
+        p._terms = out
+        p._frac = frac
+        comps.append(p)
+    return comps
+
+
 def compose_maps(g: PolyMap, f: PolyMap) -> PolyMap:
-    """g after f (exact substitution)."""
+    """g after f (exact substitution).
+
+    Two shapes skip substitution.  When f is a coordinate selection (every
+    component 0 or a bare variable) the composite only renames g's
+    variables, so g's keys are remapped directly.  Otherwise a component of
+    g that is 0 stays 0, and one that is a bare variable x_{i+1} is f's
+    component i itself (polynomials are immutable, so sharing it is safe).
+    """
     if f.tgt_dim != g.src_dim:
         raise PolyError(f"cannot compose: inner target {f.tgt_dim} vs outer source {g.src_dim}")
+    images = _selection_images(f)
+    if images is not None:
+        return PolyMap(f.src_dim, g.tgt_dim, _select(g, images, f.src_dim))
     args = list(f.components)
-    comps = [c.substitute(args) if args else _make(f.src_dim, dict(c._terms), c._frac)
-             for c in g.components]
+    comps = []
+    for c in g.components:
+        terms = c._terms
+        if not terms:
+            comps.append(_make(f.src_dim, {}, False))
+            continue
+        key = next(iter(terms))
+        i = _variable(key) if len(terms) == 1 and terms[key] == 1 else None
+        comps.append(c.substitute(args) if i is None else args[i])
     return PolyMap(f.src_dim, g.tgt_dim, comps)
 
 

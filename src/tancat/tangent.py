@@ -21,6 +21,8 @@ from .poly import PolyMap, Polynomial, compose_maps
 from .report import CheckReport
 from .weil import W, WW, WeilAlgebra, WeilMorphism
 
+W2 = WeilAlgebra((2,))
+
 
 def action_dim(V: WeilAlgebra, n: int) -> int:
     return V.dim * n
@@ -216,14 +218,6 @@ def certify_linear_pullback(comparison: PolyMap, constraints: PolyMap,
 # -- tangent axiom checks ------------------------------------------------------
 
 
-def _w2() -> WeilAlgebra:
-    return WeilAlgebra((2,))
-
-
-def _nat_pair(f: WeilMorphism, g: WeilMorphism) -> WeilMorphism:
-    return weil.fibered_pair(f, g)
-
-
 def check_tangent_axioms(n: int, sample: list[PolyMap] | None = None,
                          universality_depth: int = 1) -> CheckReport:
     """TC.1-TC.3 at the object Q^n, as exact PolyMap identities.
@@ -249,16 +243,16 @@ def check_tangent_axioms(n: int, sample: list[PolyMap] | None = None,
     eq("TC.1 p∘+ = p∘proj1", compose_maps(nat(p), nat(plus)),
        compose_maps(nat(p), nat(proj1)))
     zero_section = weil.compose_morphisms(z, p)           # W -> W through N
-    unit_left = weil.compose_morphisms(plus, _nat_pair(zero_section, idw))
+    unit_left = weil.compose_morphisms(plus, weil.fibered_pair(zero_section, idw))
     eq("TC.1 left unit", nat(unit_left), PolyMap.identity(n * W.dim))
-    eq("TC.1 commutativity", nat(weil.compose_morphisms(plus, _nat_pair(proj2, proj1))),
+    eq("TC.1 commutativity", nat(weil.compose_morphisms(plus, weil.fibered_pair(proj2, proj1))),
        nat(plus))
     w3 = WeilAlgebra((3,))
     pr = [weil.generator("proj", i=i, n=3) for i in (1, 2, 3)]
-    add12 = weil.compose_morphisms(plus, _nat_pair(pr[0], pr[1]))
-    add23 = weil.compose_morphisms(plus, _nat_pair(pr[1], pr[2]))
-    assoc_l = weil.compose_morphisms(plus, _nat_pair(add12, pr[2]))
-    assoc_r = weil.compose_morphisms(plus, _nat_pair(pr[0], add23))
+    add12 = weil.compose_morphisms(plus, weil.fibered_pair(pr[0], pr[1]))
+    add23 = weil.compose_morphisms(plus, weil.fibered_pair(pr[1], pr[2]))
+    assoc_l = weil.compose_morphisms(plus, weil.fibered_pair(add12, pr[2]))
+    assoc_r = weil.compose_morphisms(plus, weil.fibered_pair(pr[0], add23))
     eq("TC.1 associativity", nat(assoc_l), nat(assoc_r))
 
     # TC.2: symmetry axioms.
@@ -308,7 +302,7 @@ def check_tangent_axioms(n: int, sample: list[PolyMap] | None = None,
         obj = n * V.dim
         mu = structure_nat(weil.mu_morphism(), obj)
         tp = structure_nat(weil.tensor_morphisms(idw, p), obj)
-        base_proj = PolyMap.projection(obj * _w2().dim, 0, obj)
+        base_proj = PolyMap.projection(obj * W2.dim, 0, obj)
         comparison = PolyMap.pairing([mu, base_proj])
         zero_of_base = structure_nat(z, obj)
         # Constraint: T.p(zeta) - 0(m) = 0 on T²(Q^obj) x Q^obj.
@@ -328,8 +322,8 @@ def check_tangent_axioms(n: int, sample: list[PolyMap] | None = None,
 
 def _interchange_w_w2() -> WeilMorphism:
     """The symmetry W⊗W2 ≅ W2⊗W as a Weil morphism."""
-    src = W.tensor(_w2())
-    tgt = _w2().tensor(W)
+    src = W.tensor(W2)
+    tgt = W2.tensor(W)
     images = [
         weil.WeilElement(tgt, {(0, 1): 1}),   # x -> x (the W factor, now second)
         weil.WeilElement(tgt, {(1, 0): 1}),   # y1 -> y1 (W2 factor, now first)
@@ -340,8 +334,8 @@ def _interchange_w_w2() -> WeilMorphism:
 
 def _lift_pair_w2() -> WeilMorphism:
     """(ℓ×ℓ) as the morphism W2 -> W⊗W2, y_i -> x·y_i."""
-    src = _w2()
-    tgt = W.tensor(_w2())
+    src = W2
+    tgt = W.tensor(W2)
     return WeilMorphism(src, tgt, [
         weil.WeilElement(tgt, {(1, 1): 1}),
         weil.WeilElement(tgt, {(1, 2): 1}),

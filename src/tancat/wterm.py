@@ -353,21 +353,44 @@ class UnsupportedLimit(ValueError):
     """Raised by models that cannot interpret a required fiber product."""
 
 
-def eval_model(t: WTerm, model: ModelInterface):
-    """Evaluate a term in any model, structurally."""
+def eval_model(t: WTerm, model: ModelInterface, memo: dict | None = None):
+    """Evaluate a term in any model, structurally.
+
+    `memo`, if given, maps terms already evaluated in `model` to their
+    values; it is read before each subterm is evaluated and filled with every
+    value computed.  Terms are frozen, so equal subterms share one entry.
+    Scope a memo to one model and to one batch of related terms (say the two
+    sides of a functoriality pair) and drop it afterwards: it holds every
+    intermediate map it has seen.
+    """
+    if memo is not None:
+        value = memo.get(t)
+        if value is not None:
+            return value
     if isinstance(t, Gen):
-        return model.generator_map(t)
-    if isinstance(t, Id):
-        return model.identity(t.algebra)
-    if isinstance(t, Compose):
-        return model.compose(eval_model(t.outer, model), eval_model(t.inner, model))
-    if isinstance(t, Tensor):
-        return model.tensor(t.left, eval_model(t.left, model),
-                            t.right, eval_model(t.right, model))
-    if isinstance(t, Pair):
-        return model.pair(t.left, eval_model(t.left, model),
-                          t.right, eval_model(t.right, model))
-    raise WTermError(f"unknown term node {t!r}")
+        value = model.generator_map(t)
+    elif isinstance(t, Id):
+        value = model.identity(t.algebra)
+    elif isinstance(t, Compose):
+        value = model.compose(_eval_sub(t.outer, model, memo),
+                              _eval_sub(t.inner, model, memo))
+    elif isinstance(t, Tensor):
+        value = model.tensor(t.left, _eval_sub(t.left, model, memo),
+                             t.right, _eval_sub(t.right, model, memo))
+    elif isinstance(t, Pair):
+        value = model.pair(t.left, _eval_sub(t.left, model, memo),
+                           t.right, _eval_sub(t.right, model, memo))
+    else:
+        raise WTermError(f"unknown term node {t!r}")
+    if memo is not None:
+        memo[t] = value
+    return value
+
+
+def _eval_sub(t: WTerm, model: ModelInterface, memo: dict | None):
+    """A subterm's value: from the memo if present, else by eval_model."""
+    value = None if memo is None else memo.get(t)
+    return eval_model(t, model, memo) if value is None else value
 
 
 # -- random terms and sound rewriting ----------------------------------------

@@ -79,6 +79,11 @@ def test_make_algebroid_shapes():
         AL.make_algebroid(2, 1, [["x1"]], [[["0"]]])
     with pytest.raises(ValueError, match="bracket"):
         AL.make_algebroid(1, 2, [["x1", "0"]], [[["0"]]])
+    for entry in (None, True, ["x1"], {"x1": 1}, 0.5):
+        with pytest.raises(ValueError, match="not a polynomial"):
+            AL.make_algebroid(1, 1, [[entry]], [[["0"]]])
+    assert AL.make_algebroid(0, 1, [], [[[Fraction(1, 2)]]]).bracket[0][0][0] == \
+        AL.make_algebroid(0, 1, [], [[["1/2"]]]).bracket[0][0][0]
 
 
 def test_tangent_algebroid_passes():
@@ -200,7 +205,7 @@ def test_hat_bar_inverse_with_connection():
     bun = BD.TrivialBundle(1, 1)
     kappa = PolyMap.from_strings(4, ["x1", "x4 + x1*x3*x2"])
     nabla = PolyMap.from_strings(3, ["x1", "x2", "x3", "0 - x1*x3*x2"])
-    conn = BD.make_connection(bun, kappa, nabla)
+    conn = BD.Connection(bun, kappa, nabla)
     act = AL.make_algebroid(1, 1, [["x1"]], [[["0"]]])
     hat = AL.hat_map(act, conn)
     bar = AL.bar_map(act, conn)
@@ -214,7 +219,7 @@ def test_involution_independent_of_connection():
     bun = BD.TrivialBundle(1, 1)
     kappa = PolyMap.from_strings(4, ["x1", "x4 + 2*x1*x3*x2"])
     nabla = PolyMap.from_strings(3, ["x1", "x2", "x3", "0 - 2*x1*x3*x2"])
-    conn = BD.make_connection(bun, kappa, nabla)
+    conn = BD.Connection(bun, kappa, nabla)
     act = AL.make_algebroid(1, 1, [["x1"]], [[["0"]]])
     assert AL.involution_from_bracket(act) == AL.involution_from_bracket(act, conn)
 
@@ -388,7 +393,7 @@ def test_bracket_recovery_is_connection_independent():
     sigma = AL.involution_from_bracket(A)
     kappa = PolyMap.from_strings(4, ["x1", "x4 + 3*x1*x3*x2"])
     nabla = PolyMap.from_strings(3, ["x1", "x2", "x3", "0 - 3*x1*x3*x2"])
-    conn = BD2.make_connection(BD2.TrivialBundle(1, 1), kappa, nabla)
+    conn = BD2.Connection(BD2.TrivialBundle(1, 1), kappa, nabla)
     assert BD2.check_connection(conn).passed
     assert AL.bracket_from_involution(A, sigma) == \
         AL.bracket_from_involution(A, sigma, conn)

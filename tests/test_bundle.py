@@ -88,7 +88,7 @@ def test_nonlinear_kappa_fails_linearity():
     bun = BD.TrivialBundle(1, 1)
     conn = BD.trivial_connection(bun)
     kappa = PolyMap.from_strings(4, ["x1", "x4 + x3^2"])
-    report = BD.check_connection(BD.make_connection(bun, kappa, conn.nabla))
+    report = BD.check_connection(BD.Connection(bun, kappa, conn.nabla))
     failing = [v.name for v in report.verdicts if not v.passed]
     assert any("linearity" in name for name in failing)
 
@@ -97,7 +97,7 @@ def test_christoffel_connection_passes():
     bun = BD.TrivialBundle(1, 1)
     kappa = PolyMap.from_strings(4, ["x1", "x4 + x1*x3*x2"])
     nabla = PolyMap.from_strings(3, ["x1", "x2", "x3", "0 - x1*x3*x2"])
-    report = BD.check_connection(BD.make_connection(bun, kappa, nabla))
+    report = BD.check_connection(BD.Connection(bun, kappa, nabla))
     assert report.passed, [v.name for v in report.verdicts if not v.passed]
 
 

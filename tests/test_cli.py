@@ -161,3 +161,18 @@ def test_exponent_overflow_during_a_check_exits_two(tmp_path):
     proc = run_cli("algebroid", "bracket", str(EXAMPLES / "tangent1.json"),
                    str(section), str(section))
     assert_input_error(proc, "32767")
+
+
+@pytest.mark.parametrize("command, document, message", [
+    (("cdc", "check"), {"kind": "map", "src_dim": 1, "tgt_dim": 1, "components": [5]},
+     "map.components[0] must be a polynomial string, got 5"),
+    (("cdc", "check"), {"kind": "map", "src_dim": 1, "tgt_dim": 1, "components": "x1"},
+     'map.components must be a list, got "x1"'),
+    (("algebroid", "check"), {"kind": "algebroid", "base_dim": 1, "rank": 1,
+                              "anchor": [[None]], "bracket": [[["0"]]]},
+     "algebroid.anchor[0][0] must be a polynomial string, got null"),
+])
+def test_wrong_json_types_exit_two(tmp_path, command, document, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(document))
+    assert_input_error(run_cli(*command, str(spec)), message)

@@ -1,4 +1,5 @@
-"""The sparse polynomial kernel: ring laws, exponent limits, canonical coefficients."""
+"""The sparse polynomial kernel: ring laws, exponent limits, canonical
+coefficients, and composition with coordinate selections."""
 
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tancat.poly import MAX_EXPONENT, PolyError, Polynomial, parse_poly
+from tancat.poly import (MAX_EXPONENT, PolyError, PolyMap, Polynomial,
+                         compose_maps, parse_poly)
 
 N_VARS = 3
 
@@ -105,3 +107,67 @@ def test_variable_index_out_of_range():
             p.partial(index)
     with pytest.raises(PolyError, match="cannot shift"):
         p.shift_vars(1, 2)
+
+
+def canonical(f: PolyMap) -> bool:
+    return all(type(c) is int or c.denominator != 1
+               for p in f.components for _, c in p.monomials())
+
+
+SELECT_SRC = 3
+# Component i of the selection copies x_j for a pick j, or is 0 for pick 0;
+# picks may repeat (merging variables) and permute.
+selections = st.lists(st.integers(0, SELECT_SRC), min_size=N_VARS, max_size=N_VARS).map(
+    lambda picks: PolyMap(SELECT_SRC, N_VARS, [
+        Polynomial.var(SELECT_SRC, j) if j else Polynomial.zero(SELECT_SRC)
+        for j in picks]))
+
+
+@given(st.lists(polynomials(), min_size=1, max_size=3), selections)
+@settings(max_examples=150, deadline=None)
+def test_selection_composition_matches_substitution(comps, f):
+    g = PolyMap(N_VARS, len(comps), comps)
+    fast = compose_maps(g, f)
+    slow = PolyMap(f.src_dim, g.tgt_dim,
+                   [c.substitute(list(f.components)) for c in comps])
+    assert fast == slow
+    assert hash(fast) == hash(slow)
+    assert str(fast) == str(slow)
+    assert canonical(fast)
+
+
+def test_selection_merges_and_cancels():
+    g = PolyMap.from_strings(3, ["1/2*x1*x2 + 1/2*x1^2 - x3", "x1*x2 - x2^2", "x3 + 1/3"])
+    f = PolyMap(2, 3, [Polynomial.var(2, 1), Polynomial.var(2, 1), Polynomial.zero(2)])
+    h = compose_maps(g, f)
+    assert h == PolyMap.from_strings(2, ["x1^2", "0", "1/3"])
+    assert canonical(h)
+    assert dict(h.components[0].monomials()) == {(2, 0): 1}
+    # Exponents move between fields without changing, up to the limit.
+    top = PolyMap.from_strings(2, ["x1^32767"])
+    swap = PolyMap.from_strings(2, ["x2", "x1"])
+    assert compose_maps(top, swap) == PolyMap.from_strings(2, ["x2^32767"])
+
+
+def test_selection_merge_overflow_raises():
+    g = PolyMap.from_strings(2, ["x1^20000*x2^20000"])
+    with pytest.raises(PolyError, match="32767"):
+        compose_maps(g, PolyMap.from_strings(1, ["x1", "x1"]))
+    # Three fields summing past 65535 must raise, not carry into x2.
+    g3 = PolyMap.from_strings(3, ["x1^30000*x2^30000*x3^30000"])
+    with pytest.raises(PolyError, match="32767"):
+        compose_maps(g3, PolyMap.from_strings(2, ["x1", "x1", "x1"]))
+
+
+@given(st.lists(st.one_of(polynomials(), st.integers(0, N_VARS)), min_size=1, max_size=4),
+       st.lists(polynomials(n_vars=2), min_size=N_VARS, max_size=N_VARS))
+@settings(max_examples=100, deadline=None)
+def test_composition_with_bare_variable_components(parts, inner):
+    # An integer part j stands for the component x_j of g, 0 for the zero polynomial.
+    comps = [p if isinstance(p, Polynomial) else
+             Polynomial.var(N_VARS, p) if p else Polynomial.zero(N_VARS) for p in parts]
+    g = PolyMap(N_VARS, len(comps), comps)
+    f = PolyMap(2, N_VARS, inner)
+    expected = PolyMap(2, g.tgt_dim, [c.substitute(inner) for c in comps])
+    assert compose_maps(g, f) == expected
+    assert str(compose_maps(g, f)) == str(expected)

@@ -8,7 +8,8 @@ import pytest
 from tancat import algebroid as AL
 from tancat import nerve as NV
 from tancat import tangent, weil, wterm
-from tancat.flatspace import Prolongation, whiskered_generator
+from tancat.flatspace import (PROLONGATION_CACHE_SIZE, Prolongation, prolongation,
+                              whiskered_generator)
 from tancat.poly import PolyMap, Polynomial, compose_maps
 from tancat.weil import NAT, W, WW, WeilAlgebra
 
@@ -129,6 +130,35 @@ def test_nerve_matches_tangent_model_on_tangent_algebroid():
         tgt_iso = NV.nerve_object(TA, t.target).weil_layout_iso()
         assert compose_maps(tgt_iso, nerve_map) == \
             compose_maps(action_map, src_iso), wterm.print_term(t)
+
+
+def test_eval_model_memo_matches_plain_evaluation():
+    rng = random.Random(11)
+    models = [NV.NerveModel(so3()), NV.NerveModel(action()), tangent.TangentModel(2)]
+    for model in models:
+        for _ in range(8):
+            t1, t2 = wterm.random_equal_pair(rng, depth=2, rewrites=2)
+            memo: dict = {}
+            for t in (t1, t2, t1):
+                assert wterm.eval_model(t, model, memo) == wterm.eval_model(t, model)
+                assert t in memo
+
+
+def test_prolongation_cache_shares_one_space():
+    for A in (so3(), action()):
+        for V in (NAT, W, WW, WeilAlgebra((2, 1)), WeilAlgebra((1, 1, 1))):
+            # A.shape builds a new (equal) shape on every access.
+            shared = prolongation(A.shape, V)
+            assert shared is prolongation(A.shape, V)
+            fresh = Prolongation(A.shape, V)
+            assert isinstance(shared.blocks, tuple)
+            assert shared.blocks == fresh.blocks and shared.dim == fresh.dim
+            assert shared.rho_leg == fresh.rho_leg
+            assert shared.embedding == fresh.embedding
+            if V.n_factors:
+                assert shared.proj0 == fresh.proj0
+                assert shared.proj1 == fresh.proj1
+    assert prolongation.cache_info().maxsize == PROLONGATION_CACHE_SIZE
 
 
 def test_functoriality_on_seeded_pairs():

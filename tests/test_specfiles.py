@@ -72,3 +72,28 @@ def test_inconsistent_dimensions(tmp_path):
         "kind": "map", "src_dim": 1, "tgt_dim": 2, "components": ["x1"]}))
     with pytest.raises(SpecFileError, match="components"):
         specfiles.load(path)
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"kind": "algebroid", "base_dim": 0, "rank": 1, "anchor": [],
+      "bracket": [[[True]]]}, r"algebroid.bracket\[0\]\[0\]\[0\] .* got true"),
+    ({"kind": "algebroid", "base_dim": 0, "rank": 1, "anchor": [],
+      "bracket": [["0"]]}, r"algebroid.bracket\[0\]\[0\] must be a list"),
+    ({"kind": "algebroid", "base_dim": True, "rank": 1, "anchor": [[]],
+      "bracket": [[["0"]]]}, "natural number"),
+    ({"kind": "connection", "bundle": {"kind": "bundle", "base_dim": 1, "rank": 1},
+      "kappa": ["x1", ["x4"]], "nabla": ["x1", "x2", "x3", "0"]},
+     r"connection.kappa\[1\] must be a polynomial string"),
+    ({"kind": "connection", "bundle": {"kind": "bundle", "base_dim": 1, "rank": 1},
+      "kappa": ["x1", "x4"], "nabla": {"x": 1}}, "connection.nabla must be a list"),
+])
+def test_wrong_json_types_name_the_field(tmp_path, document, message):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(SpecFileError, match=message):
+        specfiles.load(path)
+
+
+def test_section_entries_must_be_strings():
+    with pytest.raises(SpecFileError, match=r"section.components\[0\] .* got null"):
+        specfiles.load_section({"kind": "section", "components": [None]}, base_dim=1)
