@@ -217,9 +217,9 @@ def check_lift(lift: Lift) -> CheckReport:
     lam = lift.lam
     n = lift.total_dim
     coassoc = compose_maps(tangent_of(lam), lam) - compose_maps(ell_at(n), lam)
-    report.check("coassociativity T.λ∘λ = ℓ∘λ", coassoc, f"λ={lam}")
+    report.check("coassociativity T.λ∘λ = ℓ∘λ", coassoc, lambda: f"λ={lam}")
     e = lift.idempotent()
-    report.check("e = p∘λ is idempotent", compose_maps(e, e) - e, f"e={e}")
+    report.check("e = p∘λ is idempotent", compose_maps(e, e) - e, lambda: f"e={e}")
     report.check("λ∘e = T.e∘λ (e is a lift morphism)",
                  compose_maps(lam, e) - compose_maps(tangent_of(e), lam))
     return report

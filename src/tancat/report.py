@@ -10,6 +10,7 @@ where order is not meaningful).
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 
@@ -34,18 +35,25 @@ class CheckReport:
     def add(self, name: str, passed: bool, witness: str | None = None) -> None:
         self.verdicts.append(Verdict(name, bool(passed), None if passed else witness))
 
-    def check(self, name: str, difference, context: str = "") -> None:
+    def check(self, name: str, difference,
+              context: str | Callable[[], str] = "") -> None:
         """Record an exact-identity verdict: passes iff `difference` is zero.
 
         `difference` is anything with an is_zero() (Polynomial, PolyMap) or a
-        boolean.
+        boolean.  `context` prefixes the witness; pass a zero-argument
+        callable to build it only when the check fails.
         """
-        if isinstance(difference, bool):
-            self.add(name, difference, context or "condition violated")
+        ok = difference if isinstance(difference, bool) else difference.is_zero()
+        if ok:
+            self.add(name, True)
             return
-        ok = difference.is_zero()
-        witness = None if ok else (context + (": " if context else "") + f"nonzero difference {difference}")
-        self.add(name, ok, witness)
+        if callable(context):
+            context = context()
+        if isinstance(difference, bool):
+            self.add(name, False, context or "condition violated")
+            return
+        self.add(name, False,
+                 context + (": " if context else "") + f"nonzero difference {difference}")
 
     def merge(self, other: "CheckReport", prefix: str = "") -> None:
         for v in other.verdicts:

@@ -13,9 +13,12 @@ Five kinds, dispatched on the top-level "kind" field:
   map:        {"kind": "map", "src_dim": n, "tgt_dim": m, "components": [poly]*m}
 
 Polynomials are strings in the `3/2*x1^2*x2 - x3` syntax.  Every polynomial
-field is checked for its JSON type before anything is parsed: a number,
-null, boolean, list or object where a string belongs, or a string where a
-list belongs, raises SpecFileError naming the field.
+field is checked for its JSON type: a number, null, boolean, list or object
+where a string belongs, or a string where a list belongs, raises
+SpecFileError naming the field.  Every polynomial has total degree at most
+MAX_DEGREE, and so has every product and power written inside it; the parser
+rejects a larger one before computing it, with a SpecFileError naming the
+field and the limit.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ from pathlib import Path
 from . import algebroid as algebroid_mod
 from . import bundle as bundle_mod
 from .poly import PolyError, PolyMap, parse_poly
+
+# Checks cost grows steeply with degree: `cdc check` on x1^e*x2^e takes about
+# 0.4 s at total degree 64, 1.8 s at 128 and 27 s at 256.
+MAX_DEGREE = 128
 
 
 class SpecFileError(ValueError):
@@ -50,21 +57,24 @@ def _show(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
-def _poly_array(value, depth: int, field: str):
-    """`value` as a JSON array nested `depth` deep with polynomial strings inside."""
+def _poly_array(value, depth: int, field: str, n_vars: int):
+    """The polynomials of a JSON array nested `depth` deep, in n_vars variables."""
     if depth == 0:
         if not isinstance(value, str):
             raise SpecFileError(f"{field} must be a polynomial string, got {_show(value)}")
-    elif not isinstance(value, list):
+        try:
+            return parse_poly(value, n_vars, max_degree=MAX_DEGREE)
+        except PolyError as exc:
+            raise SpecFileError(f"{field} invalid: {exc}")
+    if not isinstance(value, list):
         raise SpecFileError(f"{field} must be a list, got {_show(value)}")
-    else:
-        for i, entry in enumerate(value):
-            _poly_array(entry, depth - 1, f"{field}[{i}]")
-    return value
+    return [_poly_array(entry, depth - 1, f"{field}[{i}]", n_vars)
+            for i, entry in enumerate(value)]
 
 
-def _polys(data: dict, field: str, kind: str, depth: int = 1):
-    return _poly_array(_require(data, field, kind), depth, f"{kind}.{field}")
+def _polys(data: dict, field: str, kind: str, n_vars: int,
+           depth: int = 1) -> list:
+    return _poly_array(_require(data, field, kind), depth, f"{kind}.{field}", n_vars)
 
 
 def load_document(path: str | Path) -> dict:
@@ -84,8 +94,8 @@ def load_document(path: str | Path) -> dict:
 def load_algebroid(data: dict) -> algebroid_mod.AlgebroidData:
     d = _nat(data, "base_dim", "algebroid")
     r = _nat(data, "rank", "algebroid")
-    anchor = _polys(data, "anchor", "algebroid", depth=2)
-    bracket = _polys(data, "bracket", "algebroid", depth=3)
+    anchor = _polys(data, "anchor", "algebroid", d, depth=2)
+    bracket = _polys(data, "bracket", "algebroid", d, depth=3)
     try:
         return algebroid_mod.make_algebroid(d, r, anchor, bracket)
     except (ValueError, PolyError) as exc:
@@ -101,35 +111,28 @@ def load_bundle(data: dict) -> bundle_mod.TrivialBundle:
 def load_connection(data: dict) -> bundle_mod.Connection:
     bundle = load_bundle(_require(data, "bundle", "connection"))
     t = bundle.total_dim
-    kappa = _polys(data, "kappa", "connection")
-    nabla = _polys(data, "nabla", "connection")
+    kappa = _polys(data, "kappa", "connection", 2 * t)
+    nabla = _polys(data, "nabla", "connection", t + bundle.base_dim)
     try:
-        kappa_map = PolyMap(2 * t, t, [parse_poly(s, 2 * t) for s in kappa])
-        nabla_map = PolyMap(t + bundle.base_dim, 2 * t,
-                            [parse_poly(s, t + bundle.base_dim) for s in nabla])
+        kappa_map = PolyMap(2 * t, t, kappa)
+        nabla_map = PolyMap(t + bundle.base_dim, 2 * t, nabla)
         return bundle_mod.Connection(bundle, kappa_map, nabla_map)
     except (ValueError, PolyError) as exc:
         raise SpecFileError(f"connection data invalid: {exc}")
 
 
 def load_section(data: dict, base_dim: int) -> PolyMap:
-    comps = _polys(data, "components", "section")
-    try:
-        return PolyMap(base_dim, len(comps), [parse_poly(s, base_dim) for s in comps])
-    except (ValueError, PolyError) as exc:
-        raise SpecFileError(f"section data invalid: {exc}")
+    comps = _polys(data, "components", "section", base_dim)
+    return PolyMap(base_dim, len(comps), comps)
 
 
 def load_map(data: dict) -> PolyMap:
     n = _nat(data, "src_dim", "map")
     m = _nat(data, "tgt_dim", "map")
-    comps = _polys(data, "components", "map")
+    comps = _polys(data, "components", "map", n)
     if len(comps) != m:
         raise SpecFileError(f"map needs {m} components, found {len(comps)}")
-    try:
-        return PolyMap(n, m, [parse_poly(s, n) for s in comps])
-    except (ValueError, PolyError) as exc:
-        raise SpecFileError(f"map data invalid: {exc}")
+    return PolyMap(n, m, comps)
 
 
 LOADERS = {

@@ -5,16 +5,19 @@ substitute V-valued points into f, expand, kill monomials by nilpotency, and
 read off coefficients.  Flat coordinates of T^V(Q^n) are one block of n
 coordinates per basis monomial of V, in the canonical basis order (unit
 block first), which makes the action strict: T^{U⊗V} = T^U ∘ T^V on the
-nose.
+nose.  Each power X_i^e of a V-valued point is computed once per call, in a
+table keyed on (variable, exponent) that every monomial of every component
+shares; a monomial starts from its first power and is scaled only when its
+coefficient is not 1.
 
 `structure_nat(phi, n)` is the linear coordinate relabeling T^V(Q^n) ->
 T^U(Q^n) induced by a rig morphism phi: V -> U; the tangent-category
-structure maps are its values on the five generators.
+structure maps are its values on the five generators.  It collects each
+target coordinate's coefficients in one pass and builds the map once with
+`PolyMap.linear`.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import linalg, weil
 from .poly import PolyMap, Polynomial, compose_maps
@@ -44,12 +47,6 @@ class _Jet:
         self.n_vars = n_vars
         self.parts = {m: p for m, p in parts.items() if not p.is_zero()}
 
-    def add(self, other: "_Jet") -> "_Jet":
-        out = dict(self.parts)
-        for m, p in other.parts.items():
-            out[m] = out[m] + p if m in out else p
-        return _Jet(self.V, self.n_vars, out)
-
     def mul(self, other: "_Jet") -> "_Jet":
         out: dict[weil.Monomial, Polynomial] = {}
         for ma, pa in self.parts.items():
@@ -61,23 +58,17 @@ class _Jet:
                 out[mono] = out[mono] + prod if mono in out else prod
         return _Jet(self.V, self.n_vars, out)
 
-    def scale(self, c: Fraction) -> "_Jet":
-        return _Jet(self.V, self.n_vars, {m: p * c for m, p in self.parts.items()})
-
     def power(self, k: int) -> "_Jet":
-        result = _Jet.unit(self.V, self.n_vars)
+        """self ** k for k >= 1, by binary powering."""
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result.mul(base)
+                result = base if result is None else result.mul(base)
             k >>= 1
-            if k:
-                base = base.mul(base)
-        return result
-
-    @staticmethod
-    def unit(V: WeilAlgebra, n_vars: int) -> "_Jet":
-        return _Jet(V, n_vars, {V.unit_monomial: Polynomial.const(n_vars, 1)})
+            if not k:
+                return result
+            base = base.mul(base)
 
 
 def weil_prolong(V: WeilAlgebra, f: PolyMap) -> PolyMap:
@@ -94,20 +85,36 @@ def weil_prolong(V: WeilAlgebra, f: PolyMap) -> PolyMap:
             for pos, mono in enumerate(basis)
         }
         points.append(_Jet(V, total, parts))
+    # X_i ** e, shared by every monomial of every component.
+    powers: dict[tuple[int, int], _Jet] = {}
+
+    def power(i: int, e: int) -> _Jet:
+        jet = powers.get((i, e))
+        if jet is None:
+            jet = powers[i, e] = points[i].power(e)
+        return jet
 
     components: list[Polynomial] = [Polynomial.zero(total)] * (m * D)
     mono_pos = {mono: pos for pos, mono in enumerate(basis)}
+    unit = V.unit_monomial
     for out_i, comp in enumerate(f.components):
-        value = _Jet(V, total, {})
+        value: dict[weil.Monomial, Polynomial] = {}
         for mono, coeff in comp.monomials():
-            term = _Jet.unit(V, total).scale(coeff)
-            for var_i, exp in enumerate(mono):
-                if exp:
-                    term = term.mul(points[var_i].power(exp))
+            factors = [power(i, e) for i, e in enumerate(mono) if e]
+            if factors:
+                term = factors[0]
+                for factor in factors[1:]:
+                    term = term.mul(factor)
                     if not term.parts:
                         break
-            value = value.add(term)
-        for v_mono, poly in value.parts.items():
+                parts = term.parts
+                if coeff != 1:
+                    parts = {v_mono: p * coeff for v_mono, p in parts.items()}
+            else:
+                parts = {unit: Polynomial.const(total, coeff)}
+            for v_mono, p in parts.items():
+                value[v_mono] = value[v_mono] + p if v_mono in value else p
+        for v_mono, poly in value.items():
             components[flat_index(V, m, mono_pos[v_mono], out_i)] = poly
     return PolyMap(total, m * D, components)
 
@@ -117,18 +124,15 @@ def structure_nat(phi: WeilMorphism, n: int) -> PolyMap:
     V, U = phi.source, phi.target
     src_basis = V.basis()
     tgt_basis = U.basis()
-    total_src = n * len(src_basis)
-    comps = [Polynomial.zero(total_src) for _ in range(n * len(tgt_basis))]
     tgt_pos = {m: i for i, m in enumerate(tgt_basis)}
+    # rows[k][j]: the coefficient of source coordinate j in target coordinate k.
+    rows: list[dict[int, int]] = [{} for _ in range(n * len(tgt_basis))]
     for src_pos, mono in enumerate(src_basis):
-        image = phi.apply_monomial(mono)
-        for u_mono, c in image.coeffs.items():
+        for u_mono, c in phi.apply_monomial(mono).coeffs.items():
             u_pos = tgt_pos[u_mono]
             for i in range(n):
-                comps[flat_index(U, n, u_pos, i)] = (
-                    comps[flat_index(U, n, u_pos, i)]
-                    + Polynomial.var(total_src, flat_index(V, n, src_pos, i) + 1) * c)
-    return PolyMap(total_src, n * len(tgt_basis), comps)
+                rows[flat_index(U, n, u_pos, i)][flat_index(V, n, src_pos, i)] = c
+    return PolyMap.linear(n * len(src_basis), rows)
 
 
 def generator_nat(kind: str, n: int, **kwargs) -> PolyMap:
@@ -193,11 +197,8 @@ def certify_linear_pullback(comparison: PolyMap, constraints: PolyMap,
     if left is None:
         report.add(f"{name}: retraction exists", False, "no left inverse")
         return
-    retraction = PolyMap(comparison.tgt_dim, comparison.src_dim, [
-        sum((Polynomial.var(comparison.tgt_dim, j + 1) * c
-             for j, c in enumerate(row) if c), Polynomial.zero(comparison.tgt_dim))
-        for row in left
-    ])
+    retraction = PolyMap.linear(comparison.tgt_dim,
+                                [{j: c for j, c in enumerate(row) if c} for row in left])
     round_trip = compose_maps(retraction, comparison) - PolyMap.identity(comparison.src_dim)
     report.check(f"{name}: retraction inverts on the source", round_trip)
     # On the subspace the other round trip must be the identity: check on a
@@ -348,11 +349,11 @@ def check_naturality(phi: WeilMorphism, f: PolyMap) -> CheckReport:
     V, U = phi.source, phi.target
     lhs = compose_maps(structure_nat(phi, f.tgt_dim), weil_prolong(V, f))
     rhs = compose_maps(weil_prolong(U, f), structure_nat(phi, f.src_dim))
-    report.check("naturality square", lhs - rhs, f"phi={phi}")
+    report.check("naturality square", lhs - rhs, lambda: f"phi={phi}")
     report.check(
         "strictness T^{U⊗V}f = T^U(T^V f)",
         weil_prolong(U.tensor(V), f) - weil_prolong(U, weil_prolong(V, f)),
-        f"U={U}, V={V}")
+        lambda: f"U={U}, V={V}")
     return report
 
 

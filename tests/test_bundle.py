@@ -46,6 +46,9 @@ def test_check_lift_failure_witness():
     assert not report.passed
     witness = next(v.witness for v in report.verdicts if not v.passed)
     assert "nonzero difference" in witness
+    # The lazily formatted context reads as the eager one did.
+    assert witness == ("λ=(x1, x1^2): Q^1 -> Q^2: nonzero difference "
+                       "(0, x1^2, x1^2, 2*x1^3 - x1^2): Q^1 -> Q^4")
 
 
 def test_free_lift_passes():

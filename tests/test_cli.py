@@ -154,13 +154,41 @@ def test_bad_polynomial_input_exits_two(tmp_path, component, message):
     assert_input_error(run_cli("cdc", "check", str(spec)), message)
 
 
-def test_exponent_overflow_during_a_check_exits_two(tmp_path):
-    # Each exponent is within the limit, but X·∂Y reaches x1^39999.
+def test_degree_128_map_is_accepted(tmp_path):
+    spec = tmp_path / "map.json"
+    spec.write_text(json.dumps({"kind": "map", "src_dim": 2, "tgt_dim": 1,
+                                "components": ["x1^64*x2^64"]}))
+    proc = run_cli("cdc", "check", str(spec))
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command, document, field", [
+    (("cdc", "check"), {"kind": "map", "src_dim": 2, "tgt_dim": 1,
+                        "components": ["x1^64*x2^65"]}, "map.components[0]"),
+    # The power is rejected before it is computed.
+    (("cdc", "check"), {"kind": "map", "src_dim": 1, "tgt_dim": 1,
+                        "components": ["x1 + (1 + x1)^32767"]}, "map.components[0]"),
+    (("algebroid", "check"), {"kind": "algebroid", "base_dim": 1, "rank": 1,
+                              "anchor": [["1"]], "bracket": [[["x1^129"]]]},
+     "algebroid.bracket[0][0][0]"),
+])
+def test_degree_above_128_exits_two(tmp_path, command, document, field):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(document))
+    proc = run_cli(*command, str(spec))
+    assert_input_error(proc, field)
+    assert "exceeds the limit of 128" in proc.stderr
+
+
+def test_section_above_the_degree_limit_exits_two(tmp_path):
+    # X·∂Y would reach x1^39999, past the exponent limit of 32767; the degree
+    # limit rejects the section before any check runs.
     section = tmp_path / "x.json"
     section.write_text(json.dumps({"kind": "section", "components": ["x1^20000"]}))
     proc = run_cli("algebroid", "bracket", str(EXAMPLES / "tangent1.json"),
                    str(section), str(section))
-    assert_input_error(proc, "32767")
+    assert_input_error(proc, "section.components[0] invalid: total degree 20000 "
+                             "exceeds the limit of 128")
 
 
 @pytest.mark.parametrize("command, document, message", [

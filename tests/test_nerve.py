@@ -185,6 +185,26 @@ def test_compose_functoriality():
     assert report.passed
 
 
+class SkewedTensorModel(NV.NerveModel):
+    """A nerve whose tensor adds 1 to its first output coordinate, if any."""
+
+    def tensor(self, left_term, left_mor, right_term, right_mor):
+        out = super().tensor(left_term, left_mor, right_term, right_mor)
+        comps = list(out.components)
+        if comps:
+            comps[0] = comps[0] + 1
+        return PolyMap(out.src_dim, out.tgt_dim, comps)
+
+
+@pytest.mark.parametrize("make", [action, so3, lambda: AL.tangent_algebroid(2)])
+def test_compose_functoriality_fails_on_a_skewed_tensor(monkeypatch, make):
+    monkeypatch.setattr(NV, "NerveModel", SkewedTensorModel)
+    report = NV.check_compose_functoriality(make(), random.Random(5), cases=8)
+    assert not report.passed
+    failing = [v for v in report.verdicts if not v.passed]
+    assert all("nonzero difference" in v.witness for v in failing)
+
+
 # -- p-cartesianness ----------------------------------------------------------------
 
 

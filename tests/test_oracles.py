@@ -1,0 +1,252 @@
+"""Independent oracles for the structural kernels.
+
+- `check_structure_equations` against the plain triple loop it replaced
+  (`reference_structure_equations` below), witnesses included;
+- `weil_prolong` against sympy: truncated substitution of Weil-algebra
+  points, with one symbol per generator;
+- `structure_nat` against the Kronecker product of the morphism's matrix
+  with the identity.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tancat import algebroid as AL
+from tancat import nerve as NV
+from tancat import selftest as ST
+from tancat import weil, wterm
+from tancat.poly import PolyMap, Polynomial, random_map, random_polynomial
+from tancat.report import CheckReport
+from tancat.tangent import W2, structure_nat, weil_prolong
+from tancat.weil import W, WeilAlgebra
+
+
+# -- structure equations: the triple loop ---------------------------------------
+
+
+def reference_structure_equations(A: AL.AlgebroidData) -> CheckReport:
+    """Alternating, Leibniz and Bianchi by the plain triple loop."""
+    report = CheckReport(f"structure equations for {A}")
+    d, r = A.base_dim, A.rank
+    C = A.bracket
+    rho = A.rho
+
+    ok, witness = True, None
+    for a in range(r):
+        for b in range(r):
+            for g in range(r):
+                diff = C[a][b][g] + C[b][a][g]
+                if not diff.is_zero():
+                    ok, witness = False, f"C[{a}][{b}][{g}] + C[{b}][{a}][{g}] = {diff}"
+                    break
+    report.add("alternating", ok, witness)
+
+    ok, witness = True, None
+    for i in range(d):
+        for a in range(r):
+            for b in range(r):
+                lhs = Polynomial.zero(d)
+                for j in range(d):
+                    lhs = lhs + rho[j][a] * rho[i][b].partial(j + 1)
+                rhs = Polynomial.zero(d)
+                for g in range(r):
+                    rhs = rhs + rho[i][g] * C[a][b][g]
+                for j in range(d):
+                    rhs = rhs + rho[j][b] * rho[i][a].partial(j + 1)
+                diff = lhs - rhs
+                if not diff.is_zero():
+                    ok, witness = False, \
+                        f"Leibniz fails at i={i}, α={a}, β={b}: difference {diff}"
+                    break
+    report.add("Leibniz", ok, witness)
+
+    ok, witness = True, None
+    for nu in range(r):
+        for a in range(r):
+            for b in range(r):
+                for g in range(r):
+                    total = Polynomial.zero(d)
+                    for (p1, p2, p3) in ((a, b, g), (b, g, a), (g, a, b)):
+                        for i in range(d):
+                            total = total + rho[i][p1] * C[p2][p3][nu].partial(i + 1)
+                        for mu in range(r):
+                            total = total + C[p2][p3][mu] * C[p1][mu][nu]
+                    if not total.is_zero():
+                        ok, witness = False, \
+                            f"Bianchi fails at ν={nu}, (α,β,γ)=({a},{b},{g}): {total}"
+                        break
+    report.add("Bianchi", ok, witness)
+    return report
+
+
+def random_polynomial_algebroid(rng: random.Random) -> AL.AlgebroidData:
+    """Random anchor and bracket entries: usually fails every equation."""
+    d, r = rng.randint(1, 2), rng.randint(1, 3)
+    entry = lambda: random_polynomial(rng, d, 2, n_terms=rng.randint(0, 2))  # noqa: E731
+    rho = [[entry() for _ in range(r)] for _ in range(d)]
+    c = [[[entry() for _ in range(r)] for _ in range(r)] for _ in range(r)]
+    if rng.random() < 0.5:
+        # Alternating, so Leibniz and Bianchi decide the verdict.
+        for a in range(r):
+            c[a][a] = [Polynomial.zero(d)] * r
+            for b in range(a):
+                c[a][b] = [-p for p in c[b][a]]
+    return AL.make_algebroid(d, r, rho, c)
+
+
+def structure_instance(kind: str, rng: random.Random) -> AL.AlgebroidData:
+    if kind == "valid":
+        return rng.choice(ST.valid_instances(rng, 9))
+    if kind == "leibniz-broken":
+        return ST.leibniz_family(rng, break_leibniz=True)
+    if kind == "alternating-broken":
+        return ST.mutate_alternating(rng.choice(ST.valid_instances(rng, 9)))
+    if kind == "random-constants":
+        return ST.random_lie_constants(rng, r=rng.randint(2, 4))
+    if kind == "bianchi-broken":
+        return ST.mutate_bianchi(rng.choice([ST.so3(), ST.heisenberg(), ST.scaled_so3(3)]))
+    if kind == "random-polynomial":
+        return random_polynomial_algebroid(rng)
+    return NV.lie_tangent(rng.choice(ST.valid_instances(rng, 9)))
+
+
+STRUCTURE_KINDS = ("valid", "leibniz-broken", "alternating-broken", "random-constants",
+                   "bianchi-broken", "random-polynomial", "lie-tangent")
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(STRUCTURE_KINDS), seed=st.integers(0, 2 ** 32))
+def test_structure_equations_match_the_triple_loop(kind, seed):
+    A = structure_instance(kind, random.Random(seed))
+    assert AL.check_structure_equations(A).as_dict() == \
+        reference_structure_equations(A).as_dict()
+
+
+def test_structure_oracle_sees_every_failure_kind():
+    """The instance kinds above do exercise failing witnesses of each law."""
+    rng = random.Random(3)
+    failed = set()
+    for kind in STRUCTURE_KINDS:
+        for _ in range(6):
+            A = structure_instance(kind, rng)
+            report = AL.check_structure_equations(A)
+            assert report.as_dict() == reference_structure_equations(A).as_dict()
+            failed |= {v.name for v in report.verdicts if not v.passed}
+    assert failed == {"alternating", "Leibniz", "Bianchi"}
+
+
+# -- weil_prolong: truncated substitution in sympy --------------------------------
+
+
+PROLONG_ALGEBRAS = (W, W2, W.tensor(W), W.tensor(W2), W.tensor(W).tensor(W))
+
+
+def as_sympy(sp, p, values):
+    """p with x_{i+1} replaced by values[i], expanded."""
+    expr = sp.Integer(0)
+    for exps, coeff in p.monomials():
+        term = sp.Rational(coeff.numerator, coeff.denominator) \
+            if isinstance(coeff, Fraction) else sp.Integer(coeff)
+        for value, e in zip(values, exps):
+            term *= value ** e
+        expr += term
+    return sp.expand(expr)
+
+
+def sympy_prolong(sp, V: WeilAlgebra, f):
+    """T^V f by sympy: substitute x_i = Σ_m x_{m,i}·ε^m and truncate.
+
+    One symbol per generator y_j of each factor; a monomial that puts two
+    generators of one factor together (y_j·y_k, or y_j²) is dropped.  Returns
+    {(block, output coordinate): expression in the flat coordinates} and the
+    flat coordinate symbols.
+    """
+    n = f.src_dim
+    basis = list(itertools.product(*(range(w + 1) for w in V.widths)))
+    gens = [[sp.Symbol(f"y{k}_{j}") for j in range(1, w + 1)]
+            for k, w in enumerate(V.widths)]
+    flat = [sp.Symbol(f"z{j}") for j in range(len(basis) * n)]
+
+    def eps(mono):
+        out = sp.Integer(1)
+        for k, j in enumerate(mono):
+            if j:
+                out *= gens[k][j - 1]
+        return out
+
+    points = [sum(flat[pos * n + i] * eps(mono) for pos, mono in enumerate(basis))
+              for i in range(n)]
+    all_gens = [g for factor in gens for g in factor]
+    out = {}
+    for out_i, comp in enumerate(f.components):
+        expr = as_sympy(sp, comp, points)
+        blocks = {pos: sp.Integer(0) for pos in range(len(basis))}
+        terms = sp.Poly(expr, *all_gens).terms() if all_gens else [((), expr)]
+        for powers, coeff in terms:
+            mono, at = [], 0
+            for factor in gens:
+                used = powers[at:at + len(factor)]
+                at += len(factor)
+                if sum(used) > 1:
+                    mono = None
+                    break
+                mono.append(used.index(1) + 1 if sum(used) else 0)
+            if mono is not None:
+                blocks[basis.index(tuple(mono))] += coeff
+        for pos, value in blocks.items():
+            out[pos, out_i] = sp.expand(value)
+    return out, flat
+
+
+@pytest.mark.parametrize("V", PROLONG_ALGEBRAS, ids=str)
+def test_weil_prolong_matches_sympy_truncation(V):
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(f"prolong:{V}")
+    for _ in range(4):
+        f = random_map(rng, rng.randint(1, 2), rng.randint(1, 2), 3)
+        if rng.random() < 0.5:
+            # Fraction coefficients, so monomials start from a scaled power.
+            c = Fraction(rng.randint(1, 5), rng.randint(2, 5))
+            f = PolyMap(f.src_dim, f.tgt_dim, [p * c for p in f.components])
+        expected, flat = sympy_prolong(sp, V, f)
+        got = weil_prolong(V, f)
+        assert got.tgt_dim == len(expected)
+        for (pos, out_i), value in expected.items():
+            assert as_sympy(sp, got.components[pos * f.tgt_dim + out_i], flat) == value, \
+                (str(V), str(f), pos, out_i)
+
+
+# -- structure_nat: the Kronecker product with the identity -----------------------
+
+
+def kronecker_identity(matrix, n):
+    """matrix ⊗ I_n as the rows of a dense matrix."""
+    return [[c if i == k else 0 for c in row for k in range(n)]
+            for row in matrix for i in range(n)]
+
+
+def sample_morphisms(rng: random.Random):
+    idw = weil.identity_morphism(W)
+    gens = [weil.generator(k) for k in ("p", "zero", "plus", "ell", "flip")]
+    out = gens + [weil.tensor_morphisms(g, idw) for g in gens]
+    out += [weil.tensor_morphisms(idw, g) for g in gens]
+    out.append(weil.mu_morphism())
+    # y ↦ y1 + y2 ↦ 2y: a coefficient other than 1.
+    out.append(weil.compose_morphisms(gens[2], weil.fibered_pair(idw, idw)))
+    out += [wterm.eval_weil(wterm.random_term(rng, depth=2)) for _ in range(12)]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_structure_nat_is_the_kronecker_product(n):
+    for phi in sample_morphisms(random.Random(n)):
+        # phi.matrix() has one column per source monomial.
+        rows = [list(row) for row in zip(*phi.matrix())]
+        matrix, offset = structure_nat(phi, n).linear_part()
+        assert matrix == kronecker_identity(rows, n), str(phi)
+        assert not any(offset)

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tancat import poly as poly_module
 from tancat.poly import (PolyError, PolyMap, Polynomial, check_cdc_axioms,
                          compose_maps, differential, is_linear, parse_poly,
                          random_map)
+from tancat.report import CheckReport
 
 
 def naive_partial(poly: Polynomial, index: int) -> Polynomial:
@@ -179,3 +181,51 @@ def test_cd7_symmetry_xy():
     ddf = differential(differential(f))
     a, b, c, d = [1, 2], [3, 4], [5, 6], [7, 8]
     assert ddf.eval(a + b + c + d) == ddf.eval(a + c + b + d)
+
+
+def test_check_formats_a_callable_context_only_on_failure():
+    calls = []
+
+    def context():
+        calls.append(1)
+        return "f=x1"
+
+    lazy = CheckReport("lazy")
+    lazy.check("zero difference", Polynomial.zero(1), context)
+    lazy.check("true condition", True, context)
+    assert calls == []
+    lazy.check("nonzero difference", parse_poly("x1"), context)
+    lazy.check("false condition", False, context)
+    assert len(calls) == 2
+    eager = CheckReport("eager")
+    eager.check("zero difference", Polynomial.zero(1), "f=x1")
+    eager.check("true condition", True, "f=x1")
+    eager.check("nonzero difference", parse_poly("x1"), "f=x1")
+    eager.check("false condition", False, "f=x1")
+    assert [v.as_dict() for v in lazy.verdicts] == [v.as_dict() for v in eager.verdicts]
+    assert [v.witness for v in lazy.verdicts] == [
+        None, None, "f=x1: nonzero difference x1", "f=x1"]
+
+
+def test_cdc_witness_is_formatted_on_failure(monkeypatch):
+    # A differential off by a constant breaks CD.1-CD.7; every witness keeps
+    # its eagerly formatted text: the map, then the difference.
+    f = PolyMap.from_strings(2, ["x1^2*x2 - x2"])
+    broken = lambda g: differential(g) + PolyMap.constant(2 * g.src_dim, [1] * g.tgt_dim)  # noqa: E731
+    monkeypatch.setattr(poly_module, "differential", broken)
+    report = check_cdc_axioms([f], seed=3)
+    failing = [v for v in report.verdicts if not v.passed]
+    assert len(failing) > 3
+    for v in failing:
+        assert v.witness.startswith((f"f={f}", "zero map", "identity map",
+                                     "first projection")), v.witness
+        assert ": nonzero difference " in v.witness
+
+
+def test_linear_map_from_rows():
+    f = PolyMap.linear(3, [{0: 2, 2: Fraction(1, 2)}, {}, {1: Fraction(4, 2), 0: 0}])
+    assert f == PolyMap.from_strings(3, ["2*x1 + 1/2*x3", "0", "2*x2"])
+    # Coefficients are canonical: 4/2 is stored as the int 2.
+    assert [type(c) for _, c in f.components[2].monomials()] == [int]
+    with pytest.raises(PolyError, match="x4 out of range"):
+        PolyMap.linear(3, [{3: 1}])
