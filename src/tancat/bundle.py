@@ -100,13 +100,6 @@ class TrivialBundle:
         comps += [_var(n, d + j) + _var(n, d + k + j) for j in range(k)]
         return PolyMap(n, d + k, comps)
 
-    def fiber_pair(self, x: PolyMap, y: PolyMap) -> PolyMap:
-        """Tuple two maps into E over an identical base into E2."""
-        if x.components[:self.base_dim] != y.components[:self.base_dim]:
-            raise ValueError("fiber_pair needs equal base components")
-        comps = list(x.components) + list(y.components[self.base_dim:])
-        return PolyMap(x.src_dim, self.base_dim + 2 * self.rank, comps)
-
 
 def add_over(block_split: int, u: PolyMap, w: PolyMap) -> PolyMap:
     """Add two maps into a bundle whose first `block_split` components are the

@@ -15,7 +15,13 @@ model's basis-ordered layout) are explicit permutations, not conventions.
 
 The structural maps of the Weil nerve are built here: whiskered generator
 actions (the flip takes the involution σ as an argument), span tensoring of
-evaluated maps, and fibered-sum pairing.
+evaluated maps, and fibered-sum pairing.  One decomposition serves them all:
+`split_left` cuts A.(S1⊗S2) into its legs to A.S1 and T^{S1}(A.S2), and
+`join_at` assembles a map into A.(S1⊗S2) from two such legs.  The head leg
+`proj1` of a space is its split after the first factor, and a whisker
+id_{W_n} ⊠ g is joined from `proj0` and T_n g ∘ `proj1`.  The only
+constrained coordinates, ρ(x)·u, come from the right leg `rho_leg` of a
+single-factor space A.W_n.
 
 Every space is obtained through `prolongation(shape, V)`, one
 least-recently-used cache of at most PROLONGATION_CACHE_SIZE spaces keyed on
@@ -159,9 +165,20 @@ class Prolongation:
 
     @cached_property
     def rho_leg(self) -> PolyMap:
-        """Right leg A.V -> T^V(M)."""
+        """Right leg A.V -> T^V(M).
+
+        On A.W_n this is (x; ρ(x)u_1, ..., ρ(x)u_n), the one place a
+        prolongation writes ρ(x)·u; `split_left` reads it to reconstruct the
+        constrained base coordinates of every other space.
+        """
         if self.inner is None:
             return PolyMap.identity(self.dim)
+        if self.V.n_factors == 1:
+            x = self.base_vars()
+            comps = list(x)
+            for i in range(1, self.head_width + 1):
+                comps.extend(self.shape.anchor_fiber(x, self.vars_of((i,))))
+            return PolyMap(self.dim, len(comps), comps)
         t_inner_rho = weil_prolong(WeilAlgebra((self.head_width,)), self.inner.rho_leg)
         return compose_maps(t_inner_rho, self.proj1)
 
@@ -175,48 +192,8 @@ class Prolongation:
 
     @cached_property
     def proj1(self) -> PolyMap:
-        """A.V -> T_n(A.V') with every constrained coordinate reconstructed.
-
-        Copy 0 is the inner point (base x, base-copy fibers); copy i has base
-        ρ(x)·u_i and the (x_i, ν) fiber blocks.
-        """
-        inner = self.inner
-        n = self.head_width
-        x = self.base_vars()
-        comps: list[Polynomial] = []
-        comps.extend(x)
-        for block in inner.fiber_blocks:
-            comps.extend(self.vars_of((0,) + block.label))
-        for i in range(1, n + 1):
-            u_i = self.vars_of((i,) + inner.V.unit_monomial)
-            comps.extend(self.shape.anchor_fiber(x, u_i))
-            for block in inner.fiber_blocks:
-                comps.extend(self.vars_of((i,) + block.label))
-        return PolyMap(self.dim, (n + 1) * inner.dim, comps)
-
-    def pair(self, a_part: PolyMap, t_part: PolyMap) -> PolyMap:
-        """Assemble a map into A.V from maps into A_n and T_n(A.V').
-
-        Inverse to (proj0, proj1): the constrained coordinates of `t_part`
-        are dropped, everything else is selected into the flat layout.
-        """
-        inner = self.inner
-        n = self.head_width
-        d, r = self.shape.base_dim, self.shape.rank
-        src = a_part.src_dim
-        if t_part.src_dim != src:
-            raise ValueError("pair needs a common source")
-        comps: list[Polynomial] = list(a_part.components[:d])          # x
-        comps += list(a_part.components[d:d + n * r])                  # u_i
-        for block in inner.fiber_blocks:                               # base copy
-            lo = block.offset
-            comps += list(t_part.components[lo:lo + block.size])
-        for i in range(1, n + 1):                                      # tangent copies
-            copy_off = i * inner.dim
-            for block in inner.fiber_blocks:
-                lo = copy_off + block.offset
-                comps += list(t_part.components[lo:lo + block.size])
-        return PolyMap(src, self.dim, comps)
+        """A.V -> T_n(A.V'): the head split of `split_left`."""
+        return split_left(self, 1)[1]
 
     # -- embeddings and reorderings -------------------------------------------
 
@@ -250,16 +227,13 @@ class Prolongation:
 # -- structural maps -----------------------------------------------------------
 
 
-def _with_head(V: WeilAlgebra, head: WeilAlgebra) -> WeilAlgebra:
-    return head.tensor(V)
-
-
 def whisker_head(src: Prolongation, tgt: Prolongation, inner_map: PolyMap) -> PolyMap:
     """id_{W_n} ⊠ g on flat coordinates, for g between the inner spaces."""
     if src.head_width != tgt.head_width:
         raise ValueError("whisker_head needs equal head widths")
-    lifted = weil_prolong(WeilAlgebra((src.head_width,)), inner_map)
-    return tgt.pair(src.proj0, compose_maps(lifted, src.proj1))
+    head = WeilAlgebra((src.head_width,))
+    lifted = weil_prolong(head, inner_map)
+    return join_at(src.shape, head, tgt.inner.V, src.proj0, compose_maps(lifted, src.proj1))
 
 
 def _relabel_map(src: Prolongation, tgt: Prolongation,
@@ -288,22 +262,22 @@ def head_generator(shape: AnchoredShape, kind: str, tail: WeilAlgebra,
     c:  A.(W⊗W⊗tail) -> same           (σ on the spine, flip on mixed blocks)
     """
     if kind == "p":
-        src = prolongation(shape, _with_head(tail, weil.W))
+        src = prolongation(shape, weil.W.tensor(tail))
         tgt = prolongation(shape, tail)
         labels = [(0,) + tgt.V.unit_monomial]
         labels += [(0,) + b.label for b in tgt.fiber_blocks]
         return src.select(src.dim, labels)
     if kind == "zero":
         src = prolongation(shape, tail)
-        tgt = prolongation(shape, _with_head(tail, weil.W))
+        tgt = prolongation(shape, weil.W.tensor(tail))
         assignment = {tgt.V.unit_monomial: src.V.unit_monomial}
         for b in src.fiber_blocks:
             assignment[(0,) + b.label] = b.label
         return _relabel_map(src, tgt, assignment)
     if kind in ("plus", "proj"):
         width = 2 if kind == "plus" else n
-        src = prolongation(shape, _with_head(tail, WeilAlgebra((width,))))
-        tgt = prolongation(shape, _with_head(tail, weil.W))
+        src = prolongation(shape, WeilAlgebra((width,)).tensor(tail))
+        tgt = prolongation(shape, weil.W.tensor(tail))
         comps: list[Polynomial] = []
         for block in tgt.blocks:
             head, rest = block.label[0], block.label[1:]
@@ -319,8 +293,8 @@ def head_generator(shape: AnchoredShape, kind: str, tail: WeilAlgebra,
                 comps.extend(total)
         return PolyMap(src.dim, tgt.dim, comps)
     if kind == "ell":
-        src = prolongation(shape, _with_head(tail, weil.W))
-        tgt = prolongation(shape, _with_head(tail, weil.WW))
+        src = prolongation(shape, weil.W.tensor(tail))
+        tgt = prolongation(shape, weil.WW.tensor(tail))
         assignment: dict[Label, Label] = {}
         for block in tgt.blocks:
             h1, h2, rest = block.label[0], block.label[1], block.label[2:]
@@ -332,7 +306,7 @@ def head_generator(shape: AnchoredShape, kind: str, tail: WeilAlgebra,
     if kind == "flip":
         if sigma is None:
             raise ValueError("the flip needs the algebroid involution σ")
-        space = prolongation(shape, _with_head(tail, weil.WW))
+        space = prolongation(shape, weil.WW.tensor(tail))
         l_space = prolongation(shape, weil.WW)
         if sigma.src_dim != l_space.dim or sigma.tgt_dim != l_space.dim:
             raise ValueError("σ must act on the flat first prolongation")
@@ -434,18 +408,14 @@ def join_at(shape: AnchoredShape, S1: WeilAlgebra, S2: WeilAlgebra,
     space = prolongation(shape, S1.tensor(S2))
     left_space = prolongation(shape, S1)
     right_space = prolongation(shape, S2)
-    basis1 = S1.basis()
-    pos_of = {mu: i for i, mu in enumerate(basis1)}
     comps: list[Polynomial] = []
     for block in space.blocks:
         mu, nu = block.label[:S1.n_factors], block.label[S1.n_factors:]
-        if nu == S2.unit_monomial and mu == S1.unit_monomial:
-            comps.extend(left_map.components[:shape.base_dim])
-        elif nu == S2.unit_monomial:
+        if nu == S2.unit_monomial:
             b = left_space.block(mu)
             comps.extend(left_map.components[b.offset:b.offset + b.size])
         else:
-            copy = pos_of[mu] * right_space.dim
+            copy = S1.monomial_index(mu) * right_space.dim
             b = right_space.block(nu)
             comps.extend(right_map.components[copy + b.offset:copy + b.offset + b.size])
     return PolyMap(left_map.src_dim, space.dim, comps)

@@ -33,9 +33,9 @@ from .weil import NAT, W, WW, WeilAlgebra
 class NerveModel:
     """The tangent functor V ↦ A.V determined by an involution algebroid."""
 
-    def __init__(self, A: AlgebroidData, sigma: PolyMap | None = None):
+    def __init__(self, A: AlgebroidData):
         self.A = A
-        self.sigma = sigma if sigma is not None else involution_from_bracket(A)
+        self.sigma = involution_from_bracket(A)
         self.shape = A.shape
 
     def object_of(self, algebra: WeilAlgebra) -> Prolongation:
@@ -53,9 +53,6 @@ class NerveModel:
         if kind == "flip":
             return head_generator(self.shape, "flip", NAT, sigma=self.sigma)
         return head_generator(self.shape, kind, NAT)
-
-    def identity(self, algebra: WeilAlgebra) -> PolyMap:
-        return PolyMap.identity(self.object_of(algebra).dim)
 
     def compose(self, outer: PolyMap, inner: PolyMap) -> PolyMap:
         return compose_maps(outer, inner)
@@ -77,42 +74,16 @@ def nerve_object(A: AlgebroidData, V: WeilAlgebra) -> Prolongation:
     return prolongation(A.shape, V)
 
 
-def nerve_generator_map(A: AlgebroidData, kind: str, left: WeilAlgebra,
-                        right: WeilAlgebra, sigma: PolyMap | None = None,
-                        *, algebra: WeilAlgebra | None = None,
-                        i: int | None = None, n: int | None = None) -> PolyMap:
-    """A.(left ⊗ θ ⊗ right) for a generator θ (θ = id/bang need `algebra`)."""
-    if kind == "id":
-        if algebra is None:
-            raise ValueError("id needs its algebra")
-        return PolyMap.identity(
-            prolongation(A.shape, left.tensor(algebra).tensor(right)).dim)
-    if kind == "bang":
-        if algebra is None:
-            raise ValueError("bang needs its algebra")
-        src = prolongation(A.shape, left.tensor(algebra).tensor(right))
-        tgt = prolongation(A.shape, left.tensor(right))
-        k, j = left.n_factors, algebra.n_factors
-        unit_mid = algebra.unit_monomial
-        labels = [b.label[:k] + unit_mid + b.label[k:] for b in tgt.blocks]
-        return src.select(src.dim, labels)
-    if kind == "flip" and sigma is None:
-        sigma = involution_from_bracket(A)
-    return whiskered_generator(A.shape, kind, left, right, sigma=sigma, i=i, n=n)
-
-
-def nerve_eval(A: AlgebroidData, t: wterm.WTerm,
-               sigma: PolyMap | None = None) -> PolyMap:
+def nerve_eval(A: AlgebroidData, t: wterm.WTerm) -> PolyMap:
     """Evaluate a term in the nerve model of A."""
-    return wterm.eval_model(t, NerveModel(A, sigma))
+    return wterm.eval_model(t, NerveModel(A))
 
 
 def check_functoriality(A: AlgebroidData,
-                        pairs: list[tuple[wterm.WTerm, wterm.WTerm]],
-                        sigma: PolyMap | None = None) -> CheckReport:
+                        pairs: list[tuple[wterm.WTerm, wterm.WTerm]]) -> CheckReport:
     """Equal W1 denotations must give exactly equal nerve images."""
     report = CheckReport(f"nerve functoriality for {A}")
-    model = NerveModel(A, sigma)
+    model = NerveModel(A)
     for idx, (t1, t2) in enumerate(pairs):
         if not wterm.terms_equal(t1, t2):
             report.add(f"pair#{idx} denotations agree", False,
@@ -128,8 +99,7 @@ def check_functoriality(A: AlgebroidData,
 
 
 def check_compose_functoriality(A: AlgebroidData, rng: random.Random,
-                                cases: int = 10,
-                                sigma: PolyMap | None = None) -> CheckReport:
+                                cases: int = 10) -> CheckReport:
     """The interchange law (t∘t')⊗(s∘s') = (t⊗s)∘(t'⊗s') on random depth-1 terms.
 
     Both sides denote the same W1 morphism, but the nerve reaches them by
@@ -138,7 +108,7 @@ def check_compose_functoriality(A: AlgebroidData, rng: random.Random,
     `tensor_action` calls.
     """
     report = CheckReport("nerve composition functoriality")
-    model = NerveModel(A, sigma)
+    model = NerveModel(A)
     done = 0
     while done < cases:
         t, t2, s, s2 = (wterm.random_term(rng, depth=1) for _ in range(4))
@@ -160,7 +130,7 @@ def check_compose_functoriality(A: AlgebroidData, rng: random.Random,
 # -- p-cartesianness -------------------------------------------------------------
 
 
-def check_cartesian_p(A: AlgebroidData, sigma: PolyMap | None = None) -> CheckReport:
+def check_cartesian_p(A: AlgebroidData) -> CheckReport:
     """The α-naturality squares for p at V ∈ {N, W, W⊗W} are pullbacks.
 
     The comparison A.(W⊗W⊗V) -> A.(W⊗V) ×_{T(A.V)} T(A.(W⊗V)) is certified
@@ -170,8 +140,6 @@ def check_cartesian_p(A: AlgebroidData, sigma: PolyMap | None = None) -> CheckRe
     """
     report = CheckReport(f"p-cartesian naturality for {A}")
     shape = A.shape
-    if sigma is None:
-        sigma = involution_from_bracket(A)
     for V in (NAT, W, WW):
         big = prolongation(shape, WW.tensor(V))        # A.(W⊗W⊗V)
         mid = prolongation(shape, W.tensor(V))         # A.(W⊗V)
@@ -236,11 +204,11 @@ def check_cartesian_p(A: AlgebroidData, sigma: PolyMap | None = None) -> CheckRe
         report.check(f"comparison ∘ inverse = id on the pullback at V={V}",
                      section - iota)
     # Redundant naturality assertions at V = N for the other generators.
-    model = NerveModel(A, sigma)
+    model = NerveModel(A)
     for text, kind in (("0", "zero"), ("+", "plus"), ("l", "ell"), ("c", "flip")):
         term = wterm.parse_term(text)
         gen = wterm.eval_weil(term)
-        whiskered = whiskered_generator(shape, kind, W, NAT, sigma=sigma)
+        whiskered = whiskered_generator(shape, kind, W, NAT, sigma=model.sigma)
         lhs = compose_maps(prolongation(shape, W.tensor(gen.target)).proj1, whiskered)
         rhs = compose_maps(
             weil_prolong(W, wterm.eval_model(term, model)),
@@ -295,7 +263,7 @@ def lie_layout_iso(A: AlgebroidData) -> PolyMap:
     return PolyMap(n, n, comps)
 
 
-def lie_tangent(A: AlgebroidData, sigma: PolyMap | None = None) -> AlgebroidData:
+def lie_tangent(A: AlgebroidData) -> AlgebroidData:
     """The prolongation tangent structure: L'(A) as an algebroid on base A.
 
     Requires A to pass the structure equations; the structure-map table
@@ -306,9 +274,7 @@ def lie_tangent(A: AlgebroidData, sigma: PolyMap | None = None) -> AlgebroidData
     if not eqs.passed:
         failing = ", ".join(v.name for v in eqs.verdicts if not v.passed)
         raise ValueError(f"lie_tangent needs a valid algebroid; failing: {failing}")
-    if sigma is None:
-        sigma = involution_from_bracket(A)
-    table = check_lie_table(A, sigma)
+    table = check_lie_table(A)
     if not table.passed:
         failing = "; ".join(v.name for v in table.verdicts if not v.passed)
         raise ValueError(f"structure-map table failed: {failing}")
@@ -318,7 +284,8 @@ def lie_tangent(A: AlgebroidData, sigma: PolyMap | None = None) -> AlgebroidData
                            [[[Polynomial.zero(d + r)] * (2 * r)] * (2 * r)] * (2 * r))
     iso = lie_layout_iso(A)
     iso_inv = lie_layout_iso_inverse(A)
-    sigma_prime_l2 = whiskered_generator(A.shape, "flip", NAT, W, sigma=sigma)
+    sigma_prime_l2 = whiskered_generator(A.shape, "flip", NAT, W,
+                                         sigma=involution_from_bracket(A))
     sigma_prime = compose_maps(iso_inv, compose_maps(sigma_prime_l2, iso))
     c_prime = bracket_from_involution(prime, sigma_prime)
     return AlgebroidData(d + r, 2 * r, _lie_anchor(A), c_prime)
@@ -338,11 +305,9 @@ def lie_layout_iso_inverse(A: AlgebroidData) -> PolyMap:
     return PolyMap(n, n, comps)
 
 
-def check_lie_table(A: AlgebroidData, sigma: PolyMap | None = None) -> CheckReport:
+def check_lie_table(A: AlgebroidData) -> CheckReport:
     """Verify the prolongation-structure table coordinatewise."""
     report = CheckReport("prolongation tangent structure table")
-    if sigma is None:
-        sigma = involution_from_bracket(A)
     shape = A.shape
     d, r = A.base_dim, A.rank
     space = prolongation_space(A, "L")
@@ -389,7 +354,8 @@ def check_lie_table(A: AlgebroidData, sigma: PolyMap | None = None) -> CheckRepo
                  PolyMap(n, 2 * (d + r), xv + vv + fibers) - space.proj1)
 
     # σ' = σ×c is an involution on L²(A).
-    sigma_prime = whiskered_generator(shape, "flip", NAT, W, sigma=sigma)
+    sigma_prime = whiskered_generator(shape, "flip", NAT, W,
+                                      sigma=involution_from_bracket(A))
     report.check("σ'∘σ' = id",
                  compose_maps(sigma_prime, sigma_prime)
                  - PolyMap.identity(sigma_prime.src_dim))

@@ -829,10 +829,6 @@ def random_map(rng: random.Random, src_dim: int, tgt_dim: int, degree: int,
                     for _ in range(tgt_dim)])
 
 
-def _pair_with(g: PolyMap, h: PolyMap) -> PolyMap:
-    return PolyMap.pairing([g, h])
-
-
 def check_cdc_axioms(sample: list[PolyMap], seed: int = 0) -> CheckReport:
     """Verify CD.1-CD.7 as exact polynomial identities over a sample.
 
@@ -862,12 +858,13 @@ def check_cdc_axioms(sample: list[PolyMap], seed: int = 0) -> CheckReport:
         a = random_map(rng, n, n, 2)
         h = random_map(rng, n, n, 2)
         k = random_map(rng, n, n, 2)
-        lhs = compose_maps(df, _pair_with(a, h + k))
-        rhs = compose_maps(df, _pair_with(a, h)) + compose_maps(df, _pair_with(a, k))
+        lhs = compose_maps(df, PolyMap.pairing([a, h + k]))
+        rhs = (compose_maps(df, PolyMap.pairing([a, h]))
+               + compose_maps(df, PolyMap.pairing([a, k])))
         report.check(f"CD.2 additive direction [{tag}]", lhs - rhs, lambda: f"f={f}")
         report.check(
             f"CD.2 zero direction [{tag}]",
-            compose_maps(df, _pair_with(a, PolyMap.zero(n, n))),
+            compose_maps(df, PolyMap.pairing([a, PolyMap.zero(n, n)])),
             lambda: f"f={f}")
 
         # CD.3 projections and the identity are linear.
@@ -887,14 +884,14 @@ def check_cdc_axioms(sample: list[PolyMap], seed: int = 0) -> CheckReport:
         g2 = random_map(rng, n, 2, 2)
         report.check(
             f"CD.4 D[(f,g)]=(D[f],D[g]) [{tag}]",
-            differential(_pair_with(f, g2)) - _pair_with(df, differential(g2)),
+            differential(PolyMap.pairing([f, g2])) - PolyMap.pairing([df, differential(g2)]),
             lambda: f"f={f}, g={g2}")
 
         # CD.5 chain rule: D[g∘f] = D[g]∘(f∘pi0, D[f]).
         g3 = random_map(rng, m, 2, 2)
         pi0 = PolyMap.projection(2 * n, 0, n)
         lhs = differential(compose_maps(g3, f))
-        rhs = compose_maps(differential(g3), _pair_with(compose_maps(f, pi0), df))
+        rhs = compose_maps(differential(g3), PolyMap.pairing([compose_maps(f, pi0), df]))
         report.check(f"CD.5 chain rule [{tag}]", lhs - rhs, lambda: f"f={f}, g={g3}")
 
         # CD.6 D[D[f]] ∘ ((a,0),(0,d)) = D[f] ∘ (a,d), as an identity in (a,d).

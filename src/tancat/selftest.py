@@ -294,62 +294,58 @@ def criterion_5_euler() -> CheckReport:
     return report
 
 
+# The paired checkers of AC6 and of the mutation harness, by mutation name:
+# the structure-equation verdict and the prefix of its involution axiom.
+_PAIRED_CHECKERS = {
+    "alternating": ("alternating", "(i)"),
+    "leibniz": ("Leibniz", "(iv)"),
+    "bianchi": ("Bianchi", "(v)"),
+}
+
+
+def _paired_verdicts(A: AL.AlgebroidData, mutation: str) -> tuple[bool, bool]:
+    """(structure-equation verdict, involution-axiom verdict) for one pair."""
+    eq_name, ax_prefix = _PAIRED_CHECKERS[mutation]
+    eq = AL.check_structure_equations(A)
+    ax = AL.check_involution_axioms(A, AL.involution_from_bracket(A))
+    return (next(v.passed for v in eq.verdicts if v.name == eq_name),
+            next(v.passed for v in ax.verdicts if v.name.startswith(ax_prefix)))
+
+
 def criterion_6_equivalences(seed: int, per_theorem: int = 20) -> CheckReport:
     """Checker agreement: alternating⟺(i), Leibniz⟺(iv), Bianchi⟺(v)."""
     rng = random.Random(seed)
     report = CheckReport("AC6 equivalence theorems")
     half = per_theorem // 2
+    alternating = valid_instances(rng, half)
+    alternating += [mutate_alternating(A) for A in valid_instances(rng, per_theorem - half)]
+    leibniz = [leibniz_family(rng) for _ in range(half)]
+    leibniz += [leibniz_family(rng, break_leibniz=True) for _ in range(per_theorem - half)]
+    leibniz += [action_algebroid("x1"), AL.tangent_algebroid(1)]
+    # Bianchi cases keep alternating and Leibniz true.
+    bianchi = [so3(), heisenberg(), abelian(3), scaled_so3(3), AL.tangent_algebroid(1)]
+    bianchi += [mutate_bianchi(so3()), mutate_bianchi(heisenberg()),
+                mutate_bianchi(abelian(3))]
+    while len(bianchi) < per_theorem:
+        bianchi.append(random_lie_constants(rng))
 
-    # alternating ⟺ axiom (i)
-    instances = valid_instances(rng, half)
-    instances += [mutate_alternating(A) for A in valid_instances(rng, per_theorem - half)]
-    agree, witness = True, None
-    for idx, A in enumerate(instances):
-        eq = AL.check_structure_equations(A)
-        ax = AL.check_involution_axioms(A, AL.involution_from_bracket(A))
-        lhs = next(v.passed for v in eq.verdicts if v.name == "alternating")
-        rhs = next(v.passed for v in ax.verdicts if v.name.startswith("(i)"))
-        if lhs != rhs:
-            agree, witness = False, f"instance {idx}: alternating={lhs}, axiom(i)={rhs}"
-            break
-    report.add(f"alternating ⟺ axiom (i) on {len(instances)} instances", agree, witness)
-
-    # Leibniz ⟺ axiom (iv)
-    instances = [leibniz_family(rng) for _ in range(half)]
-    instances += [leibniz_family(rng, break_leibniz=True) for _ in range(per_theorem - half)]
-    instances += [action_algebroid("x1"), AL.tangent_algebroid(1)]
-    agree, witness = True, None
-    for idx, A in enumerate(instances):
-        eq = AL.check_structure_equations(A)
-        ax = AL.check_involution_axioms(A, AL.involution_from_bracket(A))
-        lhs = next(v.passed for v in eq.verdicts if v.name == "Leibniz")
-        rhs = next(v.passed for v in ax.verdicts if v.name.startswith("(iv)"))
-        if lhs != rhs:
-            agree, witness = False, f"instance {idx}: Leibniz={lhs}, axiom(iv)={rhs}"
-            break
-    report.add(f"Leibniz ⟺ axiom (iv) on {len(instances)} instances", agree, witness)
-
-    # Bianchi ⟺ axiom (v), with alternating and Leibniz kept true.
-    instances = [so3(), heisenberg(), abelian(3), scaled_so3(3),
-                 AL.tangent_algebroid(1)]
-    instances += [mutate_bianchi(so3()), mutate_bianchi(heisenberg()),
-                  mutate_bianchi(abelian(3))]
-    while len(instances) < per_theorem:
-        instances.append(random_lie_constants(rng))
-    fails = 0
-    agree, witness = True, None
-    for idx, A in enumerate(instances):
-        eq = AL.check_structure_equations(A)
-        ax = AL.check_involution_axioms(A, AL.involution_from_bracket(A))
-        lhs = next(v.passed for v in eq.verdicts if v.name == "Bianchi")
-        rhs = next(v.passed for v in ax.verdicts if v.name.startswith("(v)"))
-        fails += not lhs
-        if lhs != rhs:
-            agree, witness = False, f"instance {idx}: Bianchi={lhs}, axiom(v)={rhs}"
-            break
-    report.add(f"Bianchi ⟺ axiom (v) on {len(instances)} instances "
-               f"({fails} engineered/encountered failures)", agree, witness)
-    report.add("Bianchi suite saw both outcomes", 0 < fails < len(instances),
+    for mutation, instances in (("alternating", alternating), ("leibniz", leibniz),
+                                ("bianchi", bianchi)):
+        eq_name, ax_prefix = _PAIRED_CHECKERS[mutation]
+        agree, witness, fails = True, None, 0
+        for idx, A in enumerate(instances):
+            lhs, rhs = _paired_verdicts(A, mutation)
+            fails += not lhs
+            if lhs != rhs:
+                agree = False
+                witness = f"instance {idx}: {eq_name}={lhs}, axiom{ax_prefix}={rhs}"
+                break
+        name = f"{eq_name} ⟺ axiom {ax_prefix} on {len(instances)} instances"
+        if mutation == "bianchi":
+            name += f" ({fails} engineered/encountered failures)"
+        report.add(name, agree, witness)
+    # `fails` is the Bianchi loop's, the last one.
+    report.add("Bianchi suite saw both outcomes", 0 < fails < len(bianchi),
                f"only {'failures' if fails else 'passes'} were generated")
     return report
 
@@ -487,23 +483,17 @@ def run_selftest(seed: int = DEFAULT_SEED, cases: int = 200,
 def run_mutation(name: str) -> CheckReport:
     """Inject a defect and require the paired checkers to fail together."""
     report = CheckReport(f"mutation harness: {name}")
-    base = so3()
     if name == "bianchi":
-        mutant = mutate_bianchi(base)
-        eq_name, ax_prefix = "Bianchi", "(v)"
+        mutant = mutate_bianchi(so3())
     elif name == "alternating":
-        mutant = mutate_alternating(base)
-        eq_name, ax_prefix = "alternating", "(i)"
+        mutant = mutate_alternating(so3())
     elif name == "leibniz":
         mutant = leibniz_family(random.Random(0), break_leibniz=True)
-        eq_name, ax_prefix = "Leibniz", "(iv)"
     else:
         raise ValueError(f"unknown mutation {name!r} "
                          "(choose bianchi, alternating, leibniz)")
-    eq = AL.check_structure_equations(mutant)
-    ax = AL.check_involution_axioms(mutant, AL.involution_from_bracket(mutant))
-    eq_fail = not next(v.passed for v in eq.verdicts if v.name == eq_name)
-    ax_fail = not next(v.passed for v in ax.verdicts if v.name.startswith(ax_prefix))
+    eq_holds, ax_holds = _paired_verdicts(mutant, name)
+    eq_fail, ax_fail = not eq_holds, not ax_holds
     report.add(f"structure checker detects the {name} mutation", eq_fail)
     report.add(f"involution checker detects the {name} mutation", ax_fail)
     report.add("checkers fail together", eq_fail == ax_fail)

@@ -406,9 +406,6 @@ class TangentModel:
             kwargs.update(i=term.i, n=term.n)
         return structure_nat(weil.generator(term.kind, **kwargs), self.n)
 
-    def identity(self, algebra: WeilAlgebra) -> PolyMap:
-        return PolyMap.identity(action_dim(algebra, self.n))
-
     def compose(self, outer: PolyMap, inner: PolyMap) -> PolyMap:
         return compose_maps(outer, inner)
 

@@ -102,12 +102,20 @@ def make_weil(widths) -> WeilAlgebra:
     return WeilAlgebra(tuple(widths))
 
 
+# The largest dimension of a Weil algebra written as text (`-V`, `id{V}`,
+# `!{V}`).  A nerve object A.V has d + (dim V - 1)·r coordinates, and its
+# cost grows faster than that: `nerve object -V` on so(3) takes 0.6 s for
+# W^8 (dimension 256), 7.8 s for W^10 and over 25 s for W^11.
+MAX_ALGEBRA_DIM = 256
+
+
 def parse_algebra(text: str) -> WeilAlgebra:
-    """Parse `N`, `W`, `W3`, `W2*W`, ..."""
+    """Parse `N`, `W`, `W3`, `W2*W`, ... of dimension at most MAX_ALGEBRA_DIM."""
     text = text.strip()
     if text == "N":
         return NAT
     widths = []
+    dim = 1
     for chunk in text.split("*"):
         chunk = chunk.strip()
         if not chunk.startswith("W"):
@@ -119,6 +127,10 @@ def parse_algebra(text: str) -> WeilAlgebra:
             widths.append(int(tail))
         else:
             raise WeilError(f"bad algebra factor: {chunk!r}")
+        dim *= widths[-1] + 1
+        if dim > MAX_ALGEBRA_DIM:
+            raise WeilError(f"algebra {text!r} has dimension above the limit "
+                            f"MAX_ALGEBRA_DIM = {MAX_ALGEBRA_DIM}")
     return WeilAlgebra(tuple(widths))
 
 

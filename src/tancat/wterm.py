@@ -74,17 +74,6 @@ class Gen(WTerm):
 
 
 @dataclass(frozen=True)
-class Id(WTerm):
-    """Convenience alias used programmatically; prints as id{V}."""
-
-    algebra: WeilAlgebra
-
-    def __post_init__(self):
-        object.__setattr__(self, "source", self.algebra)
-        object.__setattr__(self, "target", self.algebra)
-
-
-@dataclass(frozen=True)
 class Compose(WTerm):
     outer: WTerm
     inner: WTerm
@@ -145,8 +134,6 @@ def print_term(t: WTerm) -> str:
             if term.kind == "proj":
                 return f"proj{{{term.i},{term.n}}}"
             return {"p": "p", "zero": "0", "plus": "+", "ell": "l", "flip": "c"}[term.kind]
-        if isinstance(term, Id):
-            return f"id{{{term.algebra}}}"
         if isinstance(term, Pair):
             return f"<{go(term.left, 0)}, {go(term.right, 0)}>"
         if isinstance(term, Compose):
@@ -309,8 +296,6 @@ def eval_weil(t: WTerm) -> WeilMorphism:
         if t.kind == "proj":
             return weil.generator("proj", i=t.i, n=t.n)
         return weil.generator(t.kind)
-    if isinstance(t, Id):
-        return weil.identity_morphism(t.algebra)
     if isinstance(t, Compose):
         return weil.compose_morphisms(eval_weil(t.outer), eval_weil(t.inner))
     if isinstance(t, Tensor):
@@ -331,9 +316,11 @@ def terms_equal(t1: WTerm, t2: WTerm) -> bool:
 class ModelInterface(Protocol):
     """What a tangent model must supply to evaluate terms.
 
-    `tensor` receives the sub-terms as well as their evaluations because a
-    strict model implements f ⊗ g by whiskering, which needs the W1
-    boundaries (and possibly the W1 denotation) of the factors.
+    Identities are the generator `id{V}`, so `generator_map` interprets them
+    along with p, 0, +, ℓ, c, `!{V}` and `proj{i,n}`.  `tensor` receives
+    the sub-terms as well as their evaluations because a strict model
+    implements f ⊗ g by whiskering, which needs the W1 boundaries (and
+    possibly the W1 denotation) of the factors.
     """
 
     def object_of(self, algebra: WeilAlgebra): ...
@@ -345,8 +332,6 @@ class ModelInterface(Protocol):
     def tensor(self, left_term: WTerm, left_mor, right_term: WTerm, right_mor): ...
 
     def pair(self, left_term: WTerm, left_mor, right_term: WTerm, right_mor): ...
-
-    def identity(self, algebra: WeilAlgebra): ...
 
 
 class UnsupportedLimit(ValueError):
@@ -369,28 +354,20 @@ def eval_model(t: WTerm, model: ModelInterface, memo: dict | None = None):
             return value
     if isinstance(t, Gen):
         value = model.generator_map(t)
-    elif isinstance(t, Id):
-        value = model.identity(t.algebra)
     elif isinstance(t, Compose):
-        value = model.compose(_eval_sub(t.outer, model, memo),
-                              _eval_sub(t.inner, model, memo))
+        value = model.compose(eval_model(t.outer, model, memo),
+                              eval_model(t.inner, model, memo))
     elif isinstance(t, Tensor):
-        value = model.tensor(t.left, _eval_sub(t.left, model, memo),
-                             t.right, _eval_sub(t.right, model, memo))
+        value = model.tensor(t.left, eval_model(t.left, model, memo),
+                             t.right, eval_model(t.right, model, memo))
     elif isinstance(t, Pair):
-        value = model.pair(t.left, _eval_sub(t.left, model, memo),
-                           t.right, _eval_sub(t.right, model, memo))
+        value = model.pair(t.left, eval_model(t.left, model, memo),
+                           t.right, eval_model(t.right, model, memo))
     else:
         raise WTermError(f"unknown term node {t!r}")
     if memo is not None:
         memo[t] = value
     return value
-
-
-def _eval_sub(t: WTerm, model: ModelInterface, memo: dict | None):
-    """A subterm's value: from the memo if present, else by eval_model."""
-    value = None if memo is None else memo.get(t)
-    return eval_model(t, model, memo) if value is None else value
 
 
 # -- random terms and sound rewriting ----------------------------------------

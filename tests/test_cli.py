@@ -204,3 +204,20 @@ def test_wrong_json_types_exit_two(tmp_path, command, document, message):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(document))
     assert_input_error(run_cli(*command, str(spec)), message)
+
+
+@pytest.mark.parametrize("algebra", ["W*W*W*W*W*W*W*W", "W255"])
+def test_weil_algebra_of_dimension_256_is_accepted(algebra):
+    proc = run_cli("nerve", "object", str(EXAMPLES / "so3.json"), "-V", algebra)
+    assert proc.returncode == 0, proc.stderr
+    assert "dimension 765" in proc.stdout        # 0 + (256 - 1)·3
+
+
+@pytest.mark.parametrize("args", [
+    ("nerve", "object", str(EXAMPLES / "so3.json"), "-V", "W*W*W*W*W*W*W*W*W"),
+    ("nerve", "object", str(EXAMPLES / "so3.json"), "-V", "W256"),
+    ("wone", "eval", "id{W256}"),
+    ("wone", "eval", "!{W*W*W*W*W*W*W*W*W}"),
+])
+def test_weil_algebra_above_the_dimension_limit_exits_two(args):
+    assert_input_error(run_cli(*args), "MAX_ALGEBRA_DIM = 256")

@@ -62,11 +62,11 @@ def test_tangent_algebroid_prolongation_is_second_tangent_bundle():
 
 def test_generator_examples_unwhiskered():
     A = action()
-    lam_hat = NV.nerve_generator_map(A, "ell", NAT, NAT)
+    lam_hat = NV.nerve_eval(A, wterm.parse_term("l"))
     assert lam_hat == PolyMap.from_strings(2, ["x1", "0", "0", "x2"])
     sigma = AL.involution_from_bracket(A)
-    assert NV.nerve_generator_map(A, "flip", NAT, NAT, sigma=sigma) == sigma
-    assert NV.nerve_generator_map(A, "p", NAT, NAT) == \
+    assert NV.nerve_eval(A, wterm.parse_term("c")) == sigma
+    assert NV.nerve_eval(A, wterm.parse_term("p")) == \
         NV.nerve_object(A, W).pi_leg
 
 
@@ -93,9 +93,9 @@ def test_whiskered_generators_match_weil_action_on_tangent_algebroid():
 
 def test_bang_and_id_maps():
     A = so3()
-    ident = NV.nerve_generator_map(A, "id", NAT, NAT, algebra=WW)
+    ident = NV.nerve_eval(A, wterm.parse_term("id{W*W}"))
     assert ident == PolyMap.identity(NV.nerve_object(A, WW).dim)
-    bang = NV.nerve_generator_map(A, "bang", NAT, W, algebra=W)
+    bang = NV.nerve_eval(A, wterm.parse_term("!{W} * id{W}"))
     # A.(!⊗W): A.(W⊗W) -> A.W drops the first factor's blocks.
     space = NV.nerve_object(A, WW)
     assert bang.src_dim == space.dim and bang.tgt_dim == NV.nerve_object(A, W).dim

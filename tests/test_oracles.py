@@ -5,7 +5,10 @@
 - `weil_prolong` against sympy: truncated substitution of Weil-algebra
   points, with one symbol per generator;
 - `structure_nat` against the Kronecker product of the morphism's matrix
-  with the identity.
+  with the identity;
+- `differential` against sympy's Jacobian applied to the direction;
+- `section_bracket` (the σ route) and `section_bracket_coordinates` against
+  ρX·∂Y − ρY·∂X + C(X, Y) written in sympy from `A.rho` and `A.bracket`.
 """
 
 import itertools
@@ -20,7 +23,8 @@ from tancat import algebroid as AL
 from tancat import nerve as NV
 from tancat import selftest as ST
 from tancat import weil, wterm
-from tancat.poly import PolyMap, Polynomial, random_map, random_polynomial
+from tancat.poly import (PolyMap, Polynomial, differential, random_map,
+                         random_polynomial)
 from tancat.report import CheckReport
 from tancat.tangent import W2, structure_nat, weil_prolong
 from tancat.weil import W, WeilAlgebra
@@ -250,3 +254,70 @@ def test_structure_nat_is_the_kronecker_product(n):
         matrix, offset = structure_nat(phi, n).linear_part()
         assert matrix == kronecker_identity(rows, n), str(phi)
         assert not any(offset)
+
+
+# -- differential: the Jacobian in sympy ------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_differential_is_the_sympy_jacobian(seed):
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(f"differential:{seed}")
+    for _ in range(5):
+        n = rng.randint(1, 3)
+        f = random_map(rng, n, rng.randint(1, 3), 3)
+        if rng.random() < 0.5:
+            c = Fraction(rng.randint(1, 5), rng.randint(2, 5))
+            f = PolyMap(f.src_dim, f.tgt_dim, [p * c for p in f.components])
+        xs = sp.symbols(f"x1:{n + 1}")
+        vs = sp.symbols(f"v1:{n + 1}")
+        jacobian = sp.Matrix([as_sympy(sp, c, xs) for c in f.components]).jacobian(xs)
+        expected = [sp.expand(e) for e in jacobian * sp.Matrix(vs)]
+        got = differential(f)
+        assert got.src_dim == 2 * n and got.tgt_dim == f.tgt_dim
+        assert [as_sympy(sp, c, xs + vs) for c in got.components] == expected, str(f)
+
+
+# -- the section bracket: the coordinate formula in sympy ---------------------------
+
+
+def sympy_section_bracket(sp, A: AL.AlgebroidData, X: PolyMap, Y: PolyMap):
+    """[X, Y]^γ = Σ_j (ρX)^j ∂_j Y^γ − (ρY)^j ∂_j X^γ + Σ_αβ C^γ_αβ X^α Y^β."""
+    d, r = A.base_dim, A.rank
+    xs = sp.symbols(f"x1:{d + 1}") if d else ()
+    rho = [[as_sympy(sp, A.rho[j][a], xs) for a in range(r)] for j in range(d)]
+    xv = [as_sympy(sp, c, xs) for c in X.components]
+    yv = [as_sympy(sp, c, xs) for c in Y.components]
+    rho_x = [sum(rho[j][a] * xv[a] for a in range(r)) for j in range(d)]
+    rho_y = [sum(rho[j][a] * yv[a] for a in range(r)) for j in range(d)]
+    out = []
+    for g in range(r):
+        e = sum(as_sympy(sp, A.bracket[a][b][g], xs) * xv[a] * yv[b]
+                for a in range(r) for b in range(r))
+        e += sum(rho_x[j] * sp.diff(yv[g], xs[j]) - rho_y[j] * sp.diff(xv[g], xs[j])
+                 for j in range(d))
+        out.append(sp.expand(e))
+    return out, xs
+
+
+BRACKET_ALGEBROIDS = [
+    ("so3", ST.so3), ("tangent d=2", lambda: AL.tangent_algebroid(2)),
+    ("action x1", lambda: ST.action_algebroid("x1")), ("heisenberg", ST.heisenberg),
+] + [(f"leibniz_family {k}", lambda k=k: ST.leibniz_family(random.Random(k)))
+     for k in range(3)]
+
+
+@pytest.mark.parametrize("name, make", BRACKET_ALGEBROIDS,
+                         ids=[name for name, _ in BRACKET_ALGEBROIDS])
+def test_section_bracket_matches_the_sympy_formula(name, make):
+    sp = pytest.importorskip("sympy")
+    A = make()
+    rng = random.Random(f"bracket:{name}")
+    for _ in range(4):
+        X = random_map(rng, A.base_dim, A.rank, 2)
+        Y = random_map(rng, A.base_dim, A.rank, 2)
+        expected, xs = sympy_section_bracket(sp, A, X, Y)
+        for route in (AL.section_bracket, AL.section_bracket_coordinates):
+            got = route(A, X, Y)
+            assert [as_sympy(sp, c, xs) for c in got.components] == expected, \
+                (route.__name__, str(X), str(Y))

@@ -31,6 +31,14 @@ def test_algebra_notation():
         parse_algebra("V3")
 
 
+def test_parse_algebra_bounds_the_dimension():
+    assert parse_algebra("W255").dim == weil.MAX_ALGEBRA_DIM
+    assert parse_algebra("*".join(["W"] * 8)).dim == weil.MAX_ALGEBRA_DIM
+    for text in ("W256", "*".join(["W"] * 9), "W3*W63*W", "W" + "9" * 40):
+        with pytest.raises(WeilError, match="MAX_ALGEBRA_DIM = 256"):
+            parse_algebra(text)
+
+
 def test_element_multiplication():
     ww = WW
     x = WeilElement.variable(ww, 0, 1)
