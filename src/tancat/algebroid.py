@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import bundle as bundle_mod
 from . import weil
-from .flatspace import (AnchoredShape, Prolongation, prolongation,
+from .flatspace import (AnchoredShape, Prolongation, join_at, prolongation,
                         whiskered_generator)
 from .poly import PolyMap, Polynomial, compose_maps, parse_poly
 from .report import CheckReport
@@ -202,18 +202,15 @@ def bracket_from_involution(A: AlgebroidData, sigma: PolyMap,
         return list(compose_maps(hat, m).components[d + 2 * r:])
     with_sigma = kappa_hat_fiber(compose_maps(sigma, nabla_hat))
     without = kappa_hat_fiber(nabla_hat)
-    c_map = [a - b for a, b in zip(with_sigma, without)]
-    # Extract coefficients: substitute unit fiber vectors.
-    tensor = []
-    for a in range(r):
-        row = []
-        for b in range(r):
-            subst = [Polynomial.var(d, i + 1) for i in range(d)]
-            subst += [Polynomial.const(d, 1 if t == a else 0) for t in range(r)]
-            subst += [Polynomial.const(d, 1 if t == b else 0) for t in range(r)]
-            row.append(tuple(comp.substitute(subst) for comp in c_map))
-        tensor.append(tuple(row))
-    return tuple(tensor)
+    c_map = PolyMap(n, r, [a - b for a, b in zip(with_sigma, without)])
+    # Extract coefficients: compose with the unit fiber vectors (x; e_a, e_b).
+    x = [Polynomial.var(d, i + 1) for i in range(d)]
+    units = [[Polynomial.const(d, 1 if t == a else 0) for t in range(r)]
+             for a in range(r)]
+    return tuple(
+        tuple(compose_maps(c_map, PolyMap(d, n, x + units[a] + units[b])).components
+              for b in range(r))
+        for a in range(r))
 
 
 # -- structure equations ---------------------------------------------------------
@@ -236,9 +233,10 @@ def check_structure_equations(A: AlgebroidData) -> CheckReport:
     X_a(p) = Σ_j ρ[j][a]·∂_j p.  Leibniz is X_a(ρ[i][b]) − X_b(ρ[i][a]) =
     Σ_g ρ[i][g]·C[a][b][g]; Bianchi is K(α,β,γ,ν) + K(β,γ,α,ν) + K(γ,α,β,ν) = 0
     with the cyclic term K(p1,p2,p3,ν) = X_{p1}(C[p2][p3][ν]) +
-    Σ_μ C[p2][p3][μ]·C[p1][μ][ν].  Each X_a(ρ[i][b]) and each cyclic term is
-    computed once per call (every rotation of (α,β,γ) reuses it), and every
-    sum runs over nonzero factors only.  The loops and their early exits are
+    Σ_μ C[p2][p3][μ]·C[p1][μ][ν].  Each X_a(ρ[i][b]), each cyclic term and
+    each Bianchi sum is computed once per call (the three rotations of
+    (α,β,γ) share their terms and their sum), and every sum runs over
+    nonzero factors only.  The loops and their early exits are
     those of the plain triple loop, so a failure reports the same witness.
     """
     report = CheckReport(f"structure equations for {A}")
@@ -306,15 +304,26 @@ def check_structure_equations(A: AlgebroidData) -> CheckReport:
             value = cyclic[key] = _total(terms, d)
         return value
 
+    # The Bianchi sum is the same for the three rotations of (α,β,γ): keep it
+    # under the lexicographically least one.
+    sums: dict[tuple[int, int, int, int], Polynomial] = {}
+
+    def bianchi_sum(a: int, b: int, g: int, nu: int) -> Polynomial:
+        key = min((a, b, g), (b, g, a), (g, a, b)) + (nu,)
+        value = sums.get(key)
+        if value is None:
+            value = sums[key] = _total([k for k in (cyclic_term(a, b, g, nu),
+                                                    cyclic_term(b, g, a, nu),
+                                                    cyclic_term(g, a, b, nu))
+                                        if not k.is_zero()], d)
+        return value
+
     ok, witness = True, None
     for nu in range(r):
         for a in range(r):
             for b in range(r):
                 for g in range(r):
-                    total = _total([k for k in (cyclic_term(a, b, g, nu),
-                                                cyclic_term(b, g, a, nu),
-                                                cyclic_term(g, a, b, nu))
-                                    if not k.is_zero()], d)
+                    total = bianchi_sum(a, b, g, nu)
                     if not total.is_zero():
                         ok, witness = False, \
                             f"Bianchi fails at ν={nu}, (α,β,γ)=({a},{b},{g}): {total}"
@@ -383,7 +392,9 @@ def check_involution_axioms(A: AlgebroidData, sigma: PolyMap) -> CheckReport:
                  - compose_maps(flip_m, compose_maps(t_rho, pi1)))
 
     sigma2 = whiskered_generator(A.shape, "flip", NAT, W, sigma=sigma)   # σ×c
-    sigma1 = whiskered_generator(A.shape, "flip", W, NAT, sigma=sigma)   # 1×T.σ
+    # 1×T.σ, joined from the legs of L²(A) as `whisker_head` would, reusing T.σ.
+    l2 = prolongation_space(A, "L2")
+    sigma1 = join_at(A.shape, W, WW, l2.proj0, compose_maps(t_sigma, l2.proj1))
     lhs = compose_maps(sigma2, compose_maps(sigma1, sigma2))
     rhs = compose_maps(sigma1, compose_maps(sigma2, sigma1))
     report.check("(v) Yang-Baxter on L²(A)", lhs - rhs)

@@ -14,6 +14,8 @@ Subcommands:
   selftest                   the full acceptance suite (seeded, deterministic)
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 input error.
+`--random`, `--pairs` and `--cases` are at most MAX_COUNT, `-n` at most
+MAX_TANGENT_DIM; a value out of range is an input error.
 JSON output (--json) is deterministic for a fixed seed.
 """
 
@@ -180,12 +182,35 @@ def cmd_selftest(args) -> int:
     return _emit(report, args.json)
 
 
-def positive_int(text: str) -> int:
-    """argparse type for sample counts and dimensions: 0 would make a vacuous PASS."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+# Upper limit of the sample counts `cdc check --random`, `nerve
+# functoriality --pairs` and `selftest --cases`: `--random 1000` takes about
+# 2 s and `--pairs 200` about 1 s, and the cost grows linearly.
+MAX_COUNT = 10_000
+# Upper limit of `tangent check -n`: the checks act on T²(Q^n) and its
+# products, so the cost grows steeply (about 7 s at n = 16, 99 s at n = 40).
+MAX_TANGENT_DIM = 16
+
+# (argument, flag, lowest, highest, name of the limit).  A count of 0 would
+# make a vacuous PASS, except for --random, which only adds maps.
+_BOUNDS = (
+    ("random", "--random", 0, MAX_COUNT, "MAX_COUNT"),
+    ("pairs", "--pairs", 1, MAX_COUNT, "MAX_COUNT"),
+    ("cases", "--cases", 1, MAX_COUNT, "MAX_COUNT"),
+    ("n", "-n", 1, MAX_TANGENT_DIM, "MAX_TANGENT_DIM"),
+)
+
+
+def check_bounds(args) -> None:
+    """Reject a count flag outside its documented range before any work."""
+    for attr, flag, low, high, name in _BOUNDS:
+        value = getattr(args, attr, None)
+        if value is None:
+            continue
+        if value < low:
+            raise InputError(f"{flag} must be at least {low}, got {value}")
+        if value > high:
+            raise InputError(f"{flag} must be at most {high} (the limit {name}), "
+                             f"got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     tangent = sub.add_parser("tangent", help="tangent structure on the polynomial model")
     tangent_sub = tangent.add_subparsers(dest="action", required=True)
     t_check = tangent_sub.add_parser("check")
-    t_check.add_argument("-n", type=positive_int, default=1)
+    t_check.add_argument("-n", type=int, default=1)
     tangent.set_defaults(func=cmd_tangent)
 
     alg = sub.add_parser("algebroid", help="involution algebroid checks")
@@ -238,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     n_obj.add_argument("-V", dest="algebra", required=True)
     n_fun = nerve_sub.add_parser("functoriality")
     n_fun.add_argument("file")
-    n_fun.add_argument("--pairs", type=positive_int, default=25)
+    n_fun.add_argument("--pairs", type=int, default=25)
     n_fun.add_argument("--seed", type=int, default=env_seed)
     nerve.set_defaults(func=cmd_nerve)
 
@@ -249,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     selftest = sub.add_parser("selftest", help="run the acceptance suite")
     selftest.add_argument("--seed", type=int, default=env_seed)
-    selftest.add_argument("--cases", type=positive_int, default=200)
+    selftest.add_argument("--cases", type=int, default=200)
     selftest.add_argument("--mutate", choices=["bianchi", "alternating", "leibniz"])
     selftest.set_defaults(func=cmd_selftest)
     return parser
@@ -259,6 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_bounds(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

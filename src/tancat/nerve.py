@@ -274,7 +274,8 @@ def lie_tangent(A: AlgebroidData) -> AlgebroidData:
     if not eqs.passed:
         failing = ", ".join(v.name for v in eqs.verdicts if not v.passed)
         raise ValueError(f"lie_tangent needs a valid algebroid; failing: {failing}")
-    table = check_lie_table(A)
+    sigma_prime_l2 = _sigma_prime(A)
+    table = _check_lie_table(A, sigma_prime_l2)
     if not table.passed:
         failing = "; ".join(v.name for v in table.verdicts if not v.passed)
         raise ValueError(f"structure-map table failed: {failing}")
@@ -284,8 +285,6 @@ def lie_tangent(A: AlgebroidData) -> AlgebroidData:
                            [[[Polynomial.zero(d + r)] * (2 * r)] * (2 * r)] * (2 * r))
     iso = lie_layout_iso(A)
     iso_inv = lie_layout_iso_inverse(A)
-    sigma_prime_l2 = whiskered_generator(A.shape, "flip", NAT, W,
-                                         sigma=involution_from_bracket(A))
     sigma_prime = compose_maps(iso_inv, compose_maps(sigma_prime_l2, iso))
     c_prime = bracket_from_involution(prime, sigma_prime)
     return AlgebroidData(d + r, 2 * r, _lie_anchor(A), c_prime)
@@ -305,8 +304,18 @@ def lie_layout_iso_inverse(A: AlgebroidData) -> PolyMap:
     return PolyMap(n, n, comps)
 
 
+def _sigma_prime(A: AlgebroidData) -> PolyMap:
+    """σ' = σ×c on L²(A) flat coordinates."""
+    return whiskered_generator(A.shape, "flip", NAT, W, sigma=involution_from_bracket(A))
+
+
 def check_lie_table(A: AlgebroidData) -> CheckReport:
     """Verify the prolongation-structure table coordinatewise."""
+    return _check_lie_table(A, _sigma_prime(A))
+
+
+def _check_lie_table(A: AlgebroidData, sigma_prime: PolyMap) -> CheckReport:
+    """`check_lie_table` with σ' = σ×c already built."""
     report = CheckReport("prolongation tangent structure table")
     shape = A.shape
     d, r = A.base_dim, A.rank
@@ -354,8 +363,6 @@ def check_lie_table(A: AlgebroidData) -> CheckReport:
                  PolyMap(n, 2 * (d + r), xv + vv + fibers) - space.proj1)
 
     # σ' = σ×c is an involution on L²(A).
-    sigma_prime = whiskered_generator(shape, "flip", NAT, W,
-                                      sigma=involution_from_bracket(A))
     report.check("σ'∘σ' = id",
                  compose_maps(sigma_prime, sigma_prime)
                  - PolyMap.identity(sigma_prime.src_dim))

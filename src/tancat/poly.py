@@ -296,7 +296,8 @@ class Polynomial:
         """Plug args[i] in for x_{i+1}; args live in a common variable count.
 
         For a polynomial in zero variables (a constant) pass `out_vars` to
-        pick the ambient space.
+        pick the ambient space.  When every argument is 0 or a bare variable
+        the substitution only renames keys; see `_substitute`.
         """
         if len(args) != self.n_vars:
             raise PolyError(f"need {self.n_vars} substitutions, got {len(args)}")
@@ -306,27 +307,7 @@ class Polynomial:
         for a in args:
             if a.n_vars != inferred:
                 raise PolyError("substitution arguments disagree on variable count")
-        if not args:
-            # A constant's only key is 0 in every variable count.
-            return _make(inferred, dict(self._terms), self._frac)
-        guard = _guard(inferred)
-        frac = self._frac
-        powers: dict[tuple[int, int], dict] = {}
-        out: dict = {}
-        for key, coeff in self._terms.items():
-            term = {0: coeff}
-            while key and term:
-                # The lowest nonzero field: variable i with exponent e.
-                i = ((key & -key).bit_length() - 1) // _FIELD
-                e = (key >> (_FIELD * i)) & _FIELD_MASK
-                key ^= e << (_FIELD * i)
-                power = powers.get((i, e))
-                if power is None:
-                    power = powers[i, e] = _pow(args[i]._terms, e, guard)
-                    frac = frac or args[i]._frac
-                term = _mul(term, power, guard)
-            _iadd(out, term)
-        return _make(inferred, out, frac and _settle(out))
+        return _substitute((self,), args, inferred)[0]
 
     def shift_vars(self, offset: int, new_n: int) -> "Polynomial":
         """Reindex x_i -> x_{i+offset} inside a space of new_n variables."""
@@ -681,15 +662,15 @@ def _variable(key: int) -> int | None:
     return bit // _FIELD
 
 
-def _selection_images(f: PolyMap) -> list[int | None] | None:
-    """The variable keys f selects, or None if f is not a selection.
+def _selection_images(args) -> list[int | None] | None:
+    """The variable keys the polynomials `args` select, or None if they do not.
 
-    f is a selection when every component is 0 or a bare variable with
-    coefficient 1; entry i is the key of the variable component i copies, or
-    None for a zero component.
+    `args` is a selection when every entry is 0 or a bare variable with
+    coefficient 1; entry i is the key of the variable args[i] copies, or None
+    for a zero entry.
     """
     images = []
-    for c in f.components:
+    for c in args:
         terms = c._terms
         if not terms:
             images.append(None)
@@ -722,14 +703,14 @@ def _move(key: int, images: list[int | None], guard: int) -> int | None:
     return new
 
 
-def _select(g: PolyMap, images: list[int | None], n_vars: int) -> list[Polynomial]:
-    """g's components with x_{i+1} renamed to images[i] (None: set to 0)."""
+def _select(polys, images: list[int | None], n_vars: int) -> list[Polynomial]:
+    """`polys` with x_{i+1} renamed to images[i] (None: set to 0)."""
     guard = _guard(n_vars)
     kept = [key for key in images if key is not None]
     # Two variables with one image: monomials can meet and cancel.
     merges = len(set(kept)) < len(kept)
     comps = []
-    for c in g.components:
+    for c in polys:
         out: dict = {}
         for key, coeff in c._terms.items():
             i = _variable(key)
@@ -750,31 +731,131 @@ def _select(g: PolyMap, images: list[int | None], n_vars: int) -> list[Polynomia
     return comps
 
 
+def _substitute(polys, args, n_vars: int) -> list[Polynomial]:
+    """Each of `polys` with args[i] plugged in for x_{i+1}, in n_vars variables.
+
+    The one substitution routine behind `Polynomial.substitute` and
+    `compose_maps`.  When every argument is 0 or a bare variable it renames
+    keys (`_select`).  Otherwise a polynomial that is 0 stays 0, one that is
+    the bare variable x_{i+1} is args[i] itself (polynomials are immutable,
+    so sharing it is safe), and every other one goes through a table that
+    lives for this call: each distinct monomial of `polys` is expanded once,
+    as its memoised prefix (the monomial without its highest variable) times
+    one power args[i]^e, itself computed once by binary powering.  A term is
+    scaled by its coefficient only when the coefficient is not 1.
+    """
+    images = _selection_images(args)
+    if images is not None:
+        return _select(polys, images, n_vars)
+    guard = _guard(n_vars)
+    args_frac = any(a._frac for a in args)
+    powers: dict[tuple[int, int], dict] = {}
+    # Expanded monomials by key; the empty monomial 1 seeds every prefix chain.
+    table: dict[int, dict] = {0: {0: 1}}
+
+    def expand(key: int) -> dict:
+        chain = []
+        while key not in table:
+            # The highest nonzero field: variable i with exponent e.
+            i = (key.bit_length() - 1) // _FIELD
+            e = key >> (_FIELD * i)
+            chain.append((i, e))
+            key ^= e << (_FIELD * i)
+        value = table[key]
+        for i, e in reversed(chain):
+            power = powers.get((i, e))
+            if power is None:
+                power = powers[i, e] = _pow(args[i]._terms, e, guard)
+            if not key:
+                value = power
+            elif value:
+                value = _mul(value, power, guard)
+            key += e << (_FIELD * i)
+            table[key] = value
+        return value
+
+    comps = []
+    for c in polys:
+        terms = c._terms
+        if not terms:
+            comps.append(_make(n_vars, {}, False))
+            continue
+        if len(terms) == 1:
+            ((key, coeff),) = terms.items()
+            i = _variable(key) if coeff == 1 else None
+            if i is not None:
+                comps.append(args[i])
+                continue
+        out: dict = {}
+        for key, coeff in terms.items():
+            value = table.get(key)
+            if value is None:
+                value = expand(key)
+            if not value:
+                continue
+            if not out:
+                out = dict(value) if coeff == 1 else {k: coeff * v for k, v in value.items()}
+            elif coeff == 1:
+                _iadd(out, value)
+            else:
+                get = out.get
+                for k, v in value.items():
+                    s = get(k, 0) + coeff * v
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        comps.append(_make(n_vars, out, (c._frac or args_frac) and _settle(out)))
+    return comps
+
+
 def compose_maps(g: PolyMap, f: PolyMap) -> PolyMap:
     """g after f (exact substitution).
 
-    Two shapes skip substitution.  When f is a coordinate selection (every
-    component 0 or a bare variable) the composite only renames g's
-    variables, so g's keys are remapped directly.  Otherwise a component of
-    g that is 0 stays 0, and one that is a bare variable x_{i+1} is f's
-    component i itself (polynomials are immutable, so sharing it is safe).
+    All of g's components go through one `_substitute` call, so a monomial
+    that several components share is expanded once.  When f is a coordinate
+    selection (every component 0 or a bare variable) the composite only
+    renames g's variables, so g's keys are remapped directly.
     """
     if f.tgt_dim != g.src_dim:
         raise PolyError(f"cannot compose: inner target {f.tgt_dim} vs outer source {g.src_dim}")
-    images = _selection_images(f)
-    if images is not None:
-        return PolyMap(f.src_dim, g.tgt_dim, _select(g, images, f.src_dim))
-    args = list(f.components)
-    comps = []
-    for c in g.components:
-        terms = c._terms
-        if not terms:
-            comps.append(_make(f.src_dim, {}, False))
-            continue
-        key = next(iter(terms))
-        i = _variable(key) if len(terms) == 1 and terms[key] == 1 else None
-        comps.append(c.substitute(args) if i is None else args[i])
-    return PolyMap(f.src_dim, g.tgt_dim, comps)
+    return PolyMap(f.src_dim, g.tgt_dim, _substitute(g.components, f.components, f.src_dim))
+
+
+def tangent_n(f: PolyMap, n: int) -> PolyMap:
+    """T_{W_n} f (x; v_1..v_n) = (f(x); Df(x)·v_1, ..., Df(x)·v_n), in one pass.
+
+    Source and target are n + 1 blocks of f's source and target dimension:
+    the base block first, then one block per tangent direction.  The base
+    block keeps f's keys.  For each term c·x^k and each variable x_j of
+    exponent e > 0, tangent block i gets c·e at key k − x_j + v_{i,j}; the
+    v-part names j, so distinct (term, j) pairs never meet.
+    """
+    s = f.src_dim
+    total = s * (n + 1)
+    base = []
+    blocks: list[list[Polynomial]] = [[] for _ in range(n)]
+    for comp in f.components:
+        base.append(_make(total, comp._terms, comp._frac))
+        # (k − x_j, x_j, c·e) for every term and every variable in it.
+        legs = []
+        for key, c in comp._terms.items():
+            rest = key
+            while rest:
+                low = rest & -rest
+                j = (low.bit_length() - 1) // _FIELD
+                one = 1 << (_FIELD * j)
+                e = (rest >> (_FIELD * j)) & _FIELD_MASK
+                rest ^= e * one
+                legs.append((key - one, one, c * e))
+        frac = comp._frac
+        if frac:
+            legs = [(k, one, _canon(v)) for k, one, v in legs]
+            frac = any(type(v) is not int for _, _, v in legs)
+        for i, block in enumerate(blocks, 1):
+            shift = _FIELD * s * i
+            block.append(_make(total, {k + (one << shift): v for k, one, v in legs}, frac))
+    return PolyMap(total, f.tgt_dim * (n + 1), base + [p for b in blocks for p in b])
 
 
 # -- the differential combinator ---------------------------------------------

@@ -1,14 +1,15 @@
 """The tangent structure on the polynomial model.
 
-`weil_prolong(V, f)` is the action of a Weil algebra on a polynomial map:
-substitute V-valued points into f, expand, kill monomials by nilpotency, and
-read off coefficients.  Flat coordinates of T^V(Q^n) are one block of n
-coordinates per basis monomial of V, in the canonical basis order (unit
+`weil_prolong(V, f)` is the action of a Weil algebra on a polynomial map.
+The tangent functor generates it: T_{W_n} f (x; v_1..v_n) = (f(x);
+Df(x)·v_1, ..., Df(x)·v_n), the tangent structure of a Cartesian
+differential category (Cockett & Cruttwell, "Differential structure,
+tangent structure, and SDG", 2014), and T^V for V = W_{n_1} ⊗ ... ⊗ W_{n_k}
+is the fold T_{n_1} ∘ ... ∘ T_{n_k}.  `poly.tangent_n` builds each T_n in
+one pass over f's packed keys.  Flat coordinates of T^V(Q^n) are one block
+of n coordinates per basis monomial of V, in the canonical basis order (unit
 block first), which makes the action strict: T^{U⊗V} = T^U ∘ T^V on the
-nose.  Each power X_i^e of a V-valued point is computed once per call, in a
-table keyed on (variable, exponent) that every monomial of every component
-shares; a monomial starts from its first power and is scaled only when its
-coefficient is not 1.
+nose.
 
 `structure_nat(phi, n)` is the linear coordinate relabeling T^V(Q^n) ->
 T^U(Q^n) induced by a rig morphism phi: V -> U; the tangent-category
@@ -20,15 +21,11 @@ target coordinate's coefficients in one pass and builds the map once with
 from __future__ import annotations
 
 from . import linalg, weil
-from .poly import PolyMap, Polynomial, compose_maps
+from .poly import PolyMap, Polynomial, compose_maps, tangent_n
 from .report import CheckReport
 from .weil import W, WW, WeilAlgebra, WeilMorphism
 
 W2 = WeilAlgebra((2,))
-
-
-def action_dim(V: WeilAlgebra, n: int) -> int:
-    return V.dim * n
 
 
 def flat_index(V: WeilAlgebra, n: int, mono_pos: int, i: int) -> int:
@@ -36,87 +33,11 @@ def flat_index(V: WeilAlgebra, n: int, mono_pos: int, i: int) -> int:
     return mono_pos * n + i
 
 
-class _Jet:
-    """An element of V ⊗ Q[x_1..x_k]: per-monomial polynomial coefficients."""
-
-    __slots__ = ("V", "n_vars", "parts")
-
-    def __init__(self, V: WeilAlgebra, n_vars: int,
-                 parts: dict[weil.Monomial, Polynomial]):
-        self.V = V
-        self.n_vars = n_vars
-        self.parts = {m: p for m, p in parts.items() if not p.is_zero()}
-
-    def mul(self, other: "_Jet") -> "_Jet":
-        out: dict[weil.Monomial, Polynomial] = {}
-        for ma, pa in self.parts.items():
-            for mb, pb in other.parts.items():
-                mono = weil.mono_mul(self.V, ma, mb)
-                if mono is None:
-                    continue
-                prod = pa * pb
-                out[mono] = out[mono] + prod if mono in out else prod
-        return _Jet(self.V, self.n_vars, out)
-
-    def power(self, k: int) -> "_Jet":
-        """self ** k for k >= 1, by binary powering."""
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result.mul(base)
-            k >>= 1
-            if not k:
-                return result
-            base = base.mul(base)
-
-
 def weil_prolong(V: WeilAlgebra, f: PolyMap) -> PolyMap:
-    """T^V f : direct nilpotent substitution, one pass, exact."""
-    n, m = f.src_dim, f.tgt_dim
-    basis = V.basis()
-    D = len(basis)
-    total = n * D
-    # V-valued input points: X_i = sum over basis monomials of x_{(mono, i)}·mono.
-    points = []
-    for i in range(n):
-        parts = {
-            mono: Polynomial.var(total, flat_index(V, n, pos, i) + 1)
-            for pos, mono in enumerate(basis)
-        }
-        points.append(_Jet(V, total, parts))
-    # X_i ** e, shared by every monomial of every component.
-    powers: dict[tuple[int, int], _Jet] = {}
-
-    def power(i: int, e: int) -> _Jet:
-        jet = powers.get((i, e))
-        if jet is None:
-            jet = powers[i, e] = points[i].power(e)
-        return jet
-
-    components: list[Polynomial] = [Polynomial.zero(total)] * (m * D)
-    mono_pos = {mono: pos for pos, mono in enumerate(basis)}
-    unit = V.unit_monomial
-    for out_i, comp in enumerate(f.components):
-        value: dict[weil.Monomial, Polynomial] = {}
-        for mono, coeff in comp.monomials():
-            factors = [power(i, e) for i, e in enumerate(mono) if e]
-            if factors:
-                term = factors[0]
-                for factor in factors[1:]:
-                    term = term.mul(factor)
-                    if not term.parts:
-                        break
-                parts = term.parts
-                if coeff != 1:
-                    parts = {v_mono: p * coeff for v_mono, p in parts.items()}
-            else:
-                parts = {unit: Polynomial.const(total, coeff)}
-            for v_mono, p in parts.items():
-                value[v_mono] = value[v_mono] + p if v_mono in value else p
-        for v_mono, poly in value.items():
-            components[flat_index(V, m, mono_pos[v_mono], out_i)] = poly
-    return PolyMap(total, m * D, components)
+    """T^V f, the fold of T_{n_k}, ..., T_{n_1} over V = W_{n_1} ⊗ ... ⊗ W_{n_k}."""
+    for width in reversed(V.widths):
+        f = tangent_n(f, width)
+    return f
 
 
 def structure_nat(phi: WeilMorphism, n: int) -> PolyMap:
@@ -396,7 +317,7 @@ class TangentModel:
         self.n = n
 
     def object_of(self, algebra: WeilAlgebra) -> int:
-        return action_dim(algebra, self.n)
+        return algebra.dim * self.n
 
     def generator_map(self, term) -> PolyMap:
         kwargs = {}
@@ -417,7 +338,7 @@ class TangentModel:
         from . import wterm as _wterm
         phi = _wterm.eval_weil(left_term)
         inner = weil_prolong(phi.source, right_mor)
-        outer = structure_nat(phi, action_dim(right_term.target, self.n))
+        outer = structure_nat(phi, right_term.target.dim * self.n)
         return compose_maps(outer, inner)
 
     def pair(self, left_term, left_mor: PolyMap, right_term, right_mor: PolyMap) -> PolyMap:

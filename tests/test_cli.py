@@ -9,7 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = ROOT / "docs" / "examples"
-GOLDEN_SELFTEST = Path(__file__).resolve().parent / "data" / "selftest_seed2024.json"
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN_SELFTEST = DATA / "selftest_seed2024.json"
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -124,16 +125,21 @@ def test_selftest_json_matches_golden():
     assert proc.stdout == GOLDEN_SELFTEST.read_bytes()
 
 
-@pytest.mark.parametrize("args", [
-    ("selftest", "--cases", "0"),
-    ("tangent", "check", "-n", "-1"),
-    ("nerve", "functoriality", str(EXAMPLES / "action.json"), "--pairs", "0"),
+# Golden reports captured before the packed Weil action and the shared
+# substitution table: the kernel may change, the bytes may not.
+@pytest.mark.parametrize("args, golden", [
+    (("--seed", "7"), "selftest_seed7.json"),
+    (("--seed", "11"), "selftest_seed11.json"),
+    (("--mutate", "bianchi"), "selftest_mutate_bianchi.json"),
+    (("--mutate", "alternating"), "selftest_mutate_alternating.json"),
+    (("--mutate", "leibniz"), "selftest_mutate_leibniz.json"),
 ])
-def test_counts_below_one_rejected(args):
-    proc = run_cli(*args)
-    assert proc.returncode == 2
-    assert "must be at least 1" in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_selftest_json_matches_more_goldens(args, golden):
+    proc = subprocess.run(
+        [sys.executable, "-m", "tancat.cli", "--json", "selftest", *args],
+        cwd=ROOT, capture_output=True, check=False)
+    assert proc.returncode == 0
+    assert proc.stdout == (DATA / golden).read_bytes()
 
 
 def assert_input_error(proc, message):
@@ -141,6 +147,34 @@ def assert_input_error(proc, message):
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("selftest", "--cases", "0"),
+    ("tangent", "check", "-n", "-1"),
+    ("nerve", "functoriality", str(EXAMPLES / "action.json"), "--pairs", "0"),
+])
+def test_counts_below_one_rejected(args):
+    assert_input_error(run_cli(*args), "must be at least 1")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("cdc", "check", str(EXAMPLES / "map.json"), "--random", "-3"),
+     "--random must be at least 0, got -3"),
+    (("cdc", "check", str(EXAMPLES / "map.json"), "--random", "10001"),
+     "--random must be at most 10000 (the limit MAX_COUNT), got 10001"),
+    (("cdc", "check", str(EXAMPLES / "map.json"), "--random", "100000000"),
+     "the limit MAX_COUNT"),
+    (("nerve", "functoriality", str(EXAMPLES / "action.json"), "--pairs", "100000000"),
+     "--pairs must be at most 10000 (the limit MAX_COUNT)"),
+    (("selftest", "--cases", "10001"),
+     "--cases must be at most 10000 (the limit MAX_COUNT), got 10001"),
+    (("tangent", "check", "-n", "17"),
+     "-n must be at most 16 (the limit MAX_TANGENT_DIM), got 17"),
+    (("tangent", "check", "-n", "60"), "the limit MAX_TANGENT_DIM"),
+])
+def test_counts_out_of_range_rejected(args, message):
+    assert_input_error(run_cli(*args), message)
 
 
 @pytest.mark.parametrize("component, message", [

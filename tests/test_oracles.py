@@ -8,7 +8,10 @@
   with the identity;
 - `differential` against sympy's Jacobian applied to the direction;
 - `section_bracket` (the σ route) and `section_bracket_coordinates` against
-  ρX·∂Y − ρY·∂X + C(X, Y) written in sympy from `A.rho` and `A.bracket`.
+  ρX·∂Y − ρY·∂X + C(X, Y) written in sympy from `A.rho` and `A.bracket`;
+- `weil_prolong` (a fold of the packed T_n) against the jet products it
+  replaced, and the shared substitution table of `compose_maps` and
+  `Polynomial.substitute` against per-component, per-monomial expansion.
 """
 
 import itertools
@@ -23,7 +26,8 @@ from tancat import algebroid as AL
 from tancat import nerve as NV
 from tancat import selftest as ST
 from tancat import weil, wterm
-from tancat.poly import (PolyMap, Polynomial, differential, random_map,
+from tancat.poly import (MAX_EXPONENT, PolyError, PolyMap, Polynomial,
+                         compose_maps, differential, random_map,
                          random_polynomial)
 from tancat.report import CheckReport
 from tancat.tangent import W2, structure_nat, weil_prolong
@@ -321,3 +325,172 @@ def test_section_bracket_matches_the_sympy_formula(name, make):
             got = route(A, X, Y)
             assert [as_sympy(sp, c, xs) for c in got.components] == expected, \
                 (route.__name__, str(X), str(Y))
+
+
+# -- the packed Weil action and the substitution table: the code they replaced ----
+
+
+class ReferenceJet:
+    """An element of V ⊗ Q[x_1..x_k]: per-monomial polynomial coefficients.
+
+    The jet arithmetic `weil_prolong` ran on before it became a fold of the
+    packed T_n: each jet product is a grid of Polynomial products.
+    """
+
+    def __init__(self, V: WeilAlgebra, parts: dict):
+        self.V = V
+        self.parts = {m: p for m, p in parts.items() if not p.is_zero()}
+
+    def mul(self, other: "ReferenceJet") -> "ReferenceJet":
+        out: dict = {}
+        for ma, pa in self.parts.items():
+            for mb, pb in other.parts.items():
+                mono = weil.mono_mul(self.V, ma, mb)
+                if mono is None:
+                    continue
+                prod = pa * pb
+                out[mono] = out[mono] + prod if mono in out else prod
+        return ReferenceJet(self.V, out)
+
+    def power(self, k: int) -> "ReferenceJet":
+        result = None
+        base = self
+        while True:
+            if k & 1:
+                result = base if result is None else result.mul(base)
+            k >>= 1
+            if not k:
+                return result
+            base = base.mul(base)
+
+
+def reference_weil_prolong(V: WeilAlgebra, f: PolyMap) -> PolyMap:
+    """T^V f by substituting V-valued points X_i = Σ_m x_{(m, i)}·m into f."""
+    n, m = f.src_dim, f.tgt_dim
+    basis = V.basis()
+    total = n * len(basis)
+    points = [ReferenceJet(V, {mono: Polynomial.var(total, pos * n + i + 1)
+                               for pos, mono in enumerate(basis)})
+              for i in range(n)]
+    components = [Polynomial.zero(total)] * (m * len(basis))
+    mono_pos = {mono: pos for pos, mono in enumerate(basis)}
+    for out_i, comp in enumerate(f.components):
+        value: dict = {}
+        for mono, coeff in comp.monomials():
+            term = ReferenceJet(V, {V.unit_monomial: Polynomial.const(total, coeff)})
+            for i, e in enumerate(mono):
+                if e:
+                    term = term.mul(points[i].power(e))
+            for v_mono, p in term.parts.items():
+                value[v_mono] = value[v_mono] + p if v_mono in value else p
+        for v_mono, poly in value.items():
+            components[mono_pos[v_mono] * m + out_i] = poly
+    return PolyMap(total, m * len(basis), components)
+
+
+def reference_substitute(p: Polynomial, args: list, n_vars: int) -> Polynomial:
+    """p with args[i] for x_{i+1}, one component and one monomial at a time."""
+    total = Polynomial.zero(n_vars)
+    for mono, coeff in p.monomials():
+        term = Polynomial.const(n_vars, coeff)
+        for arg, e in zip(args, mono):
+            if e:
+                term = term * arg ** e
+        total = total + term
+    return total
+
+
+table_coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def shared_maps(draw, src: int, tgt: int, max_exp: int = 3):
+    """Maps whose components are 0, a bare variable, or a sum over one shared
+    pool of monomials, with Fraction coefficients."""
+    pool = draw(st.lists(st.tuples(*[st.integers(0, max_exp)] * src),
+                         min_size=1, max_size=5, unique=True))
+    comps = []
+    for _ in range(tgt):
+        kind = draw(st.sampled_from(["zero", "var", "poly", "poly"]))
+        if kind == "zero":
+            comps.append(Polynomial.zero(src))
+        elif kind == "var":
+            comps.append(Polynomial.var(src, draw(st.integers(1, src))))
+        else:
+            terms = draw(st.dictionaries(st.sampled_from(pool), table_coefficients,
+                                         min_size=1, max_size=4))
+            comps.append(Polynomial(src, terms))
+    return PolyMap(src, tgt, comps)
+
+
+def canonical(f: PolyMap) -> bool:
+    """Coefficients are ints when integral, also after doubling (which turns
+    1/2 into 1 and so shows a polynomial that forgot it holds a Fraction)."""
+    return all(type(c) is int or c.denominator != 1
+               for g in (f, f + f) for p in g.components for _, c in p.monomials())
+
+
+def assert_same_map(got: PolyMap, expected: PolyMap) -> None:
+    assert got == expected
+    assert str(got) == str(expected)
+    assert canonical(got)
+
+
+TABLE_ALGEBRAS = (WeilAlgebra(()), W, W2, WeilAlgebra((3,)),
+                  WeilAlgebra((1, 2, 1)), WeilAlgebra((1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("V", TABLE_ALGEBRAS, ids=str)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_weil_prolong_matches_the_jet_product(V, data):
+    src = data.draw(st.integers(1, 3 if V.dim <= 4 else 2))
+    f = data.draw(shared_maps(src, data.draw(st.integers(1, 2)),
+                              max_exp=3 if V.dim <= 4 else 2))
+    assert_same_map(weil_prolong(V, f), reference_weil_prolong(V, f))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_substitution_table_matches_per_component_expansion(data):
+    mid = data.draw(st.integers(1, 3))
+    src = data.draw(st.integers(1, 3))
+    g = data.draw(shared_maps(mid, data.draw(st.integers(1, 4))))
+    # Inner maps range from pure selections to sums with Fraction coefficients.
+    f = data.draw(shared_maps(src, mid, max_exp=2))
+    args = list(f.components)
+    expected = PolyMap(src, g.tgt_dim, [reference_substitute(c, args, src)
+                                        for c in g.components])
+    assert_same_map(compose_maps(g, f), expected)
+    assert_same_map(PolyMap(src, g.tgt_dim, [c.substitute(args) for c in g.components]),
+                    expected)
+
+
+def test_substitution_at_the_exponent_limit():
+    top = Polynomial(2, {(MAX_EXPONENT, MAX_EXPONENT): 1, (MAX_EXPONENT, 0): 5})
+    args = [Polynomial(2, {(1, 0): 2}), Polynomial(2, {(0, 1): 3})]
+    expected = Polynomial(2, {(MAX_EXPONENT, MAX_EXPONENT): 2 ** MAX_EXPONENT * 3 ** MAX_EXPONENT,
+                              (MAX_EXPONENT, 0): 5 * 2 ** MAX_EXPONENT})
+    assert top.substitute(args) == expected
+    assert compose_maps(PolyMap(2, 1, [top]), PolyMap(2, 2, args)).components[0] == expected
+    # A long prefix chain: one variable per field, every one of them used.
+    n = 48
+    wide = Polynomial(n, {(MAX_EXPONENT,) * n: 1})
+    doubled = [Polynomial(n, {tuple(int(j == i) for j in range(n)): 2}) for i in range(n)]
+    assert dict(wide.substitute(doubled).monomials()) == {
+        (MAX_EXPONENT,) * n: 2 ** (MAX_EXPONENT * n)}
+
+
+@pytest.mark.parametrize("outer, inner", [
+    ("x1^32767", ["2*x1^2"]),
+    ("x1^20000*x2^20000", ["2*x1", "3*x1"]),
+    # A selection: keys are renamed, and the renamed fields add past the limit.
+    ("x1^20000*x2^20000 + x2", ["x1", "x1"]),
+])
+def test_substitution_overflow_raises(outer, inner):
+    g = PolyMap.from_strings(len(inner), [outer])
+    f = PolyMap.from_strings(1, inner)
+    with pytest.raises(PolyError, match="32767"):
+        g.components[0].substitute(list(f.components))
+    with pytest.raises(PolyError, match="32767"):
+        compose_maps(g, f)
