@@ -15,7 +15,8 @@ Subcommands:
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 input error.
 `--random`, `--pairs` and `--cases` are at most MAX_COUNT, `-n` at most
-MAX_TANGENT_DIM; a value out of range is an input error.
+MAX_TANGENT_DIM and the flat dimension of `nerve object` at most
+MAX_FLAT_DIM; a value out of range is an input error.
 JSON output (--json) is deterministic for a fixed seed.
 """
 
@@ -119,13 +120,19 @@ def cmd_algebroid(args) -> int:
 
 
 def cmd_nerve(args) -> int:
-    A = specfiles.load(args.file, expect_kind="algebroid")
     if args.action == "object":
         try:
             V = weil.parse_algebra(args.algebra)
         except weil.WeilError as exc:
             raise InputError(str(exc))
-        space = NV.nerve_object(A, V)
+        # The flat dimension is checked before the file's polynomials are parsed.
+        data = specfiles.load_document(args.file, expect_kind="algebroid")
+        d, r = specfiles.algebroid_dims(data)
+        flat_dim = d + r * (V.dim - 1)
+        if flat_dim > MAX_FLAT_DIM:
+            raise InputError(f"A.{V} has {flat_dim} flat coordinates, above the limit "
+                             f"MAX_FLAT_DIM = {MAX_FLAT_DIM}")
+        space = NV.nerve_object(specfiles.load_algebroid(data), V)
         blocks = [{"label": V.monomial_str(b.label), "size": b.size,
                    "offset": b.offset} for b in space.blocks]
         if args.json:
@@ -139,6 +146,7 @@ def cmd_nerve(args) -> int:
                 print(f"  block {b['label']:>8}  size {b['size']}  offset {b['offset']}")
             print(f"  embedding: {space.embedding}")
         return 0
+    A = specfiles.load(args.file, expect_kind="algebroid")
     rng = random.Random(args.seed)
     pairs = []
     while len(pairs) < args.pairs:
@@ -186,6 +194,10 @@ def cmd_selftest(args) -> int:
 # functoriality --pairs` and `selftest --cases`: `--random 1000` takes about
 # 2 s and `--pairs 200` about 1 s, and the cost grows linearly.
 MAX_COUNT = 10_000
+# Upper limit of the flat dimension d + r·(dim V - 1) of `nerve object -V`,
+# whose cost, mostly printing the embedding, grows about as its square (0.5 s
+# at 1,020 coordinates, 2.2 s at 1,860 and 27 s at 5,100).
+MAX_FLAT_DIM = 1024
 # Upper limit of `tangent check -n`: the checks act on T²(Q^n) and its
 # products, so the cost grows steeply (about 7 s at n = 16, 99 s at n = 40).
 MAX_TANGENT_DIM = 16

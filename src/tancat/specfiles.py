@@ -77,7 +77,7 @@ def _polys(data: dict, field: str, kind: str, n_vars: int,
     return _poly_array(_require(data, field, kind), depth, f"{kind}.{field}", n_vars)
 
 
-def load_document(path: str | Path) -> dict:
+def load_document(path: str | Path, expect_kind: str | None = None) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -88,12 +88,18 @@ def load_document(path: str | Path) -> dict:
         raise SpecFileError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
     if not isinstance(data, dict) or "kind" not in data:
         raise SpecFileError(f"{path}: expected an object with a 'kind' field")
+    if expect_kind is not None and data["kind"] != expect_kind:
+        raise SpecFileError(f"{path}: expected kind {expect_kind!r}, found {data['kind']!r}")
     return data
 
 
+def algebroid_dims(data: dict) -> tuple[int, int]:
+    """(base_dim, rank) of an algebroid document, read before its polynomials."""
+    return _nat(data, "base_dim", "algebroid"), _nat(data, "rank", "algebroid")
+
+
 def load_algebroid(data: dict) -> algebroid_mod.AlgebroidData:
-    d = _nat(data, "base_dim", "algebroid")
-    r = _nat(data, "rank", "algebroid")
+    d, r = algebroid_dims(data)
     anchor = _polys(data, "anchor", "algebroid", d, depth=2)
     bracket = _polys(data, "bracket", "algebroid", d, depth=3)
     try:
@@ -144,10 +150,8 @@ LOADERS = {
 
 
 def load(path: str | Path, expect_kind: str | None = None):
-    data = load_document(path)
+    data = load_document(path, expect_kind)
     kind = data["kind"]
-    if expect_kind is not None and kind != expect_kind:
-        raise SpecFileError(f"{path}: expected kind {expect_kind!r}, found {kind!r}")
     if kind == "section":
         raise SpecFileError("sections need a base dimension; load via load_section")
     loader = LOADERS.get(kind)

@@ -12,10 +12,11 @@ block first), which makes the action strict: T^{U⊗V} = T^U ∘ T^V on the
 nose.
 
 `structure_nat(phi, n)` is the linear coordinate relabeling T^V(Q^n) ->
-T^U(Q^n) induced by a rig morphism phi: V -> U; the tangent-category
-structure maps are its values on the five generators.  It collects each
-target coordinate's coefficients in one pass and builds the map once with
-`PolyMap.linear`.
+T^U(Q^n) induced by a rig morphism phi: V -> U, the Kronecker product
+M ⊗ I_n of phi's matrix M with the identity, built once with
+`PolyMap.linear`; the tangent-category structure maps are its values on the
+five generators.  Terms are evaluated in this model as
+`structure_nat(wterm.eval_weil(t), n)`.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ from __future__ import annotations
 from . import linalg, weil
 from .poly import PolyMap, Polynomial, compose_maps, tangent_n
 from .report import CheckReport
-from .weil import W, WW, WeilAlgebra, WeilMorphism
-
-W2 = WeilAlgebra((2,))
-
-
-def flat_index(V: WeilAlgebra, n: int, mono_pos: int, i: int) -> int:
-    """Coordinate index of base-coordinate i inside monomial block mono_pos."""
-    return mono_pos * n + i
+from .weil import W, W2, WW, WeilAlgebra, WeilMorphism
 
 
 def weil_prolong(V: WeilAlgebra, f: PolyMap) -> PolyMap:
@@ -41,19 +35,14 @@ def weil_prolong(V: WeilAlgebra, f: PolyMap) -> PolyMap:
 
 
 def structure_nat(phi: WeilMorphism, n: int) -> PolyMap:
-    """phi.n : T^V(Q^n) -> T^U(Q^n), the coefficient push along phi: V -> U."""
-    V, U = phi.source, phi.target
-    src_basis = V.basis()
-    tgt_basis = U.basis()
-    tgt_pos = {m: i for i, m in enumerate(tgt_basis)}
-    # rows[k][j]: the coefficient of source coordinate j in target coordinate k.
-    rows: list[dict[int, int]] = [{} for _ in range(n * len(tgt_basis))]
-    for src_pos, mono in enumerate(src_basis):
-        for u_mono, c in phi.apply_monomial(mono).coeffs.items():
-            u_pos = tgt_pos[u_mono]
+    """phi.n : T^V(Q^n) -> T^U(Q^n), the Kronecker product M ⊗ I_n of phi's matrix."""
+    # rows[k]: the coefficients of target coordinate k in the source coordinates.
+    rows: list[dict[int, int]] = [{} for _ in range(n * phi.target.dim)]
+    for j, column in enumerate(phi.columns):
+        for k, c in column:
             for i in range(n):
-                rows[flat_index(U, n, u_pos, i)][flat_index(V, n, src_pos, i)] = c
-    return PolyMap.linear(n * len(src_basis), rows)
+                rows[k * n + i][j * n + i] = c
+    return PolyMap.linear(n * phi.source.dim, rows)
 
 
 def generator_nat(kind: str, n: int, **kwargs) -> PolyMap:
@@ -69,9 +58,9 @@ def interleaving_iso(V: WeilAlgebra, n1: int, n2: int) -> PolyMap:
     for pos in range(D):
         for i in range(n1 + n2):
             if i < n1:
-                src = flat_index(V, n1, pos, i)
+                src = pos * n1 + i
             else:
-                src = n1 * D + flat_index(V, n2, pos, i - n1)
+                src = n1 * D + pos * n2 + i - n1
             comps.append(Polynomial.var(total, src + 1))
     return PolyMap(total, total, comps)
 
@@ -251,7 +240,7 @@ def _interchange_w_w2() -> WeilMorphism:
         weil.WeilElement(tgt, {(1, 0): 1}),   # y1 -> y1 (W2 factor, now first)
         weil.WeilElement(tgt, {(2, 0): 1}),   # y2 -> y2
     ]
-    return WeilMorphism(src, tgt, images, check=False)
+    return WeilMorphism(src, tgt, images)
 
 
 def _lift_pair_w2() -> WeilMorphism:
@@ -261,7 +250,7 @@ def _lift_pair_w2() -> WeilMorphism:
     return WeilMorphism(src, tgt, [
         weil.WeilElement(tgt, {(1, 1): 1}),
         weil.WeilElement(tgt, {(1, 2): 1}),
-    ], check=False)
+    ])
 
 
 def check_naturality(phi: WeilMorphism, f: PolyMap) -> CheckReport:
@@ -306,49 +295,3 @@ def check_product_preservation(V: WeilAlgebra, f: PolyMap, g: PolyMap) -> CheckR
     report.check("interleaved equality", lhs - rhs)
     return report
 
-
-# -- the tangent model as a wterm model ----------------------------------------
-
-
-class TangentModel:
-    """The strict tangent functor V -> T^V(Q^n) as a ModelInterface."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def object_of(self, algebra: WeilAlgebra) -> int:
-        return algebra.dim * self.n
-
-    def generator_map(self, term) -> PolyMap:
-        kwargs = {}
-        if term.kind in ("bang", "id"):
-            kwargs["algebra"] = term.algebra
-        if term.kind == "proj":
-            kwargs.update(i=term.i, n=term.n)
-        return structure_nat(weil.generator(term.kind, **kwargs), self.n)
-
-    def compose(self, outer: PolyMap, inner: PolyMap) -> PolyMap:
-        return compose_maps(outer, inner)
-
-    def tensor(self, left_term, left_mor: PolyMap, right_term, right_mor: PolyMap) -> PolyMap:
-        # Strictness: (f ⊗ g) acts as the coefficient push of f's denotation
-        # at the object T^{tgt(g)}(Q^n), after prolonging g's action by f's
-        # source algebra.  This mirrors the span-composition rule the nerve
-        # uses, so the two models stay structurally parallel.
-        from . import wterm as _wterm
-        phi = _wterm.eval_weil(left_term)
-        inner = weil_prolong(phi.source, right_mor)
-        outer = structure_nat(phi, right_term.target.dim * self.n)
-        return compose_maps(outer, inner)
-
-    def pair(self, left_term, left_mor: PolyMap, right_term, right_mor: PolyMap) -> PolyMap:
-        # Tupling into the fibered sum T_{n+m}: shared base block, then both
-        # fiber blocks.  Equal N-augmentations make the base blocks coincide.
-        n = self.n
-        base_left = left_mor.components[:n]
-        base_right = right_mor.components[:n]
-        if list(base_left) != list(base_right):
-            raise ValueError(
-                f"pairing of {left_term} and {right_term}: base components differ")
-        comps = list(left_mor.components) + list(right_mor.components[n:])
-        return PolyMap(left_mor.src_dim, len(comps), comps)

@@ -4,13 +4,21 @@ Objects are tensor products W_{n1} ⊗ ... ⊗ W_{nk} of the rigs
 W_n = N[x_1..x_n]/(x_i x_j, i<=j), encoded by their width lists (the empty
 list is N).  A basis monomial picks, per factor, either the unit (0) or one
 of that factor's variables (1..n); any product putting two variables in the
-same factor vanishes.  Morphisms are determined by the images of the source
-generators, which must be nilpotent and kill the source relations.
+same factor vanishes.
+
+A morphism is an N-linear map of the monomial bases (Kolář, Michor &
+Slovák, *Natural Operations in Differential Geometry*, ch. VIII) and is
+stored as its matrix, one column per source monomial.  The matrix is built
+once from the images of the source generators, which are checked there to
+be nilpotent and to kill the source relations.  Composition is then the
+matrix product, the tensor the Kronecker product, and application a
+matrix-vector product.
 
 Basis order: monomial tuples compared lexicographically with the FIRST
 factor most significant and 0 (unit) < 1 < ... < n inside a factor.  This is
 the order that makes the tensor act strictly, T^{U⊗V} = T^U ∘ T^V, once the
-polynomial model flattens coordinates (see module `tangent`).
+polynomial model flattens coordinates (see module `tangent`), and the order
+in which the Kronecker product lists the monomials of a tensor.
 """
 
 from __future__ import annotations
@@ -95,6 +103,7 @@ class WeilAlgebra:
 NAT = WeilAlgebra(())
 W = WeilAlgebra((1,))
 WW = WeilAlgebra((1, 1))
+W2 = WeilAlgebra((2,))
 
 
 def make_weil(widths) -> WeilAlgebra:
@@ -172,11 +181,8 @@ class WeilElement:
         mono[factor] = j
         return WeilElement(algebra, {tuple(mono): 1})
 
-    def unit_coefficient(self) -> int:
-        return self.coeffs.get(self.algebra.unit_monomial, 0)
-
     def is_nilpotent(self) -> bool:
-        return self.unit_coefficient() == 0
+        return self.algebra.unit_monomial not in self.coeffs
 
     def __add__(self, other: "WeilElement") -> "WeilElement":
         self._same(other)
@@ -187,11 +193,6 @@ class WeilElement:
 
     def __mul__(self, other: "WeilElement") -> "WeilElement":
         return element_mul(self, other)
-
-    def scale(self, c: int) -> "WeilElement":
-        if c < 0:
-            raise WeilError("no negatives in a rig")
-        return WeilElement(self.algebra, {m: c * v for m, v in self.coeffs.items()})
 
     def _same(self, other: "WeilElement") -> None:
         if self.algebra != other.algebra:
@@ -234,12 +235,20 @@ def element_mul(a: WeilElement, b: WeilElement) -> WeilElement:
 
 
 class WeilMorphism:
-    """A rig morphism, recorded by the images of the source generators."""
+    """A rig morphism V -> U, stored as its N-matrix on the monomial bases.
 
-    __slots__ = ("source", "target", "images")
+    `columns[k]` is the image of the k-th basis monomial of V, as the sorted
+    (index in U's basis, coefficient) pairs of its nonzero coefficients.
+    `WeilMorphism(V, U, images)` builds the matrix from the images of V's
+    generators, after checking that they are nilpotent and kill V's
+    relations; composites, tensors and pairings of rig morphisms are rig
+    morphisms, so the operations below build their matrices unchecked.
+    """
+
+    __slots__ = ("source", "target", "columns", "_hash")
 
     def __init__(self, source: WeilAlgebra, target: WeilAlgebra,
-                 images: list[WeilElement], check: bool = True):
+                 images: list[WeilElement]):
         gens = source.generators()
         if len(images) != len(gens):
             raise WeilError(f"{source} has {len(gens)} generators, got {len(images)} images")
@@ -248,120 +257,116 @@ class WeilMorphism:
                 raise WeilError("image lies in the wrong algebra")
             if not img.is_nilpotent():
                 raise WeilError(f"generator image {img} has a unit part")
-        self.source = source
-        self.target = target
-        self.images = tuple(images)
-        if check:
-            self._check_relations()
-
-    def _check_relations(self) -> None:
-        by_factor: dict[int, list[WeilElement]] = {}
-        for (factor, _), img in zip(self.source.generators(), self.images):
-            by_factor.setdefault(factor, []).append(img)
-        for factor, imgs in by_factor.items():
-            for i, a in enumerate(imgs):
-                for b in imgs[i:]:
+        offsets = [0, *itertools.accumulate(source.widths)]
+        for factor, width in enumerate(source.widths):
+            block = images[offsets[factor]:offsets[factor] + width]
+            for i, a in enumerate(block):
+                for b in block[i:]:
                     if element_mul(a, b).coeffs:
                         raise WeilError(
                             f"images break the factor-{factor} relation: "
                             f"({a})*({b}) != 0")
+        columns = []
+        for mono in source.basis():
+            image = WeilElement.unit(target)
+            for factor, entry in enumerate(mono):
+                if entry:
+                    image = element_mul(image, images[offsets[factor] + entry - 1])
+            columns.append(tuple(sorted((target.monomial_index(m), c)
+                                        for m, c in image.coeffs.items())))
+        self.source, self.target, self.columns = source, target, tuple(columns)
+        self._hash = hash((source, target, self.columns))
+
+    def _element(self, column) -> WeilElement:
+        basis = self.target.basis()
+        return WeilElement(self.target, {basis[k]: c for k, c in column})
 
     def image_of(self, factor: int, j: int) -> WeilElement:
-        index = sum(self.source.widths[:factor]) + (j - 1)
-        return self.images[index]
+        mono = [0] * self.source.n_factors
+        mono[factor] = j
+        return self._element(self.columns[self.source.monomial_index(mono)])
 
     def apply(self, elem: WeilElement) -> WeilElement:
         """Push an element of the source through the morphism."""
         if elem.algebra != self.source:
             raise WeilError("element not in the source algebra")
-        out = WeilElement.zero(self.target)
+        out: dict[int, int] = {}
         for mono, c in elem.coeffs.items():
-            term = WeilElement.unit(self.target)
-            for factor, entry in enumerate(mono):
-                if entry:
-                    term = element_mul(term, self.image_of(factor, entry))
-                    if not term.coeffs:
-                        break
-            out = out + term.scale(c)
-        return out
-
-    def apply_monomial(self, mono: Monomial) -> WeilElement:
-        return self.apply(WeilElement(self.source, {mono: 1}))
+            for k, v in self.columns[self.source.monomial_index(mono)]:
+                out[k] = out.get(k, 0) + c * v
+        return self._element(out.items())
 
     def matrix(self) -> list[list[int]]:
         """Natural-number matrix over the bases: column per source monomial."""
-        tgt_basis = self.target.basis()
-        tgt_index = {m: i for i, m in enumerate(tgt_basis)}
         cols = []
-        for mono in self.source.basis():
-            img = self.apply_monomial(mono)
-            col = [0] * len(tgt_basis)
-            for m, c in img.coeffs.items():
-                col[tgt_index[m]] = c
+        for column in self.columns:
+            col = [0] * self.target.dim
+            for k, c in column:
+                col[k] = c
             cols.append(col)
         return cols
 
     def __eq__(self, other):
         if not isinstance(other, WeilMorphism):
             return NotImplemented
-        return (self.source, self.target, self.images) == \
-               (other.source, other.target, other.images)
+        return self._hash == other._hash and \
+            (self.source, self.target, self.columns) == \
+            (other.source, other.target, other.columns)
 
     def __hash__(self):
-        return hash((self.source, self.target, self.images))
+        return self._hash
 
     def __str__(self) -> str:
-        gens = self.source.generators()
         body = ", ".join(
-            f"{self.source.var_name(i, j)} -> {img}"
-            for (i, j), img in zip(gens, self.images))
+            f"{self.source.var_name(i, j)} -> {self.image_of(i, j)}"
+            for i, j in self.source.generators())
         return f"[{self.source} -> {self.target}: {body or 'unit'}]"
 
     __repr__ = __str__
 
 
+def _from_columns(source: WeilAlgebra, target: WeilAlgebra,
+                  columns: tuple) -> WeilMorphism:
+    """The morphism with this matrix, which must be that of a rig morphism."""
+    phi = object.__new__(WeilMorphism)
+    phi.source, phi.target, phi.columns = source, target, columns
+    phi._hash = hash((source, target, columns))
+    return phi
+
+
 def identity_morphism(algebra: WeilAlgebra) -> WeilMorphism:
-    return WeilMorphism(algebra, algebra,
-                        [WeilElement.variable(algebra, i, j)
-                         for i, j in algebra.generators()], check=False)
+    return _from_columns(algebra, algebra, tuple(((k, 1),) for k in range(algebra.dim)))
 
 
 def compose_morphisms(g: WeilMorphism, f: WeilMorphism) -> WeilMorphism:
-    """g after f: substitute f's generator images through g."""
+    """g after f: the matrix product G·F."""
     if f.target != g.source:
         raise WeilError(f"cannot compose: {f.target} vs {g.source}")
-    return WeilMorphism(f.source, g.target, [g.apply(img) for img in f.images])
+    columns = []
+    for f_col in f.columns:
+        out: dict[int, int] = {}
+        for r, c in f_col:
+            for k, v in g.columns[r]:
+                out[k] = out.get(k, 0) + c * v
+        columns.append(tuple(sorted(out.items())))
+    return _from_columns(f.source, g.target, tuple(columns))
 
 
 def tensor_morphisms(f: WeilMorphism, g: WeilMorphism) -> WeilMorphism:
-    """f ⊗ g, reindexing generator images into the tensor blocks."""
-    source = f.source.tensor(g.source)
-    target = f.target.tensor(g.target)
-    offset = f.target.n_factors
-
-    def embed_left(elem: WeilElement) -> WeilElement:
-        pad = (0,) * g.target.n_factors
-        return WeilElement(target, {m + pad: c for m, c in elem.coeffs.items()})
-
-    def embed_right(elem: WeilElement) -> WeilElement:
-        pad = (0,) * f.target.n_factors
-        return WeilElement(target, {pad + m: c for m, c in elem.coeffs.items()})
-
-    images = [embed_left(img) for img in f.images]
-    images += [embed_right(img) for img in g.images]
-    return WeilMorphism(source, target, images, check=False)
-
-
-def morphisms_equal(f: WeilMorphism, g: WeilMorphism) -> bool:
-    """Same boundary and identical generator images (sound and complete)."""
-    return f == g
+    """f ⊗ g: the Kronecker product F ⊗ G, f's factors most significant."""
+    size = g.target.dim
+    columns = tuple(tuple((r * size + k, c * v) for r, c in f_col for k, v in g_col)
+                    for f_col in f.columns for g_col in g.columns)
+    return _from_columns(f.source.tensor(g.source), f.target.tensor(g.target), columns)
 
 
 def fibered_pair(f: WeilMorphism, g: WeilMorphism) -> WeilMorphism:
     """Induced map into the fibered sum W_{n+m} = W_n x_N W_m.
 
-    Both inputs must share a source and have single-factor targets W_n, W_m;
-    the result concatenates the generator images into disjoint blocks.
+    Both inputs must share a source and have single-factor targets W_n, W_m.
+    A monomial's image is f's image plus g's shifted into the variables
+    n+1..n+m, with one common unit; products of variables vanish in W_{n+m},
+    so any such pairing is a rig morphism.
     """
     if f.source != g.source:
         raise WeilError("fibered pairing needs a common source")
@@ -370,21 +375,24 @@ def fibered_pair(f: WeilMorphism, g: WeilMorphism) -> WeilMorphism:
     n = f.target.widths[0] if f.target.widths else 0
     m = g.target.widths[0] if g.target.widths else 0
     target = WeilAlgebra((n + m,)) if n + m else NAT
-
-    def embed(elem: WeilElement, offset: int) -> WeilElement:
-        out: dict[Monomial, int] = {}
-        for mono, c in elem.coeffs.items():
-            entry = mono[0] if mono else 0
-            out[(entry + offset if entry else 0,)] = c
-        return WeilElement(target, out)
-
-    images = []
-    for img_f, img_g in zip(f.images, g.images):
-        images.append(embed(img_f, 0) + embed(img_g, n))
-    return WeilMorphism(f.source, target, images)
+    columns = tuple(f_col + tuple((n + k, c) for k, c in g_col if k)
+                    for f_col, g_col in zip(f.columns, g.columns))
+    return _from_columns(f.source, target, columns)
 
 
 # -- the generator morphisms --------------------------------------------------
+
+
+# p, 0, +, ℓ, c and mu do not depend on arguments: each is built once.
+_FIXED = {
+    "p": WeilMorphism(W, NAT, [WeilElement.zero(NAT)]),
+    "zero": WeilMorphism(NAT, W, []),
+    "plus": WeilMorphism(W2, W, [WeilElement.variable(W, 0, 1)] * 2),
+    "ell": WeilMorphism(W, WW, [WeilElement(WW, {(1, 1): 1})]),
+    "flip": WeilMorphism(WW, WW, [WeilElement.variable(WW, 1, 1),
+                                  WeilElement.variable(WW, 0, 1)]),
+}
+_MU = WeilMorphism(W2, WW, [WeilElement(WW, {(0, 1): 1}), WeilElement(WW, {(1, 1): 1})])
 
 
 def generator(kind: str, *, algebra: WeilAlgebra | None = None,
@@ -396,25 +404,12 @@ def generator(kind: str, *, algebra: WeilAlgebra | None = None,
     flip: W⊗W -> W⊗W, swap.      bang(V): V -> N.
     id(V).                       proj(i,n): W_n -> W, x_j -> delta_ij x.
     """
-    if kind == "p":
-        return WeilMorphism(W, NAT, [WeilElement.zero(NAT)])
-    if kind == "zero":
-        return WeilMorphism(NAT, W, [])
-    if kind == "plus":
-        x = WeilElement.variable(W, 0, 1)
-        return WeilMorphism(WeilAlgebra((2,)), W, [x, x])
-    if kind == "ell":
-        xy = WeilElement(WW, {(1, 1): 1})
-        return WeilMorphism(W, WW, [xy])
-    if kind == "flip":
-        return WeilMorphism(WW, WW, [WeilElement.variable(WW, 1, 1),
-                                     WeilElement.variable(WW, 0, 1)])
+    if kind in _FIXED:
+        return _FIXED[kind]
     if kind == "bang":
         if algebra is None:
             raise WeilError("bang needs an algebra")
-        return WeilMorphism(algebra, NAT,
-                            [WeilElement.zero(NAT) for _ in algebra.generators()],
-                            check=False)
+        return _from_columns(algebra, NAT, (((0, 1),),) + ((),) * (algebra.dim - 1))
     if kind == "id":
         if algebra is None:
             raise WeilError("id needs an algebra")
@@ -424,17 +419,15 @@ def generator(kind: str, *, algebra: WeilAlgebra | None = None,
             raise WeilError("proj needs i and n")
         if not 1 <= i <= n:
             raise WeilError(f"proj index {i} out of range 1..{n}")
-        source = WeilAlgebra((n,))
         images = [WeilElement.variable(W, 0, 1) if j == i else WeilElement.zero(W)
                   for j in range(1, n + 1)]
-        return WeilMorphism(source, W, images, check=False)
+        return WeilMorphism(WeilAlgebra((n,)), W, images)
     raise WeilError(f"unknown generator kind {kind!r}")
 
 
 def mu_morphism() -> WeilMorphism:
     """The universality comparison mu: W2 -> W⊗W, x1 -> y, x2 -> xy."""
-    return WeilMorphism(WeilAlgebra((2,)), WW,
-                        [WeilElement(WW, {(0, 1): 1}), WeilElement(WW, {(1, 1): 1})])
+    return _MU
 
 
 # -- transverse squares -------------------------------------------------------
@@ -459,7 +452,7 @@ class TransverseSquare:
     def __post_init__(self):
         a = compose_morphisms(self.left_base, self.left_leg)
         b = compose_morphisms(self.right_base, self.right_leg)
-        if not morphisms_equal(a, b):
+        if a != b:
             raise WeilError(f"square does not commute ({self.provenance})")
 
     @property
@@ -479,10 +472,10 @@ def _fibered_sum_square(n: int, m: int) -> TransverseSquare:
     wm = WeilAlgebra((m,)) if m else NAT
     left = WeilMorphism(apex, wn, [
         WeilElement.variable(wn, 0, j) if j <= n else WeilElement.zero(wn)
-        for j in range(1, n + m + 1)], check=False)
+        for j in range(1, n + m + 1)])
     right = WeilMorphism(apex, wm, [
         WeilElement.variable(wm, 0, j - n) if j > n else WeilElement.zero(wm)
-        for j in range(1, n + m + 1)], check=False)
+        for j in range(1, n + m + 1)])
     return TransverseSquare(left, right,
                             generator("bang", algebra=wn),
                             generator("bang", algebra=wm),
@@ -491,8 +484,7 @@ def _fibered_sum_square(n: int, m: int) -> TransverseSquare:
 
 def _vertical_lift_square() -> TransverseSquare:
     """W as the pullback of W2 --mu--> W⊗W <--zero⊗id-- W."""
-    into_w2 = WeilMorphism(W, WeilAlgebra((2,)),
-                           [WeilElement.variable(WeilAlgebra((2,)), 0, 1)])
+    into_w2 = WeilMorphism(W, W2, [WeilElement.variable(W2, 0, 1)])
     return TransverseSquare(into_w2, identity_morphism(W),
                             mu_morphism(),
                             tensor_morphisms(generator("zero"), identity_morphism(W)),

@@ -12,8 +12,9 @@ checked at construction: Compose needs matching middle objects, Pair needs
 single-factor targets W_n, W_m (the fibered-sum transverse square) and a
 common source, and denotes the induced map into W_{n+m}.
 
-Equality of terms is semantic: evaluate both into W1 and compare generator
-images (`terms_equal`).  There is deliberately no rewriting to normal forms.
+Equality of terms is semantic: evaluate both into W1 and compare the
+matrices of the denoted morphisms (`terms_equal`).  There is deliberately
+no rewriting to normal forms.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ class WTermError(ValueError):
     def __init__(self, message: str, pos: int | None = None):
         super().__init__(message if pos is None else f"{message} (at position {pos})")
         self.pos = pos
+
+
+# The largest dimension of the source or target of a tensor term.  A term
+# denotes a matrix with one column per source monomial: `id{W255} * id{W255}`
+# (dimension 65536) evaluates in 0.1 s, and each further factor multiplies
+# the cost.
+MAX_TERM_DIM = 65536
 
 
 @dataclass(frozen=True)
@@ -93,8 +101,14 @@ class Tensor(WTerm):
     right: WTerm
 
     def __post_init__(self):
-        object.__setattr__(self, "source", self.left.source.tensor(self.right.source))
-        object.__setattr__(self, "target", self.left.target.tensor(self.right.target))
+        source = self.left.source.tensor(self.right.source)
+        target = self.left.target.tensor(self.right.target)
+        for algebra in (source, target):
+            if algebra.dim > MAX_TERM_DIM:
+                raise WTermError(f"tensor boundary {algebra} has dimension above the "
+                                 f"limit MAX_TERM_DIM = {MAX_TERM_DIM}")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
 
 
 @dataclass(frozen=True)
@@ -310,7 +324,7 @@ def terms_equal(t1: WTerm, t2: WTerm) -> bool:
     if t1.source != t2.source or t1.target != t2.target:
         raise WTermError(
             f"boundary mismatch: {t1.source}->{t1.target} vs {t2.source}->{t2.target}")
-    return weil.morphisms_equal(eval_weil(t1), eval_weil(t2))
+    return eval_weil(t1) == eval_weil(t2)
 
 
 class ModelInterface(Protocol):

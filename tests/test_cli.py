@@ -1,11 +1,19 @@
 """CLI contract: exit codes, determinism, golden outputs."""
 
+import contextlib
+import io
 import json
+import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tancat import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = ROOT / "docs" / "examples"
@@ -255,3 +263,147 @@ def test_weil_algebra_of_dimension_256_is_accepted(algebra):
 ])
 def test_weil_algebra_above_the_dimension_limit_exits_two(args):
     assert_input_error(run_cli(*args), "MAX_ALGEBRA_DIM = 256")
+
+
+def algebroid_document(base_dim: int, rank: int) -> dict:
+    """The zero algebroid: zero anchor and zero bracket."""
+    return {"kind": "algebroid", "base_dim": base_dim, "rank": rank,
+            "anchor": [["0"] * rank] * base_dim,
+            "bracket": [[["0"] * rank] * rank] * rank}
+
+
+def test_nerve_object_at_the_flat_dimension_limit_is_accepted(tmp_path):
+    spec = tmp_path / "zero.json"
+    spec.write_text(json.dumps(algebroid_document(4, 4)))
+    proc = run_cli("nerve", "object", str(spec), "-V", "W*W*W*W*W*W*W*W")
+    assert proc.returncode == 0, proc.stderr
+    assert "dimension 1024" in proc.stdout       # 4 + (256 - 1)·4
+
+
+@pytest.mark.parametrize("base_dim, rank, algebra, flat", [
+    (5, 4, "W*W*W*W*W*W*W*W", 1025),
+    # 216,000 bracket entries: the limit is checked before they are parsed.
+    (1, 60, "W*W*W*W*W*W*W*W", 15301),
+])
+def test_nerve_object_above_the_flat_dimension_limit_exits_two(tmp_path, base_dim,
+                                                                rank, algebra, flat):
+    spec = tmp_path / "zero.json"
+    spec.write_text(json.dumps(algebroid_document(base_dim, rank)))
+    assert_input_error(run_cli("nerve", "object", str(spec), "-V", algebra),
+                       f"A.{algebra} has {flat} flat coordinates, above the limit "
+                       f"MAX_FLAT_DIM = 1024")
+
+
+def test_tensor_term_above_the_dimension_limit_exits_two():
+    assert_input_error(run_cli("wone", "eval", "id{W255} * id{W255} * id{W}"),
+                       "MAX_TERM_DIM = 65536")
+
+
+# `wone` prints a morphism by its generator images.  The golden transcript was
+# captured before morphisms were stored as matrices: the printed images are
+# read off the matrix columns now, and the bytes may not change.
+WONE_TERMS = ("c . l", "+ . <id{W}, id{W}>", "(l * id{W}) . l", "!{W*W}", "id{W2*W}",
+              "(id{W} * c) . (l * id{W})")
+WONE_CASES = [(*mode, "wone", "eval", term)
+              for term in WONE_TERMS for mode in ((), ("--json",))]
+WONE_CASES += [(*mode, "wone", "equal", "(p * id{W}) . l", "id{W}")
+               for mode in ((), ("--json",))]
+
+
+def run_in_process(args) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `tancat ARGS` run by `cli.main`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:           # argparse rejects its arguments
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def wone_transcript() -> str:
+    """Each case as `$ tancat ARGS`, its stdout and its exit code."""
+    parts = []
+    for args in WONE_CASES:
+        code, out, _ = run_in_process(args)
+        parts.append(f"$ tancat {shlex.join(args)}\n{out}[exit {code}]\n")
+    return "".join(parts)
+
+
+def test_wone_output_matches_golden():
+    assert wone_transcript().encode() == (DATA / "wone_golden.txt").read_bytes()
+
+
+# -- fuzzing the CLI in process --------------------------------------------------
+
+_POLYS = st.one_of(
+    st.text(alphabet="x12+-*/^() ", max_size=8),
+    st.builds("{}*x{}^{}".format, st.integers(-3, 3), st.integers(1, 3), st.integers(0, 3)))
+_NATS = st.one_of(st.integers(-1, 2), st.sampled_from([None, "1", 1.5, True]))
+
+
+def _nested(depth: int):
+    entries = _POLYS if depth == 0 else _nested(depth - 1)
+    return st.one_of(st.lists(entries, max_size=2), entries, st.none())
+
+
+@st.composite
+def _shaped_documents(draw):
+    """A map or algebroid whose arrays have the declared shapes."""
+    d, r = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    poly = st.one_of(st.sampled_from(["0", "1", "-1"]), st.builds(
+        "{}*x{}^{}".format, st.integers(-2, 2), st.integers(1, d), st.integers(0, 2)))
+
+    def grid(*shape):
+        return [grid(*shape[1:]) for _ in range(shape[0])] if shape else draw(poly)
+    if draw(st.booleans()):
+        return {"kind": "map", "src_dim": d, "tgt_dim": r, "components": grid(r)}
+    return {"kind": "algebroid", "base_dim": d, "rank": r,
+            "anchor": grid(d, r), "bracket": grid(r, r, r)}
+
+
+_DOCUMENTS = st.one_of(
+    _shaped_documents().map(json.dumps),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["map", "algebroid", "section", "bundle",
+                                  "connection", "nonsense"])},
+        optional={"src_dim": _NATS, "tgt_dim": _NATS, "base_dim": _NATS, "rank": _NATS,
+                  "components": _nested(1), "anchor": _nested(2),
+                  "bracket": _nested(3)}).map(json.dumps),
+    st.text(alphabet='{}[]":,01 kind', max_size=12))
+# Counts inside the documented ranges stay small; those outside exit before any work.
+_COUNTS = st.one_of(st.integers(-3, 2), st.integers(10_001, 10**12),
+                    st.sampled_from(["x", "1.5", ""])).map(str)
+_TERMS = st.one_of(st.text(alphabet="pl0c+!id{}W2N*.<>, ", max_size=16),
+                   st.sampled_from(WONE_TERMS + ("p", "0", "<p, p>", "id{W*W}")))
+_ALGEBRAS = st.text(alphabet="WN*25", max_size=6)
+
+
+@st.composite
+def _invocations(draw):
+    """Arguments of one `tancat` call; FILE stands for a fuzzed JSON document."""
+    count = draw(_COUNTS)
+    return draw(st.sampled_from([
+        ("wone", "eval", draw(_TERMS)),
+        ("--json", "wone", "equal", draw(_TERMS), draw(_TERMS)),
+        ("cdc", "check", "FILE", "--random", count),
+        ("algebroid", "check", "FILE"),
+        ("algebroid", "bracket", "FILE", "FILE", "FILE"),
+        ("nerve", "object", "FILE", "-V", draw(_ALGEBRAS)),
+        ("nerve", "functoriality", "FILE", "--pairs", count),
+        ("lie-tangent", "FILE"),
+        ("tangent", "check", "-n", count),
+        ("selftest", "--cases", draw(st.sampled_from(["0", "-1", "10001", "x"]))),
+    ]))
+
+
+@given(_invocations(), _DOCUMENTS)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_fuzzed_invocations_exit_cleanly(args, document):
+    """Any input exits 0, 1 or 2, and an error is a message, not a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(document)
+        code, _, err = run_in_process(str(path) if a == "FILE" else a for a in args)
+    assert code in (0, 1, 2), (args, document)
+    assert "Traceback" not in err, err

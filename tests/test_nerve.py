@@ -134,7 +134,8 @@ def test_nerve_matches_tangent_model_on_tangent_algebroid():
 
 def test_eval_model_memo_matches_plain_evaluation():
     rng = random.Random(11)
-    models = [NV.NerveModel(so3()), NV.NerveModel(action()), tangent.TangentModel(2)]
+    models = [NV.NerveModel(so3()), NV.NerveModel(action()),
+              NV.NerveModel(AL.tangent_algebroid(2))]
     for model in models:
         for _ in range(8):
             t1, t2 = wterm.random_equal_pair(rng, depth=2, rewrites=2)

@@ -5,7 +5,8 @@
 - `weil_prolong` against sympy: truncated substitution of Weil-algebra
   points, with one symbol per generator;
 - `structure_nat` against the Kronecker product of the morphism's matrix
-  with the identity;
+  with the identity, and that matrix against the one rebuilt from generator
+  images; `compose_morphisms` and `tensor_morphisms` against dense loops;
 - `differential` against sympy's Jacobian applied to the direction;
 - `section_bracket` (the σ route) and `section_bracket_coordinates` against
   ρX·∂Y − ρY·∂X + C(X, Y) written in sympy from `A.rho` and `A.bracket`;
@@ -258,6 +259,64 @@ def test_structure_nat_is_the_kronecker_product(n):
         matrix, offset = structure_nat(phi, n).linear_part()
         assert matrix == kronecker_identity(rows, n), str(phi)
         assert not any(offset)
+
+
+# -- Weil morphisms: matrices against generator images and dense loops ------------
+#
+# `structure_nat` reads the same columns as `matrix()`, so the Kronecker
+# oracle above cannot catch a wrong matrix.  These tests rebuild matrices from
+# generator images (products of Weil elements) and from dense loops.
+
+
+def dense_product(g_matrix, f_matrix):
+    """The columns of G·F by the plain triple loop."""
+    rows = len(g_matrix[0])
+    return [[sum(g_matrix[r][k] * f_col[r] for r in range(len(g_matrix)))
+             for k in range(rows)] for f_col in f_matrix]
+
+
+def dense_kronecker(f_matrix, g_matrix):
+    """The columns of F ⊗ G, the first factor most significant."""
+    out = []
+    for f_col in f_matrix:
+        for g_col in g_matrix:
+            col = [0] * (len(f_col) * len(g_col))
+            for i, a in enumerate(f_col):
+                for k, b in enumerate(g_col):
+                    col[i * len(g_col) + k] = a * b
+            out.append(col)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_matrix_is_rebuilt_from_generator_images(seed):
+    rng = random.Random(f"images:{seed}")
+    for _ in range(40):
+        phi = wterm.eval_weil(wterm.random_term(rng, depth=2))
+        images = [phi.image_of(i, j) for i, j in phi.source.generators()]
+        rebuilt = weil.WeilMorphism(phi.source, phi.target, images)
+        assert rebuilt == phi and hash(rebuilt) == hash(phi), str(phi)
+        assert rebuilt.columns == phi.columns
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_compose_and_tensor_match_dense_loops(seed):
+    rng = random.Random(f"matrices:{seed}")
+    pool = sample_morphisms(rng)
+    composed = 0
+    for g, f in itertools.product(pool, repeat=2):
+        if f.target == g.source:
+            gf = weil.compose_morphisms(g, f)
+            assert (gf.source, gf.target) == (f.source, g.target)
+            assert gf.matrix() == dense_product(g.matrix(), f.matrix()), f"{g} after {f}"
+            composed += 1
+    assert composed >= 50
+    for _ in range(60):
+        f, g = rng.choice(pool), rng.choice(pool)
+        fg = weil.tensor_morphisms(f, g)
+        assert (fg.source, fg.target) == (f.source.tensor(g.source),
+                                          f.target.tensor(g.target))
+        assert fg.matrix() == dense_kronecker(f.matrix(), g.matrix()), f"{f} ⊗ {g}"
 
 
 # -- differential: the Jacobian in sympy ------------------------------------------

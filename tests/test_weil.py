@@ -8,7 +8,7 @@ from tancat import weil
 from tancat.weil import (NAT, W, WW, WeilAlgebra, WeilElement, WeilError,
                          WeilMorphism, compose_morphisms, element_mul,
                          fibered_pair, generator, identity_morphism, make_weil,
-                         morphisms_equal, mu_morphism, parse_algebra,
+                         mu_morphism, parse_algebra,
                          tensor_morphisms, transverse_square)
 
 
@@ -153,26 +153,26 @@ def test_terminality():
                           identity_morphism(make_weil([2]))),
     ]
     for route in routes:
-        assert morphisms_equal(route, generator("bang", algebra=route.source))
+        assert route == generator("bang", algebra=route.source)
 
 
 def test_flip_identities():
     c = generator("flip")
     ell = generator("ell")
-    assert morphisms_equal(compose_morphisms(c, c), identity_morphism(WW))
-    assert morphisms_equal(compose_morphisms(c, ell), ell)
+    assert compose_morphisms(c, c) == identity_morphism(WW)
+    assert compose_morphisms(c, ell) == ell
     idw = identity_morphism(W)
     cw = tensor_morphisms(c, idw)
     wc = tensor_morphisms(idw, c)
     lhs = compose_morphisms(cw, compose_morphisms(wc, cw))
     rhs = compose_morphisms(wc, compose_morphisms(cw, wc))
-    assert morphisms_equal(lhs, rhs)
+    assert lhs == rhs
 
 
 def test_plus_commutativity_via_projections():
     plus = generator("plus")
     swap = fibered_pair(generator("proj", i=2, n=2), generator("proj", i=1, n=2))
-    assert morphisms_equal(compose_morphisms(plus, swap), plus)
+    assert compose_morphisms(plus, swap) == plus
 
 
 def test_matrix_representation():

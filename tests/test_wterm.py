@@ -160,7 +160,7 @@ def all_morphisms_wn_wm(n: int, m: int, max_coeff: int):
             images.append(WeilElement(
                 target, {(j + 1,): matrix[j][i] for j in range(m)
                          if matrix[j][i]}))
-        yield matrix, WeilMorphism(WeilAlgebra((n,)), target, images, check=False)
+        yield matrix, WeilMorphism(WeilAlgebra((n,)), target, images)
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3)])
@@ -227,14 +227,15 @@ def test_parser_never_crashes(text):
 def test_models_without_fiber_products_raise_unsupported_limit():
     """A model may lack the fibered-sum pairing; eval_model must surface the
     explicit unsupported-limit error on Pair nodes and work otherwise."""
-    from tancat.tangent import TangentModel
+    from tancat import algebroid
+    from tancat.nerve import NerveModel
     from tancat.wterm import UnsupportedLimit, eval_model
 
-    class PairlessModel(TangentModel):
+    class PairlessModel(NerveModel):
         def pair(self, left_term, left_mor, right_term, right_mor):
             raise UnsupportedLimit("this model has no fibered sums")
 
-    model = PairlessModel(1)
+    model = PairlessModel(algebroid.tangent_algebroid(1))
     assert eval_model(parse_term("c . l"), model) is not None
     with pytest.raises(UnsupportedLimit):
         eval_model(parse_term("<p, p>"), model)
