@@ -186,7 +186,22 @@ def cmd_lie_tangent(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    report = run_selftest(seed=args.seed, cases=args.cases, mutate=args.mutate)
+    """Run the suite, its nine criteria in forked workers when it can.
+
+    Workers are forked, so they share the modules already imported here.
+    Forking is safe because this process runs no other thread: with the fork
+    method the pool starts every worker before its own manager thread.  On
+    one CPU, or for the 5 ms `--mutate` harness, the criteria run in process.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if args.mutate is not None or cpus < 2:
+        report = run_selftest(seed=args.seed, cases=args.cases, mutate=args.mutate)
+        return _emit(report, args.json)
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    with ProcessPoolExecutor(max_workers=min(cpus, SELFTEST_CRITERIA),
+                             mp_context=get_context("fork")) as pool:
+        report = run_selftest(seed=args.seed, cases=args.cases, map=pool.map)
     return _emit(report, args.json)
 
 
@@ -201,6 +216,8 @@ MAX_FLAT_DIM = 1024
 # Upper limit of `tangent check -n`: the checks act on T²(Q^n) and its
 # products, so the cost grows steeply (about 7 s at n = 16, 99 s at n = 40).
 MAX_TANGENT_DIM = 16
+# `selftest` runs AC1-AC9 as nine jobs: more workers than that would idle.
+SELFTEST_CRITERIA = 9
 
 # (argument, flag, lowest, highest, name of the limit).  A count of 0 would
 # make a vacuous PASS, except for --random, which only adds maps.

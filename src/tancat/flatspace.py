@@ -62,6 +62,12 @@ class AnchoredShape:
             for entry in row:
                 if entry.n_vars != self.base_dim:
                     raise ValueError("anchor entries are polynomials in the base variables")
+        # Hashed once: a shape keys every `prolongation` lookup, and hashing
+        # the anchor means hashing each of its polynomials.
+        object.__setattr__(self, "_hash", hash((self.base_dim, self.rank, self.rho)))
+
+    def __hash__(self):
+        return self._hash
 
     def anchor_fiber(self, x: list[Polynomial], u: list[Polynomial]) -> list[Polynomial]:
         """ρ(x)·u as polynomials in whatever space x, u live in."""

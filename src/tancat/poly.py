@@ -307,7 +307,7 @@ class Polynomial:
         for a in args:
             if a.n_vars != inferred:
                 raise PolyError("substitution arguments disagree on variable count")
-        return _substitute((self,), args, inferred)[0]
+        return _substitute((self,), args, inferred, _selection_images(args))[0]
 
     def shift_vars(self, offset: int, new_n: int) -> "Polynomial":
         """Reindex x_i -> x_{i+offset} inside a space of new_n variables."""
@@ -516,7 +516,8 @@ def parse_poly(text: str, n_vars: int | None = None,
 class PolyMap:
     """A polynomial map Q^src_dim -> Q^tgt_dim, stored componentwise."""
 
-    __slots__ = ("src_dim", "tgt_dim", "components")
+    # `_images` is filled by the first `selection_images` call.
+    __slots__ = ("src_dim", "tgt_dim", "components", "_images")
 
     def __init__(self, src_dim: int, tgt_dim: int, components: list[Polynomial]):
         if len(components) != tgt_dim:
@@ -586,6 +587,18 @@ class PolyMap:
 
     def component(self, i: int) -> Polynomial:
         return self.components[i]
+
+    def selection_images(self) -> list[int | None] | None:
+        """`_selection_images` of the components, worked out once per map.
+
+        Maps such as the legs a prolongation caches are composed with again
+        and again; the components are immutable, so the answer is too.
+        """
+        try:
+            return self._images
+        except AttributeError:
+            self._images = _selection_images(self.components)
+            return self._images
 
     def then(self, g: "PolyMap") -> "PolyMap":
         """Diagrammatic composition: self first, then g."""
@@ -731,20 +744,20 @@ def _select(polys, images: list[int | None], n_vars: int) -> list[Polynomial]:
     return comps
 
 
-def _substitute(polys, args, n_vars: int) -> list[Polynomial]:
+def _substitute(polys, args, n_vars: int, images) -> list[Polynomial]:
     """Each of `polys` with args[i] plugged in for x_{i+1}, in n_vars variables.
 
     The one substitution routine behind `Polynomial.substitute` and
-    `compose_maps`.  When every argument is 0 or a bare variable it renames
-    keys (`_select`).  Otherwise a polynomial that is 0 stays 0, one that is
-    the bare variable x_{i+1} is args[i] itself (polynomials are immutable,
-    so sharing it is safe), and every other one goes through a table that
-    lives for this call: each distinct monomial of `polys` is expanded once,
-    as its memoised prefix (the monomial without its highest variable) times
-    one power args[i]^e, itself computed once by binary powering.  A term is
-    scaled by its coefficient only when the coefficient is not 1.
+    `compose_maps`, which pass `images`, the `_selection_images` of `args`.
+    When every argument is 0 or a bare variable it renames keys (`_select`).
+    Otherwise a polynomial that is 0 stays 0, one that is the bare variable
+    x_{i+1} is args[i] itself (polynomials are immutable, so sharing it is
+    safe), and every other one goes through a table that lives for this
+    call: each distinct monomial of `polys` is expanded once, as its memoised
+    prefix (the monomial without its highest variable) times one power
+    args[i]^e, itself computed once by binary powering.  A term is scaled by
+    its coefficient only when the coefficient is not 1.
     """
-    images = _selection_images(args)
     if images is not None:
         return _select(polys, images, n_vars)
     guard = _guard(n_vars)
@@ -815,11 +828,13 @@ def compose_maps(g: PolyMap, f: PolyMap) -> PolyMap:
     All of g's components go through one `_substitute` call, so a monomial
     that several components share is expanded once.  When f is a coordinate
     selection (every component 0 or a bare variable) the composite only
-    renames g's variables, so g's keys are remapped directly.
+    renames g's variables, so g's keys are remapped directly; f works out
+    whether it is one once (`PolyMap.selection_images`).
     """
     if f.tgt_dim != g.src_dim:
         raise PolyError(f"cannot compose: inner target {f.tgt_dim} vs outer source {g.src_dim}")
-    return PolyMap(f.src_dim, g.tgt_dim, _substitute(g.components, f.components, f.src_dim))
+    return PolyMap(f.src_dim, g.tgt_dim, _substitute(g.components, f.components,
+                                                     f.src_dim, f.selection_images()))
 
 
 def tangent_n(f: PolyMap, n: int) -> PolyMap:

@@ -18,7 +18,8 @@ where a string belongs, or a string where a list belongs, raises
 SpecFileError naming the field.  Every polynomial has total degree at most
 MAX_DEGREE, and so has every product and power written inside it; the parser
 rejects a larger one before computing it, with a SpecFileError naming the
-field and the limit.
+field and the limit.  An algebroid's base_dim and rank are each at most
+MAX_ALGEBROID_DIM, checked before its polynomials are parsed.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ from .poly import PolyError, PolyMap, parse_poly
 # Checks cost grows steeply with degree: `cdc check` on x1^e*x2^e takes about
 # 0.4 s at total degree 64, 1.8 s at 128 and 27 s at 256.
 MAX_DEGREE = 128
+# An algebroid of base dimension d and rank r has d·r anchor and r³ bracket
+# strings, each parsed in d variables: at d = r = 16 (4,352 strings) parsing
+# takes about 0.3 s for two-term entries, at 24 it takes 0.9 s, and a rank-60
+# file (216,000 strings) took 3.3 s.  Both dimensions are checked before any
+# polynomial is parsed.
+MAX_ALGEBROID_DIM = 16
 
 
 class SpecFileError(ValueError):
@@ -94,8 +101,16 @@ def load_document(path: str | Path, expect_kind: str | None = None) -> dict:
 
 
 def algebroid_dims(data: dict) -> tuple[int, int]:
-    """(base_dim, rank) of an algebroid document, read before its polynomials."""
-    return _nat(data, "base_dim", "algebroid"), _nat(data, "rank", "algebroid")
+    """(base_dim, rank) of an algebroid document, read before its polynomials.
+
+    Each is at most MAX_ALGEBROID_DIM.
+    """
+    dims = _nat(data, "base_dim", "algebroid"), _nat(data, "rank", "algebroid")
+    for field, value in zip(("base_dim", "rank"), dims):
+        if value > MAX_ALGEBROID_DIM:
+            raise SpecFileError(f"algebroid.{field} is {value}, above the limit "
+                                f"MAX_ALGEBROID_DIM = {MAX_ALGEBROID_DIM}")
+    return dims
 
 
 def load_algebroid(data: dict) -> algebroid_mod.AlgebroidData:

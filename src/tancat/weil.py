@@ -43,6 +43,11 @@ class WeilAlgebra:
     def __post_init__(self):
         if any(n < 1 for n in self.widths):
             raise WeilError("factor widths must be >= 1 (use [] for N)")
+        # Hashed once: algebras key the term memos and the prolongation cache.
+        object.__setattr__(self, "_hash", hash(self.widths))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def n_factors(self) -> int:

@@ -42,8 +42,29 @@ MAX_TERM_DIM = 65536
 
 @dataclass(frozen=True)
 class WTerm:
+    """A frozen term whose hash is computed once, as in hash-consing
+    (Filliâtre & Conchon, "Type-safe modular hash-consing", ML Workshop 2006).
+
+    Every node computes its hash in `__post_init__` from its children's
+    cached hashes, so memo and cache lookups cost O(1) however deep the
+    term.  Each decorated subclass repeats `__hash__ = WTerm.__hash__` in its
+    body, since `dataclass(frozen=True)` would otherwise put a hash of all
+    fields back.  `_weil` holds the W1 denotation once `eval_weil` has
+    computed it.
+    """
+
     source: WeilAlgebra = field(init=False)
     target: WeilAlgebra = field(init=False)
+    _weil = None
+
+    def __hash__(self):
+        return self._hash
+
+    def _boundary(self, source: WeilAlgebra, target: WeilAlgebra, *parts) -> None:
+        """Set the boundary and the hash of a node built from `parts`."""
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "_hash", hash((type(self).__name__, *parts)))
 
 
 @dataclass(frozen=True)
@@ -77,8 +98,9 @@ class Gen(WTerm):
             src, tgt = WeilAlgebra((self.n,)), W
         else:
             raise WTermError(f"unknown generator {self.kind!r}")
-        object.__setattr__(self, "source", src)
-        object.__setattr__(self, "target", tgt)
+        self._boundary(src, tgt, self.kind, self.algebra, self.i, self.n)
+
+    __hash__ = WTerm.__hash__
 
 
 @dataclass(frozen=True)
@@ -91,8 +113,9 @@ class Compose(WTerm):
             raise WTermError(
                 f"boundary mismatch in composition: inner target {self.inner.target} "
                 f"vs outer source {self.outer.source}")
-        object.__setattr__(self, "source", self.inner.source)
-        object.__setattr__(self, "target", self.outer.target)
+        self._boundary(self.inner.source, self.outer.target, self.outer, self.inner)
+
+    __hash__ = WTerm.__hash__
 
 
 @dataclass(frozen=True)
@@ -107,8 +130,9 @@ class Tensor(WTerm):
             if algebra.dim > MAX_TERM_DIM:
                 raise WTermError(f"tensor boundary {algebra} has dimension above the "
                                  f"limit MAX_TERM_DIM = {MAX_TERM_DIM}")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
+        self._boundary(source, target, self.left, self.right)
+
+    __hash__ = WTerm.__hash__
 
 
 @dataclass(frozen=True)
@@ -129,8 +153,9 @@ class Pair(WTerm):
         n = self.left.target.widths[0] if self.left.target.widths else 0
         m = self.right.target.widths[0] if self.right.target.widths else 0
         total = WeilAlgebra((n + m,)) if n + m else NAT
-        object.__setattr__(self, "source", self.left.source)
-        object.__setattr__(self, "target", total)
+        self._boundary(self.left.source, total, self.left, self.right)
+
+    __hash__ = WTerm.__hash__
 
 
 # -- printing -----------------------------------------------------------------
@@ -303,20 +328,31 @@ def parse_term(text: str) -> WTerm:
 
 
 def eval_weil(t: WTerm) -> WeilMorphism:
-    """The denoted rig morphism in W1."""
+    """The denoted rig morphism in W1.
+
+    It is computed once per term and kept on the term: terms are frozen, so
+    the value is the term's for as long as the term lives.
+    """
+    value = t._weil
+    if value is not None:
+        return value
     if isinstance(t, Gen):
         if t.kind in ("bang", "id"):
-            return weil.generator(t.kind, algebra=t.algebra)
-        if t.kind == "proj":
-            return weil.generator("proj", i=t.i, n=t.n)
-        return weil.generator(t.kind)
-    if isinstance(t, Compose):
-        return weil.compose_morphisms(eval_weil(t.outer), eval_weil(t.inner))
-    if isinstance(t, Tensor):
-        return weil.tensor_morphisms(eval_weil(t.left), eval_weil(t.right))
-    if isinstance(t, Pair):
-        return weil.fibered_pair(eval_weil(t.left), eval_weil(t.right))
-    raise WTermError(f"unknown term node {t!r}")
+            value = weil.generator(t.kind, algebra=t.algebra)
+        elif t.kind == "proj":
+            value = weil.generator("proj", i=t.i, n=t.n)
+        else:
+            value = weil.generator(t.kind)
+    elif isinstance(t, Compose):
+        value = weil.compose_morphisms(eval_weil(t.outer), eval_weil(t.inner))
+    elif isinstance(t, Tensor):
+        value = weil.tensor_morphisms(eval_weil(t.left), eval_weil(t.right))
+    elif isinstance(t, Pair):
+        value = weil.fibered_pair(eval_weil(t.left), eval_weil(t.right))
+    else:
+        raise WTermError(f"unknown term node {t!r}")
+    object.__setattr__(t, "_weil", value)
+    return value
 
 
 def terms_equal(t1: WTerm, t2: WTerm) -> bool:

@@ -1,19 +1,23 @@
 """CLI contract: exit codes, determinism, golden outputs."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
+import multiprocessing
+import os
 import shlex
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tancat import cli
+from tancat import cli, selftest
 
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = ROOT / "docs" / "examples"
@@ -117,6 +121,56 @@ def test_selftest_json_deterministic():
     second = run_cli(*args)
     assert first.returncode == 0
     assert first.stdout == second.stdout  # byte-identical reports
+
+
+def test_run_selftest_in_process_matches_golden():
+    """The serial path, as the traced benchmark and the tests call it."""
+    assert selftest.run_selftest(seed=2024).to_json() + "\n" == GOLDEN_SELFTEST.read_text()
+
+
+def test_selftest_on_one_cpu_runs_serially_with_the_same_bytes(monkeypatch):
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    args = ["--json", "selftest", "--seed", "11", "--cases", "20"]
+    cpus = len(os.sched_getaffinity(0))
+    parallel = run_in_process(args)
+    assert pools == ([min(cpus, 9)] if cpus > 1 else [])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = run_in_process(args)
+    assert len(pools) == (cpus > 1)         # no pool on one CPU
+    assert serial[0] == 0
+    assert serial == parallel
+
+
+def test_failing_criterion_fails_the_cli_and_leaves_no_worker(monkeypatch):
+    def broken(seed):
+        raise RuntimeError("criterion 8 broke")
+
+    # The first job in the table fails while the others still run.
+    monkeypatch.setattr(selftest, "criterion_8_nerve", broken)
+    with pytest.raises(RuntimeError, match="criterion 8 broke"):
+        cli.main(["--json", "selftest", "--seed", "11", "--cases", "20"])
+    assert multiprocessing.active_children() == []
+
+
+def test_failing_criterion_exits_nonzero():
+    script = ("import sys\n"
+              "from tancat import cli, selftest\n"
+              "def broken():\n"
+              "    raise RuntimeError('criterion 5 broke')\n"
+              "selftest.criterion_5_euler = broken\n"
+              "sys.exit(cli.main(['--json', 'selftest', '--cases', '20']))\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True,
+                          text=True, check=False, timeout=60)
+    assert proc.returncode != 0
+    assert "criterion 5 broke" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_selftest_mutation_harness():
@@ -282,8 +336,8 @@ def test_nerve_object_at_the_flat_dimension_limit_is_accepted(tmp_path):
 
 @pytest.mark.parametrize("base_dim, rank, algebra, flat", [
     (5, 4, "W*W*W*W*W*W*W*W", 1025),
-    # 216,000 bracket entries: the limit is checked before they are parsed.
-    (1, 60, "W*W*W*W*W*W*W*W", 15301),
+    # The largest rank a file may have (MAX_ALGEBROID_DIM).
+    (1, 16, "W*W*W*W*W*W*W*W", 4081),
 ])
 def test_nerve_object_above_the_flat_dimension_limit_exits_two(tmp_path, base_dim,
                                                                 rank, algebra, flat):
@@ -292,6 +346,39 @@ def test_nerve_object_above_the_flat_dimension_limit_exits_two(tmp_path, base_di
     assert_input_error(run_cli("nerve", "object", str(spec), "-V", algebra),
                        f"A.{algebra} has {flat} flat coordinates, above the limit "
                        f"MAX_FLAT_DIM = 1024")
+
+
+ALGEBROID_COMMANDS = [
+    ("algebroid", "check", "FILE"),
+    ("algebroid", "bracket", "FILE", "FILE", "FILE"),
+    ("nerve", "object", "FILE", "-V", "W"),
+    ("nerve", "functoriality", "FILE"),
+    ("lie-tangent", "FILE"),
+]
+
+
+@pytest.mark.parametrize("command", ALGEBROID_COMMANDS, ids=lambda command: "-".join(
+    a for a in command[:2] if a != "FILE"))
+@pytest.mark.parametrize("field, value", [
+    # 216,000 bracket entries: the limit is checked before they are parsed.
+    ("rank", 60),
+    ("base_dim", 17),
+])
+def test_algebroid_above_the_dimension_limit_exits_two(tmp_path, command, field, value):
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps(algebroid_document(**{"base_dim": 1, "rank": 1,
+                                                      field: value})))
+    args = [str(spec) if a == "FILE" else a for a in command]
+    assert_input_error(run_cli(*args), f"algebroid.{field} is {value}, above the limit "
+                                       "MAX_ALGEBROID_DIM = 16")
+
+
+def test_algebroid_at_the_dimension_limit_is_accepted(tmp_path):
+    spec = tmp_path / "zero.json"
+    spec.write_text(json.dumps(algebroid_document(16, 16)))
+    proc = run_cli("nerve", "object", str(spec), "-V", "W")
+    assert proc.returncode == 0, proc.stderr
+    assert "dimension 32" in proc.stdout
 
 
 def test_tensor_term_above_the_dimension_limit_exits_two():
