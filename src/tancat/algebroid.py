@@ -488,10 +488,14 @@ def section_bracket(A: AlgebroidData, X: PolyMap, Y: PolyMap) -> PolyMap:
     the unique section with λ̂∘[X,Y] = σ∘(id,T.Y∘ϱ)∘X −_{p∘π₁} (id,T.X∘ϱ)∘Y
     (up to the ξ'-translate); exactness of the subtraction is asserted.
     """
+    return _section_bracket(A, involution_from_bracket(A), X, Y)
+
+
+def _section_bracket(A: AlgebroidData, sigma: PolyMap, X: PolyMap, Y: PolyMap) -> PolyMap:
+    """`section_bracket` with the involution σ of A already built."""
     d, r = A.base_dim, A.rank
     if X.src_dim != d or X.tgt_dim != r or Y.src_dim != d or Y.tgt_dim != r:
         raise ValueError("sections are fiber maps Q^d -> Q^r")
-    sigma = involution_from_bracket(A)
     lead = compose_maps(sigma, _section_to_l(A, X, Y))
     trail = _section_to_l(A, Y, X)
     # Both lie over the same p∘π₁ leg (x, v); subtract the (u, w) fibers.
@@ -539,25 +543,33 @@ def anchor_derivation(A: AlgebroidData, X: PolyMap, f: Polynomial) -> Polynomial
 
 def check_section_laws(A: AlgebroidData, sections: list[PolyMap],
                        scalars: list[Polynomial]) -> CheckReport:
-    """Antisymmetry, Jacobi, and the Leibniz law on the given sections."""
+    """Antisymmetry, Jacobi, and the Leibniz law on the given sections.
+
+    σ is built once, and every bracket below uses it.
+    """
     report = CheckReport(f"section bracket laws for {A}")
+    sigma = involution_from_bracket(A)
+
+    def bracket(X: PolyMap, Y: PolyMap) -> PolyMap:
+        return _section_bracket(A, sigma, X, Y)
+
     for i, X in enumerate(sections):
         for j, Y in enumerate(sections):
-            anti = section_bracket(A, X, Y) + section_bracket(A, Y, X)
+            anti = bracket(X, Y) + bracket(Y, X)
             report.check(f"antisymmetry [{i},{j}]", anti,
                          f"X={X}, Y={Y}")
     for i, X in enumerate(sections):
         for j, Y in enumerate(sections):
             for k, Z in enumerate(sections):
-                jac = section_bracket(A, X, section_bracket(A, Y, Z)) \
-                    - section_bracket(A, section_bracket(A, X, Y), Z) \
-                    - section_bracket(A, Y, section_bracket(A, X, Z))
+                jac = bracket(X, bracket(Y, Z)) \
+                    - bracket(bracket(X, Y), Z) \
+                    - bracket(Y, bracket(X, Z))
                 report.check(f"Jacobi [{i},[{j},{k}]]", jac)
     for i, X in enumerate(sections):
         for j, Y in enumerate(sections):
             for s, f in enumerate(scalars):
-                lhs = section_bracket(A, X, scalar_action_on_section(f, Y))
-                rhs = scalar_action_on_section(f, section_bracket(A, X, Y)) \
+                lhs = bracket(X, scalar_action_on_section(f, Y))
+                rhs = scalar_action_on_section(f, bracket(X, Y)) \
                     + scalar_action_on_section(anchor_derivation(A, X, f), Y)
                 report.check(f"Leibniz [{i}, f{s}·{j}]", lhs - rhs)
     return report

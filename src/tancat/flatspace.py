@@ -17,7 +17,12 @@ The structural maps of the Weil nerve are built here: whiskered generator
 actions (the flip takes the involution σ as an argument), span tensoring of
 evaluated maps, and fibered-sum pairing.  One decomposition serves them all:
 `split_left` cuts A.(S1⊗S2) into its legs to A.S1 and T^{S1}(A.S2), and
-`join_at` assembles a map into A.(S1⊗S2) from two such legs.  The head leg
+`join_at` assembles a map into A.(S1⊗S2) from two such legs.  The legs are
+coordinate selections built from index lists (`indices_of`,
+`PolyMap.selection`); only when d > 0 do the base slots of the non-unit
+copies in the right leg take the components of A.S1's right leg.
+`tensor_action` pushes through the Weil morphism by its columns: target copy
+k of A.S2 is Σ_j M[k][j] · (copy j) of the moved right leg.  The head leg
 `proj1` of a space is its split after the first factor, and a whisker
 id_{W_n} ⊠ g is joined from `proj0` and T_n g ∘ `proj1`.  The only
 constrained coordinates, ρ(x)·u, come from the right leg `rho_leg` of a
@@ -41,7 +46,7 @@ from functools import cached_property, lru_cache
 
 from . import weil
 from .poly import PolyMap, Polynomial, compose_maps
-from .tangent import structure_nat, weil_prolong
+from .tangent import weil_prolong
 from .weil import WeilAlgebra, WeilMorphism
 
 
@@ -145,29 +150,28 @@ class Prolongation:
 
     # -- coordinate helpers --------------------------------------------------
 
-    def vars_of(self, label: Label, n_vars: int | None = None,
-                offset_shift: int = 0) -> list[Polynomial]:
-        n = self.dim if n_vars is None else n_vars
+    def indices_of(self, label: Label) -> range:
+        """The 0-based coordinates of block `label`."""
         b = self.block(label)
-        return [Polynomial.var(n, offset_shift + b.offset + i + 1) for i in range(b.size)]
+        return range(b.offset, b.offset + b.size)
 
-    def base_vars(self, n_vars: int | None = None, offset_shift: int = 0) -> list[Polynomial]:
-        return self.vars_of(self.V.unit_monomial, n_vars, offset_shift)
+    def vars_of(self, label: Label) -> list[Polynomial]:
+        return [Polynomial.var(self.dim, j + 1) for j in self.indices_of(label)]
 
-    def select(self, source_dim: int, labels: list[Label],
-               offset_shift: int = 0) -> PolyMap:
+    def base_vars(self) -> list[Polynomial]:
+        return self.vars_of(self.V.unit_monomial)
+
+    def select(self, labels: list[Label]) -> PolyMap:
         """The projection onto the listed blocks (in the given order)."""
-        comps: list[Polynomial] = []
-        for label in labels:
-            comps.extend(self.vars_of(label, source_dim, offset_shift))
-        return PolyMap(source_dim, len(comps), comps)
+        return PolyMap.selection(self.dim, [j for label in labels
+                                            for j in self.indices_of(label)])
 
     # -- the two legs of the span and the head decomposition ------------------
 
     @cached_property
     def pi_leg(self) -> PolyMap:
         """Left leg A.V -> M (base projection)."""
-        return PolyMap(self.dim, self.shape.base_dim, self.base_vars())
+        return self.select([self.V.unit_monomial])
 
     @cached_property
     def rho_leg(self) -> PolyMap:
@@ -194,7 +198,7 @@ class Prolongation:
         n = self.head_width
         labels = [self.V.unit_monomial]
         labels += [(i,) + self.inner.V.unit_monomial for i in range(1, n + 1)]
-        return self.select(self.dim, labels)
+        return self.select(labels)
 
     @cached_property
     def proj1(self) -> PolyMap:
@@ -224,10 +228,7 @@ class Prolongation:
         coordinate blocks of the Weil action.
         """
         order = sorted(self.blocks, key=lambda b: self.V.monomial_index(b.label))
-        comps: list[Polynomial] = []
-        for block in order:
-            comps.extend(self.vars_of(block.label))
-        return PolyMap(self.dim, self.dim, comps)
+        return self.select([b.label for b in order])
 
 
 # -- structural maps -----------------------------------------------------------
@@ -245,14 +246,14 @@ def whisker_head(src: Prolongation, tgt: Prolongation, inner_map: PolyMap) -> Po
 def _relabel_map(src: Prolongation, tgt: Prolongation,
                  assignment: dict[Label, Label]) -> PolyMap:
     """Target block `label` copies source block assignment[label]; the rest 0."""
-    comps: list[Polynomial] = []
+    sources: list[int | None] = []
     for block in tgt.blocks:
         source_label = assignment.get(block.label)
         if source_label is None:
-            comps.extend([Polynomial.zero(src.dim)] * block.size)
+            sources.extend([None] * block.size)
         else:
-            comps.extend(src.vars_of(source_label))
-    return PolyMap(src.dim, tgt.dim, comps)
+            sources.extend(src.indices_of(source_label))
+    return PolyMap.selection(src.dim, sources)
 
 
 def head_generator(shape: AnchoredShape, kind: str, tail: WeilAlgebra,
@@ -272,7 +273,7 @@ def head_generator(shape: AnchoredShape, kind: str, tail: WeilAlgebra,
         tgt = prolongation(shape, tail)
         labels = [(0,) + tgt.V.unit_monomial]
         labels += [(0,) + b.label for b in tgt.fiber_blocks]
-        return src.select(src.dim, labels)
+        return src.select(labels)
     if kind == "zero":
         src = prolongation(shape, tail)
         tgt = prolongation(shape, weil.W.tensor(tail))
@@ -280,23 +281,21 @@ def head_generator(shape: AnchoredShape, kind: str, tail: WeilAlgebra,
         for b in src.fiber_blocks:
             assignment[(0,) + b.label] = b.label
         return _relabel_map(src, tgt, assignment)
-    if kind in ("plus", "proj"):
-        width = 2 if kind == "plus" else n
-        src = prolongation(shape, WeilAlgebra((width,)).tensor(tail))
+    if kind == "proj":
+        src = prolongation(shape, WeilAlgebra((n,)).tensor(tail))
+        tgt = prolongation(shape, weil.W.tensor(tail))
+        return src.select([(i if b.label[0] else 0,) + b.label[1:] for b in tgt.blocks])
+    if kind == "plus":
+        src = prolongation(shape, weil.W2.tensor(tail))
         tgt = prolongation(shape, weil.W.tensor(tail))
         comps: list[Polynomial] = []
         for block in tgt.blocks:
-            head, rest = block.label[0], block.label[1:]
-            if head == 0:
+            rest = block.label[1:]
+            if block.label[0] == 0:
                 comps.extend(src.vars_of((0,) + rest))
-            elif kind == "proj":
-                comps.extend(src.vars_of((i,) + rest))
             else:
-                total = None
-                for j in range(1, width + 1):
-                    vs = src.vars_of((j,) + rest)
-                    total = vs if total is None else [a + b for a, b in zip(total, vs)]
-                comps.extend(total)
+                comps.extend(a + b for a, b in zip(src.vars_of((1,) + rest),
+                                                   src.vars_of((2,) + rest)))
         return PolyMap(src.dim, tgt.dim, comps)
     if kind == "ell":
         src = prolongation(shape, weil.W.tensor(tail))
@@ -321,7 +320,7 @@ def head_generator(shape: AnchoredShape, kind: str, tail: WeilAlgebra,
                         (1, 0) + tail.unit_monomial,
                         (0, 1) + tail.unit_monomial,
                         (1, 1) + tail.unit_monomial]
-        spine_in = space.select(space.dim, spine_labels)
+        spine_in = space.select(spine_labels)
         spine_out = compose_maps(sigma, spine_in)
         comps: list[Polynomial] = []
         d, r = shape.base_dim, shape.rank
@@ -381,30 +380,33 @@ def split_left(space: Prolongation, k: int) -> tuple[PolyMap, PolyMap, WeilAlgeb
     S1 = WeilAlgebra(V.widths[:k])
     S2 = WeilAlgebra(V.widths[k:])
     shape = space.shape
+    d = shape.base_dim
     left_space = prolongation(shape, S1)
     right_space = prolongation(shape, S2)
     unit2 = S2.unit_monomial
     # Map onto A.S1: blocks with trivial S2 part.
-    left_labels = [b.label[:k] for b in left_space.blocks]
-    comps: list[Polynomial] = []
-    for label in left_labels:
-        comps.extend(space.vars_of(label + unit2))
-    to_left = PolyMap(space.dim, left_space.dim, comps)
+    to_left = space.select([b.label + unit2 for b in left_space.blocks])
     # Map onto T^{S1}(A.S2): per S1-basis monomial, a full copy of A.S2 flat.
-    rho_left = compose_maps(left_space.rho_leg, to_left)   # -> T^{S1} M
+    # The base part of a copy is x for the unit, else the mu-component of the
+    # right leg of the S1 prolongation: those slots are left None here.
     basis1 = S1.basis()
-    comps = []
-    for pos, mu in enumerate(basis1):
-        # Base part of this copy: x for the unit, else the mu-component of
-        # the right leg of the S1 prolongation.
-        d = shape.base_dim
+    sources: list[int | None] = []
+    for mu in basis1:
         if mu == S1.unit_monomial:
-            comps.extend(space.base_vars())
+            sources.extend(space.indices_of(space.V.unit_monomial))
         else:
-            comps.extend(rho_left.components[pos * d:(pos + 1) * d])
+            sources.extend([None] * d)
         for block in right_space.fiber_blocks:
-            comps.extend(space.vars_of(mu + block.label))
-    to_right = PolyMap(space.dim, len(basis1) * right_space.dim, comps)
+            sources.extend(space.indices_of(mu + block.label))
+    to_right = PolyMap.selection(space.dim, sources)
+    if d and len(basis1) > 1:
+        rho_left = compose_maps(left_space.rho_leg, to_left)   # -> T^{S1} M
+        comps = list(to_right.components)
+        for pos, mu in enumerate(basis1):
+            if mu != S1.unit_monomial:
+                slot = pos * right_space.dim
+                comps[slot:slot + d] = rho_left.components[pos * d:(pos + 1) * d]
+        to_right = PolyMap(space.dim, len(comps), comps)
     return to_left, to_right, S1, S2
 
 
@@ -435,16 +437,38 @@ def tensor_action(shape: AnchoredShape,
 
     f = left_map lies over the rig morphism left_phi, whose coefficient push
     it needs; of g = right_map only the boundary algebras
-    right_source -> right_target matter.
+    right_source -> right_target matter.  T^{S1} g moves each of the
+    dim S1 copies of A.S2 (`split_left`); left_phi then acts on those copies
+    by its matrix M, so target copy k is Σ_j M[k][j] · (moved copy j), read
+    off phi's columns.  This is `structure_nat(left_phi, n)` composed after
+    the moved copies, without building M ⊗ I_n as a map.
     """
     src_space = prolongation(shape, left_phi.source.tensor(right_source))
     to_left, to_right, S1, S2 = split_left(src_space, left_phi.source.n_factors)
-    t_g = weil_prolong(S1, right_map)
-    pushed = compose_maps(
-        structure_nat(left_phi, prolongation(shape, right_target).dim),
-        compose_maps(t_g, to_right))
+    moved = compose_maps(weil_prolong(S1, right_map), to_right).components
+    n = prolongation(shape, right_target).dim
+    # rows[k]: the (j, coefficient) entries of row k of M.
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(left_phi.target.dim)]
+    for j, column in enumerate(left_phi.columns):
+        for k, c in column:
+            rows[k].append((j, c))
+    zero = Polynomial.zero(src_space.dim)
+    pushed: list[Polynomial] = []
+    for row in rows:
+        if not row:
+            pushed.extend([zero] * n)
+        elif len(row) == 1 and row[0][1] == 1:
+            j = row[0][0]
+            pushed.extend(moved[j * n:(j + 1) * n])
+        else:
+            for i in range(n):
+                total = zero
+                for j, c in row:
+                    total = total + (moved[j * n + i] if c == 1 else moved[j * n + i] * c)
+                pushed.append(total)
     new_left = compose_maps(left_map, to_left)
-    return join_at(shape, left_phi.target, right_target, new_left, pushed)
+    return join_at(shape, left_phi.target, right_target, new_left,
+                   PolyMap(src_space.dim, len(pushed), pushed))
 
 
 def pair_action(shape: AnchoredShape, left_map: PolyMap, right_map: PolyMap,

@@ -31,17 +31,29 @@ from .weil import NAT, W, WW, WeilAlgebra
 
 
 class NerveModel:
-    """The tangent functor V ↦ A.V determined by an involution algebroid."""
+    """The tangent functor V ↦ A.V determined by an involution algebroid.
+
+    A model keeps the map of each generator it has interpreted, keyed by
+    the `Gen` term: one entry per distinct generator, for as long as the
+    model lives (a model is made per check).
+    """
 
     def __init__(self, A: AlgebroidData):
         self.A = A
         self.sigma = involution_from_bracket(A)
         self.shape = A.shape
+        self._generators: dict[wterm.Gen, PolyMap] = {}
 
     def object_of(self, algebra: WeilAlgebra) -> Prolongation:
         return prolongation(self.shape, algebra)
 
     def generator_map(self, term: wterm.Gen) -> PolyMap:
+        value = self._generators.get(term)
+        if value is None:
+            value = self._generators[term] = self._build_generator(term)
+        return value
+
+    def _build_generator(self, term: wterm.Gen) -> PolyMap:
         kind = term.kind
         if kind == "id":
             return PolyMap.identity(self.object_of(term.algebra).dim)

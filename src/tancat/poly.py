@@ -319,33 +319,54 @@ class Polynomial:
                      self._frac)
 
     def eval(self, values) -> Fraction:
-        vals = [Fraction(v) for v in values]
+        """The value at `values`, exactly.
+
+        Each term reads its variables off its packed key, and only a value
+        a term uses is converted (an int or a Fraction is used as it is).
+        """
+        vals = values if isinstance(values, (list, tuple)) else list(values)
         if len(vals) != self.n_vars:
             raise PolyError(f"need {self.n_vars} values, got {len(vals)}")
-        total = Fraction(0)
-        for mono, coeff in self.monomials():
+        total = 0
+        for key, coeff in self._terms.items():
             term = coeff
-            for v, e in zip(vals, mono):
-                if e:
-                    term *= v ** e
+            while key:
+                # The lowest nonzero field: variable i with exponent e.
+                i = ((key & -key).bit_length() - 1) // _FIELD
+                e = (key >> (_FIELD * i)) & _FIELD_MASK
+                key ^= e << (_FIELD * i)
+                v = vals[i]
+                if type(v) is not int and type(v) is not Fraction:
+                    v = Fraction(v)
+                term *= v if e == 1 else v ** e
             total += term
-        return total
+        return Fraction(total)
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        # Graded-lex for printing: higher total degree first, then exponents.
-        terms = sorted(self.monomials(),
-                       key=lambda t: (-sum(t[0]), tuple(-e for e in t[0])))
+        # Graded-lex for printing: higher total degree first, then the larger
+        # exponent of the first variable where two monomials differ.  A term
+        # is read off its key as its nonzero fields ((-i, e), i ascending),
+        # so the cost follows the variables a term uses, not n_vars; on
+        # such sequences that order is plain descending tuple order.
+        terms = []
+        for key, coeff in self._terms.items():
+            fields = []
+            degree = 0
+            while key:
+                i = ((key & -key).bit_length() - 1) // _FIELD
+                e = (key >> (_FIELD * i)) & _FIELD_MASK
+                key ^= e << (_FIELD * i)
+                fields.append((-i, e))
+                degree += e
+            terms.append(((degree, fields), coeff))
+        terms.sort(key=lambda t: t[0], reverse=True)
         parts = []
-        for mono, coeff in terms:
-            factors = [
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(mono)
-                if e
-            ]
+        for (_, fields), coeff in terms:
+            factors = [f"x{1 - i}" + (f"^{e}" if e > 1 else "") for i, e in fields]
             body = "*".join(factors)
             mag = abs(coeff)
             if not factors:
@@ -516,7 +537,7 @@ def parse_poly(text: str, n_vars: int | None = None,
 class PolyMap:
     """A polynomial map Q^src_dim -> Q^tgt_dim, stored componentwise."""
 
-    # `_images` is filled by the first `selection_images` call.
+    # `_images` is filled by `selection` or by the first `selection_images` call.
     __slots__ = ("src_dim", "tgt_dim", "components", "_images")
 
     def __init__(self, src_dim: int, tgt_dim: int, components: list[Polynomial]):
@@ -532,8 +553,38 @@ class PolyMap:
         self.components = tuple(components)
 
     @staticmethod
+    def selection(src_dim: int, sources) -> "PolyMap":
+        """The map whose component k is x_{sources[k]+1}, or 0 where it is None.
+
+        The coordinate selections of flat spaces are built this way: the
+        map knows its `selection_images` from the start, so `compose_maps`
+        renames keys through it without scanning its components.
+        """
+        zero = _make(src_dim, {}, False)
+        images: list[int | None] = []
+        comps = []
+        for j in sources:
+            if j is None:
+                images.append(None)
+                comps.append(zero)
+                continue
+            if not 0 <= j < src_dim:
+                raise PolyError(f"variable x{j + 1} out of range for {src_dim} variables")
+            key = 1 << (_FIELD * j)
+            images.append(key)
+            comps.append(_make(src_dim, {key: 1}, False))
+        m = object.__new__(PolyMap)
+        m.src_dim = src_dim
+        m.tgt_dim = len(comps)
+        m.components = tuple(comps)
+        m._images = images
+        return m
+
+    @staticmethod
     def identity(n: int) -> "PolyMap":
-        return PolyMap(n, n, [Polynomial.var(n, i + 1) for i in range(n)])
+        if n < 0:
+            raise PolyError(f"no identity on Q^{n}")
+        return PolyMap.selection(n, range(n))
 
     @staticmethod
     def zero(src_dim: int, tgt_dim: int) -> "PolyMap":
@@ -550,10 +601,9 @@ class PolyMap:
     @staticmethod
     def projection(src_dim: int, start: int, count: int) -> "PolyMap":
         """Project onto variables start..start+count-1 (0-based start)."""
-        return PolyMap(
-            src_dim, count,
-            [Polynomial.var(src_dim, start + i + 1) for i in range(count)],
-        )
+        if count < 0:
+            raise PolyError(f"cannot project onto {count} variables")
+        return PolyMap.selection(src_dim, range(start, start + count))
 
     @staticmethod
     def linear(src_dim: int, rows: list[dict[int, int | Fraction]]) -> "PolyMap":
@@ -629,7 +679,7 @@ class PolyMap:
         return all(c.is_zero() for c in self.components)
 
     def eval(self, values) -> list[Fraction]:
-        vals = [Fraction(v) for v in values]
+        vals = list(values)
         return [c.eval(vals) for c in self.components]
 
     def max_degree(self) -> int:

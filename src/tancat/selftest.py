@@ -485,9 +485,9 @@ def run_selftest(seed: int = DEFAULT_SEED, cases: int = 200,
         report.merge(run_mutation(mutate))
         report.sort()
         return report
-    # Longest first, by in-process time at the default seed (AC8 0.80 s,
-    # AC3 0.28, AC6 0.16, AC9 0.15, AC7 0.14, AC4 0.09, the rest under
-    # 0.01), so that a pool starts the critical path at once.
+    # Longest first, by in-process time at the default seed (AC8 0.51 s,
+    # AC3 0.36, AC6 0.19, AC9 0.18, AC7 0.09, AC4 0.08, the rest under
+    # 0.01, on 2 vCPUs), so that a pool starts the critical path at once.
     jobs = [("criterion_8_nerve", (seed + 4,)),
             ("criterion_3_cdc", (seed, cases)),
             ("criterion_6_equivalences", (seed + 2,)),

@@ -16,7 +16,8 @@ T^U(Q^n) induced by a rig morphism phi: V -> U, the Kronecker product
 M ⊗ I_n of phi's matrix M with the identity, built once with
 `PolyMap.linear`; the tangent-category structure maps are its values on the
 five generators.  Terms are evaluated in this model as
-`structure_nat(wterm.eval_weil(t), n)`.
+`structure_nat(wterm.eval_weil(t), n)`.  `flatspace.tensor_action` applies
+the same matrix to blocks of coordinates directly, without this map.
 """
 
 from __future__ import annotations

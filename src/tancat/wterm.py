@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Protocol
 
 from . import weil
@@ -427,16 +428,22 @@ def identity_term(algebra: WeilAlgebra) -> WTerm:
     return Gen("id", algebra=algebra)
 
 
-_ATOMS = [
+_ATOMS = (
     "p", "0", "+", "l", "c", "id{W}", "id{N}", "id{W*W}", "proj{1,2}",
     "proj{2,2}", "!{W}", "!{W2}", "<p, p>", "<0 . !{W}, id{W}>",
-]
+)
+
+
+@cache
+def _atom(text: str) -> WTerm:
+    """The parsed atom; only the strings of `_ATOMS` are passed here."""
+    return parse_term(text)
 
 
 def random_term(rng: random.Random, depth: int = 3) -> WTerm:
     """A random boundary-correct term (grown by retrying compositions)."""
     if depth <= 0:
-        return parse_term(rng.choice(_ATOMS))
+        return _atom(rng.choice(_ATOMS))
     for _ in range(30):
         shape = rng.randrange(3)
         try:
@@ -447,7 +454,7 @@ def random_term(rng: random.Random, depth: int = 3) -> WTerm:
             return Pair(random_term(rng, depth - 1), random_term(rng, depth - 1))
         except ValueError:
             continue
-    return parse_term(rng.choice(_ATOMS))
+    return _atom(rng.choice(_ATOMS))
 
 
 # Sound bidirectional rewrites: each pair denotes the same W1 morphism

@@ -6,8 +6,9 @@ so a rename or deletion in `src/` breaks the benchmark.  This test finds
 that in Tier-1.  It installs the tracer in a fresh interpreter: test modules
 import tancat functions by name, and the tracer's alias check would reject
 those references in this process.  It also runs the traced benchmark on a
-tiny pass of `cdc` and `algebroid-mix`, which fails when a boundary the
-workload expects records no calls.
+short pass of each workload (`selftest`, `cdc`, `algebroid-mix`), which
+fails when a boundary the workload expects records no calls or when the
+traced and untraced passes disagree on a verdict.
 """
 
 import os
@@ -30,7 +31,7 @@ def test_tracer_installs_on_every_boundary():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["cdc", "algebroid-mix"])
+@pytest.mark.parametrize("workload", ["selftest", "cdc", "algebroid-mix"])
 def test_traced_run_records_every_expected_boundary(workload):
     # A traced run exits non-zero when a boundary its workload expects
     # records no calls, e.g. after a kernel change routes around it.

@@ -145,6 +145,27 @@ def test_eval_model_memo_matches_plain_evaluation():
                 assert t in memo
 
 
+def test_generator_maps_are_kept_per_model():
+    A = so3()
+    first, second = NV.NerveModel(A), NV.NerveModel(A)
+    texts = ["p", "0", "+", "l", "c", "id{W}", "!{W2}", "proj{2,2}"]
+    gens = [wterm.parse_term(text) for text in texts]
+    built = [first.generator_map(g) for g in gens]
+    # A second request, even for an equal term parsed again, is the kept map.
+    for text, value in zip(texts, built):
+        assert first.generator_map(wterm.parse_term(text)) is value
+    assert len(first._generators) == len(texts)
+    # Another model over the same algebroid builds its own maps; only `!{V}`
+    # is the shared space's leg `pi_leg` in both.
+    assert not second._generators
+    for g, value in zip(gens, built):
+        other = second.generator_map(g)
+        assert other == value
+        assert (other is value) == (g.kind == "bang")
+    assert len(second._generators) == len(texts)
+    assert all(first.generator_map(g) is value for g, value in zip(gens, built))
+
+
 def test_prolongation_cache_shares_one_space():
     for A in (so3(), action()):
         for V in (NAT, W, WW, WeilAlgebra((2, 1)), WeilAlgebra((1, 1, 1))):

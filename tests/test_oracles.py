@@ -12,7 +12,12 @@
   ρX·∂Y − ρY·∂X + C(X, Y) written in sympy from `A.rho` and `A.bracket`;
 - `weil_prolong` (a fold of the packed T_n) against the jet products it
   replaced, and the shared substitution table of `compose_maps` and
-  `Polynomial.substitute` against per-component, per-monomial expansion.
+  `Polynomial.substitute` against per-component, per-monomial expansion;
+- `PolyMap.selection` against the same map built from `Polynomial.var`;
+- `flatspace.tensor_action` (φ's columns applied to the moved blocks)
+  against the route through `structure_nat(φ, n)` and `compose_maps`;
+- `Polynomial.eval` and `Polynomial.__str__` against formulas over
+  exponent tuples.
 """
 
 import itertools
@@ -24,12 +29,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tancat import algebroid as AL
+from tancat import flatspace as FS
 from tancat import nerve as NV
 from tancat import selftest as ST
 from tancat import weil, wterm
 from tancat.poly import (MAX_EXPONENT, PolyError, PolyMap, Polynomial,
-                         compose_maps, differential, random_map,
-                         random_polynomial)
+                         _selection_images, compose_maps, differential,
+                         random_map, random_polynomial)
 from tancat.report import CheckReport
 from tancat.tangent import W2, structure_nat, weil_prolong
 from tancat.weil import W, WeilAlgebra
@@ -553,3 +559,154 @@ def test_substitution_overflow_raises(outer, inner):
         g.components[0].substitute(list(f.components))
     with pytest.raises(PolyError, match="32767"):
         compose_maps(g, f)
+
+
+# -- coordinate selections --------------------------------------------------------
+
+
+def var_selection(src: int, sources) -> PolyMap:
+    """The selection built one `Polynomial.var` (or zero) at a time."""
+    return PolyMap(src, len(sources), [Polynomial.zero(src) if j is None
+                                       else Polynomial.var(src, j + 1) for j in sources])
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_selection_matches_the_var_built_map(data):
+    src = data.draw(st.integers(1, 5))
+    # Entries may repeat a variable or be None (a zero component).
+    sources = data.draw(st.lists(st.one_of(st.none(), st.integers(0, src - 1)),
+                                 min_size=1, max_size=6))
+    sel = PolyMap.selection(src, sources)
+    expected = var_selection(src, sources)
+    assert_same_map(sel, expected)
+    assert (sel.src_dim, sel.tgt_dim) == (expected.src_dim, expected.tgt_dim)
+    assert sel.selection_images() == _selection_images(expected.components)
+    # Composing through the selection renames keys as the var-built map does.
+    g = data.draw(shared_maps(len(sources), data.draw(st.integers(1, 3))))
+    assert_same_map(compose_maps(g, sel), compose_maps(g, expected))
+    assert_same_map(compose_maps(g, sel), PolyMap(src, g.tgt_dim, [
+        reference_substitute(c, list(expected.components), src) for c in g.components]))
+
+
+def test_selection_rejects_an_index_out_of_range():
+    for sources in ([3], [-1], [0, None, 5]):
+        with pytest.raises(PolyError, match="out of range"):
+            PolyMap.selection(3, sources)
+    assert PolyMap.identity(3) == var_selection(3, [0, 1, 2])
+    assert PolyMap.projection(5, 1, 3) == var_selection(5, [1, 2, 3])
+    for bad in (lambda: PolyMap.identity(-1), lambda: PolyMap.projection(3, 0, -1),
+                lambda: PolyMap.projection(3, 2, 2)):
+        with pytest.raises(PolyError):
+            bad()
+
+
+# -- the Weil push of tensor_action -----------------------------------------------
+
+
+def tensor_action_through_structure_nat(shape, left_phi, left_map, right_source,
+                                        right_target, right_map) -> PolyMap:
+    """f ⊠ g with φ applied as the map structure_nat(φ, n) = M ⊗ I_n."""
+    src_space = FS.prolongation(shape, left_phi.source.tensor(right_source))
+    to_left, to_right, S1, _ = FS.split_left(src_space, left_phi.source.n_factors)
+    n = FS.prolongation(shape, right_target).dim
+    pushed = compose_maps(structure_nat(left_phi, n),
+                          compose_maps(weil_prolong(S1, right_map), to_right))
+    return FS.join_at(shape, left_phi.target, right_target,
+                      compose_maps(left_map, to_left), pushed)
+
+
+TENSOR_ALGEBROIDS = [("so3", ST.so3), ("tangent d=2", lambda: AL.tangent_algebroid(2)),
+                     ("action x1", lambda: ST.action_algebroid("x1")),
+                     ("heisenberg", ST.heisenberg)]
+
+# Left factors whose matrices have an empty row (0 . p), a row of two
+# entries (+), a coefficient 2 (+ . <id, id>) and the flip.
+FIXED_LEFT = ["0 . p", "+", "+ . <id{W}, id{W}>", "c", "l", "!{W2}"]
+
+
+@pytest.mark.parametrize("name, make", TENSOR_ALGEBROIDS, ids=[n for n, _ in TENSOR_ALGEBROIDS])
+def test_tensor_action_matches_the_structure_nat_route(name, make):
+    A = make()
+    model = NV.NerveModel(A)
+    rng = random.Random(f"tensor:{name}")
+    lefts = [wterm.parse_term(text) for text in FIXED_LEFT]
+    lefts += [wterm.random_term(rng, depth=1) for _ in range(10)]
+    coefficients, row_sizes = set(), set()
+    for left in lefts:
+        right = wterm.random_term(rng, depth=1)
+        phi = wterm.eval_weil(left)
+        left_map = wterm.eval_model(left, model)
+        right_map = wterm.eval_model(right, model)
+        args = (A.shape, phi, left_map, right.source, right.target, right_map)
+        assert_same_map(FS.tensor_action(*args), tensor_action_through_structure_nat(*args))
+        coefficients.update(c for column in phi.columns for _, c in column)
+        row_sizes.update(sum(k == row for column in phi.columns for k, _ in column)
+                         for row in range(phi.target.dim))
+    assert {1, 2} <= coefficients and {0, 1, 2} <= row_sizes
+
+
+# -- evaluation and printing against exponent tuples -------------------------------
+
+
+def reference_eval(p: Polynomial, values) -> Fraction:
+    total = Fraction(0)
+    for mono, coeff in p.monomials():
+        term = Fraction(coeff)
+        for v, e in zip(values, mono):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
+def reference_str(p: Polynomial) -> str:
+    """The printer over full exponent tuples: graded, then larger exponents
+    of earlier variables first."""
+    if p.is_zero():
+        return "0"
+    terms = sorted(p.monomials(), key=lambda t: (-sum(t[0]), tuple(-e for e in t[0])))
+    parts = []
+    for mono, coeff in terms:
+        factors = [f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(mono) if e]
+        mag = abs(coeff)
+        chunk = str(mag) if not factors else ("*".join(factors) if mag == 1
+                                               else f"{mag}*{'*'.join(factors)}")
+        parts.append(("- " if coeff < 0 else "+ ") + chunk)
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+@st.composite
+def sparse_polynomials(draw, max_vars: int = 70):
+    """Few terms over many variables, with int and Fraction coefficients."""
+    n = draw(st.integers(0, max_vars))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        mono = [0] * n
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else []:
+            mono[i] += draw(st.integers(1, 3))
+        terms[tuple(mono)] = draw(st.one_of(st.integers(-5, 5), table_coefficients))
+    return Polynomial(n, terms)
+
+
+@given(p=sparse_polynomials(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_eval_matches_the_exponent_tuple_formula(p, data):
+    values = data.draw(st.lists(st.one_of(st.integers(-4, 4), table_coefficients),
+                                min_size=p.n_vars, max_size=p.n_vars))
+    got = p.eval(values)
+    assert type(got) is Fraction and got == reference_eval(p, values)
+    assert PolyMap(p.n_vars, 2, [p, -p]).eval(iter(values)) == [got, -got]
+
+
+def test_eval_converts_the_values_it_uses():
+    p = Polynomial(3, {(2, 0, 0): 1, (0, 0, 1): Fraction(1, 2)})
+    assert p.eval([0.5, "not a number", "2/3"]) == Fraction(1, 4) + Fraction(1, 3)
+    with pytest.raises(PolyError, match="need 3 values"):
+        p.eval([1, 2])
+
+
+@given(p=sparse_polynomials())
+@settings(max_examples=300, deadline=None)
+def test_printer_matches_the_exponent_tuple_printer(p):
+    assert str(p) == reference_str(p)
