@@ -367,38 +367,56 @@ def lift_prolongation_bundle(A: AlgebroidData) -> PolyMap:
 
 
 def check_involution_axioms(A: AlgebroidData, sigma: PolyMap) -> CheckReport:
-    """The five involution-algebroid axioms on flat L(A)/L²(A) coordinates."""
+    """The five involution-algebroid axioms on flat L(A)/L²(A) coordinates.
+
+    Each axiom is one private helper returning the difference of its two
+    sides, so a caller that needs one verdict computes only that one.
+    """
     report = CheckReport(f"involution axioms for {A}")
-    space = prolongation_space(A, "L")
-    n = space.dim
-
-    report.check("(i) involution σ∘σ = id",
-                 compose_maps(sigma, sigma) - PolyMap.identity(n))
-
+    report.check("(i) involution σ∘σ = id", _axiom_involution(A, sigma))
     t_sigma = weil_prolong(W, sigma)
     report.check("(ii) double linearity T.σ∘(0×c∘T.λ) = (λ×ℓ)∘σ",
-                 compose_maps(t_sigma, lift_pullback_bundle(A))
-                 - compose_maps(lift_prolongation_bundle(A), sigma))
+                 _axiom_double_linearity(A, sigma, t_sigma))
+    report.check("(iii) symmetry of lift σ∘λ̂ = λ̂", _axiom_lift_symmetry(A, sigma))
+    report.check("(iv) target T.ϱ∘π₁∘σ = c∘T.ϱ∘π₁", _axiom_target(A, sigma))
+    report.check("(v) Yang-Baxter on L²(A)", _axiom_yang_baxter(A, sigma, t_sigma))
+    return report
 
+
+def _axiom_involution(A: AlgebroidData, sigma: PolyMap) -> PolyMap:
+    """(i): σ∘σ − id."""
+    return compose_maps(sigma, sigma) - PolyMap.identity(prolongation_space(A, "L").dim)
+
+
+def _axiom_double_linearity(A: AlgebroidData, sigma: PolyMap, t_sigma: PolyMap) -> PolyMap:
+    """(ii), given T.σ: T.σ∘(0×c∘T.λ) − (λ×ℓ)∘σ."""
+    return (compose_maps(t_sigma, lift_pullback_bundle(A))
+            - compose_maps(lift_prolongation_bundle(A), sigma))
+
+
+def _axiom_lift_symmetry(A: AlgebroidData, sigma: PolyMap) -> PolyMap:
+    """(iii): σ∘λ̂ − λ̂."""
     lam_hat = lambda_hat(A)
-    report.check("(iii) symmetry of lift σ∘λ̂ = λ̂",
-                 compose_maps(sigma, lam_hat) - lam_hat)
+    return compose_maps(sigma, lam_hat) - lam_hat
 
+
+def _axiom_target(A: AlgebroidData, sigma: PolyMap) -> PolyMap:
+    """(iv): T.ϱ∘π₁∘σ − c∘T.ϱ∘π₁."""
     t_rho = weil_prolong(W, A.anchor_map())
-    pi1 = space.proj1
+    pi1 = prolongation_space(A, "L").proj1
     flip_m = structure_nat(weil.generator("flip"), A.base_dim)
-    report.check("(iv) target T.ϱ∘π₁∘σ = c∘T.ϱ∘π₁",
-                 compose_maps(t_rho, compose_maps(pi1, sigma))
-                 - compose_maps(flip_m, compose_maps(t_rho, pi1)))
+    return (compose_maps(t_rho, compose_maps(pi1, sigma))
+            - compose_maps(flip_m, compose_maps(t_rho, pi1)))
 
+
+def _axiom_yang_baxter(A: AlgebroidData, sigma: PolyMap, t_sigma: PolyMap) -> PolyMap:
+    """(v), given T.σ: Yang-Baxter for σ×c and 1×T.σ on L²(A)."""
     sigma2 = whiskered_generator(A.shape, "flip", NAT, W, sigma=sigma)   # σ×c
     # 1×T.σ, joined from the legs of L²(A) as `whisker_head` would, reusing T.σ.
     l2 = prolongation_space(A, "L2")
     sigma1 = join_at(A.shape, W, WW, l2.proj0, compose_maps(t_sigma, l2.proj1))
-    lhs = compose_maps(sigma2, compose_maps(sigma1, sigma2))
-    rhs = compose_maps(sigma1, compose_maps(sigma2, sigma1))
-    report.check("(v) Yang-Baxter on L²(A)", lhs - rhs)
-    return report
+    return (compose_maps(sigma2, compose_maps(sigma1, sigma2))
+            - compose_maps(sigma1, compose_maps(sigma2, sigma1)))
 
 
 def check_lambda_hat_coassociativity(A: AlgebroidData) -> CheckReport:

@@ -22,7 +22,13 @@ coordinate selections built from index lists (`indices_of`,
 `PolyMap.selection`); only when d > 0 do the base slots of the non-unit
 copies in the right leg take the components of A.S1's right leg.
 `tensor_action` pushes through the Weil morphism by its columns: target copy
-k of A.S2 is Σ_j M[k][j] · (copy j) of the moved right leg.  The head leg
+k of A.S2 is Σ_j M[k][j] · (copy j) of the moved right leg.  A space keeps
+its split at each factor boundary it is asked for, and the index plan of
+`join_at` into it, at most n_factors + 1 of each: AC8 asks for 231
+distinct (space, k) splits 1,661 times.  Kept legs are cheap because a
+selection shares the variables of its dimension (`PolyMap.selection`)
+instead of holding one new polynomial per coordinate, which made a
+per-space split cache cost 3.5 MB of peak memory before.  The head leg
 `proj1` of a space is its split after the first factor, and a whisker
 id_{W_n} ⊠ g is joined from `proj0` and T_n g ∘ `proj1`.  The only
 constrained coordinates, ρ(x)·u, come from the right leg `rho_leg` of a
@@ -32,10 +38,11 @@ Every space is obtained through `prolongation(shape, V)`, one
 least-recently-used cache of at most PROLONGATION_CACHE_SIZE spaces keyed on
 the (shape, V) pair.  Nerve evaluation asks for the same few spaces tens of
 thousands of times, and a shared space computes its legs (`rho_leg`,
-`proj1`, `embedding`, ...) once.  Sharing is safe because a space is a pure
-function of (shape, V) and is never mutated: blocks are a tuple of frozen
-Blocks, the legs are PolyMaps whose polynomials are immutable, and the
-cache keys are frozen dataclasses compared by value.  The bound keeps the
+`proj1`, `embedding`, its splits, ...) once.  Sharing is safe because a
+space is a pure function of (shape, V) and is never mutated once built:
+blocks are a tuple of frozen Blocks, the legs are PolyMaps whose
+polynomials are immutable, and the cache keys are frozen dataclasses
+compared by value.  The bound keeps the
 memory flat however many algebroids one process checks.
 """
 
@@ -136,6 +143,10 @@ class Prolongation:
             self.blocks = tuple(blocks)
         self.dim = sum(b.size for b in self.blocks)
         self._by_label = {b.label: b for b in self.blocks}
+        # `split_left` results and `join_at` plans by factor boundary k: at
+        # most n_factors + 1 each.
+        self._splits = {}
+        self._joins = {}
 
     @cached_property
     def fiber_blocks(self) -> tuple[Block, ...]:
@@ -156,7 +167,7 @@ class Prolongation:
         return range(b.offset, b.offset + b.size)
 
     def vars_of(self, label: Label) -> list[Polynomial]:
-        return [Polynomial.var(self.dim, j + 1) for j in self.indices_of(label)]
+        return list(self.select([label]).components)
 
     def base_vars(self) -> list[Polynomial]:
         return self.vars_of(self.V.unit_monomial)
@@ -315,26 +326,15 @@ def head_generator(shape: AnchoredShape, kind: str, tail: WeilAlgebra,
         l_space = prolongation(shape, weil.WW)
         if sigma.src_dim != l_space.dim or sigma.tgt_dim != l_space.dim:
             raise ValueError("σ must act on the flat first prolongation")
-        # σ applied to the spine blocks (x; u=(a), v=(b), w=(ab)).
-        spine_labels = [space.V.unit_monomial,
-                        (1, 0) + tail.unit_monomial,
-                        (0, 1) + tail.unit_monomial,
-                        (1, 1) + tail.unit_monomial]
-        spine_in = space.select(spine_labels)
-        spine_out = compose_maps(sigma, spine_in)
+        # σ applied to the spine blocks (x; u=(a), v=(b), w=(ab)): the blocks
+        # whose tail part is the unit, which come in σ's block order.
+        spine_out = iter(compose_maps(sigma, space.select(
+            [b.label for b in space.blocks if b.label[2:] == tail.unit_monomial])).components)
         comps: list[Polynomial] = []
-        d, r = shape.base_dim, shape.rank
-        spine_slice = {
-            space.V.unit_monomial: (0, d),
-            (1, 0) + tail.unit_monomial: (d, r),
-            (0, 1) + tail.unit_monomial: (d + r, r),
-            (1, 1) + tail.unit_monomial: (d + 2 * r, r),
-        }
         for block in space.blocks:
             h1, h2, rest = block.label[0], block.label[1], block.label[2:]
-            if rest == tail.unit_monomial and (h1, h2) in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                lo, size = spine_slice[block.label]
-                comps.extend(spine_out.components[lo:lo + size])
+            if rest == tail.unit_monomial:
+                comps.extend(next(spine_out) for _ in range(block.size))
             elif (h1, h2) == (1, 0):
                 comps.extend(space.vars_of((0, 1) + rest))
             elif (h1, h2) == (0, 1):
@@ -375,7 +375,24 @@ def split_left(space: Prolongation, k: int) -> tuple[PolyMap, PolyMap, WeilAlgeb
     Returns (to_A_S1, to_T_S1_of_A_S2, S1, S2) where the second map produces
     the full T^{S1}(A.S2) coordinates (constrained entries reconstructed from
     the right leg of A.S1).
+
+    The split is built once per (space, k) and kept on the space, which has
+    n_factors + 1 boundaries, so a space keeps at most that many splits and
+    the 128-space `prolongation` cache bounds them all.  The legs are
+    selections of shared variables (`PolyMap.selection`), apart from the d
+    base slots per non-unit copy that the right leg of A.S1 fills, so a kept
+    split costs about two references per coordinate.
     """
+    split = space._splits.get(k)
+    if split is None:
+        if not 0 <= k <= space.V.n_factors:
+            raise ValueError(f"no factor boundary {k} in {space.V}")
+        split = space._splits[k] = _split_left(space, k)
+    return split
+
+
+def _split_left(space: Prolongation, k: int):
+    """`split_left` built from the blocks of `space`."""
     V = space.V
     S1 = WeilAlgebra(V.widths[:k])
     S2 = WeilAlgebra(V.widths[k:])
@@ -412,21 +429,34 @@ def split_left(space: Prolongation, k: int) -> tuple[PolyMap, PolyMap, WeilAlgeb
 
 def join_at(shape: AnchoredShape, S1: WeilAlgebra, S2: WeilAlgebra,
             left_map: PolyMap, right_map: PolyMap) -> PolyMap:
-    """Inverse of split_left: assemble a map into A.(S1⊗S2)."""
+    """Inverse of split_left: assemble a map into A.(S1⊗S2).
+
+    Coordinate i of A.(S1⊗S2) is entry plan[i] of the left map's
+    components followed by the right map's; the space keeps the plan of
+    each boundary, as it keeps its splits.
+    """
     space = prolongation(shape, S1.tensor(S2))
-    left_space = prolongation(shape, S1)
-    right_space = prolongation(shape, S2)
-    comps: list[Polynomial] = []
+    plan = space._joins.get(S1.n_factors)
+    if plan is None:
+        plan = space._joins[S1.n_factors] = _join_plan(space, S1, S2)
+    both = left_map.components + right_map.components
+    return PolyMap(left_map.src_dim, space.dim, [both[i] for i in plan])
+
+
+def _join_plan(space: Prolongation, S1: WeilAlgebra, S2: WeilAlgebra) -> list[int]:
+    """The `join_at` plan of `space`, by walking its blocks."""
+    left_space = prolongation(space.shape, S1)
+    right_space = prolongation(space.shape, S2)
+    plan: list[int] = []
     for block in space.blocks:
         mu, nu = block.label[:S1.n_factors], block.label[S1.n_factors:]
         if nu == S2.unit_monomial:
-            b = left_space.block(mu)
-            comps.extend(left_map.components[b.offset:b.offset + b.size])
+            start = left_space.block(mu).offset
         else:
-            copy = S1.monomial_index(mu) * right_space.dim
-            b = right_space.block(nu)
-            comps.extend(right_map.components[copy + b.offset:copy + b.offset + b.size])
-    return PolyMap(left_map.src_dim, space.dim, comps)
+            start = (left_space.dim + S1.monomial_index(mu) * right_space.dim
+                     + right_space.block(nu).offset)
+        plan.extend(range(start, start + block.size))
+    return plan
 
 
 def tensor_action(shape: AnchoredShape,

@@ -248,8 +248,8 @@ def _lie_anchor(A: AlgebroidData):
     return tuple(rows)
 
 
-def lie_layout_iso(A: AlgebroidData) -> PolyMap:
-    """L(L'(A))-flat -> L²(A)-flat, the canonical block identification.
+def _lie_layout_sources(A: AlgebroidData) -> list[int]:
+    """The L(L'(A))-flat coordinate behind each L²(A)-flat coordinate.
 
     L'(A) has base (x, v_c) and fiber (u_a, u_ac); its first prolongation has
     blocks (x'; u', v', w') of sizes (d+r; 2r, 2r, 2r), matching the seven
@@ -257,22 +257,20 @@ def lie_layout_iso(A: AlgebroidData) -> PolyMap:
     w_ab→ab, w_abc→abc.
     """
     d, r = A.base_dim, A.rank
-    big = prolongation(A.shape, L2_ALGEBRA)
-    n = d + 7 * r
     # Source layout (L(L'(A)) flat): x(d), v_c(r) | u_a, u_ac | v_b, v_bc | w_ab, w_abc
     offsets = {
-        "x": 0, "c": d, "a": d + r, "ac": d + 2 * r, "b": d + 3 * r,
-        "bc": d + 4 * r, "ab": d + 5 * r, "abc": d + 6 * r,
+        (0, 0, 0): 0, (0, 0, 1): d, (1, 0, 0): d + r, (1, 0, 1): d + 2 * r,
+        (0, 1, 0): d + 3 * r, (0, 1, 1): d + 4 * r, (1, 1, 0): d + 5 * r,
+        (1, 1, 1): d + 6 * r,
     }
-    label_names = {
-        (0, 0, 0): "x", (1, 0, 0): "a", (0, 1, 0): "b", (0, 0, 1): "c",
-        (0, 1, 1): "bc", (1, 1, 0): "ab", (1, 0, 1): "ac", (1, 1, 1): "abc",
-    }
-    comps: list[Polynomial] = []
-    for block in big.blocks:
-        off = offsets[label_names[block.label]]
-        comps.extend(Polynomial.var(n, off + i + 1) for i in range(block.size))
-    return PolyMap(n, n, comps)
+    big = prolongation(A.shape, L2_ALGEBRA)
+    return [offsets[block.label] + i for block in big.blocks for i in range(block.size)]
+
+
+def lie_layout_iso(A: AlgebroidData) -> PolyMap:
+    """L(L'(A))-flat -> L²(A)-flat, the canonical block identification."""
+    sources = _lie_layout_sources(A)
+    return PolyMap.selection(len(sources), sources)
 
 
 def lie_tangent(A: AlgebroidData) -> AlgebroidData:
@@ -303,17 +301,12 @@ def lie_tangent(A: AlgebroidData) -> AlgebroidData:
 
 
 def lie_layout_iso_inverse(A: AlgebroidData) -> PolyMap:
-    d, r = A.base_dim, A.rank
-    iso = lie_layout_iso(A)
-    # The iso is a coordinate permutation; invert by transposition.
-    n = d + 7 * r
-    perm = [None] * n
-    for out_i, comp in enumerate(iso.components):
-        (mono, coeff), = comp.monomials()
-        src = mono.index(1)
-        perm[src] = out_i
-    comps = [Polynomial.var(n, perm[i] + 1) for i in range(n)]
-    return PolyMap(n, n, comps)
+    """L²(A)-flat -> L(L'(A))-flat: the inverse permutation of `lie_layout_iso`."""
+    sources = _lie_layout_sources(A)
+    inverse = [0] * len(sources)
+    for k, j in enumerate(sources):
+        inverse[j] = k
+    return PolyMap.selection(len(sources), inverse)
 
 
 def _sigma_prime(A: AlgebroidData) -> PolyMap:

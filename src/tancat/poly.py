@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from operator import or_
 
 from .report import CheckReport
@@ -412,23 +412,22 @@ class _PolyParser:
             self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def number(self) -> Fraction:
-        self.skip_ws()
+    def digits(self, what: str) -> int:
+        """The run of digits at the cursor, read as an int."""
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
-            self.error("expected a number")
-        num = int(self.text[start:self.pos])
+            self.error(f"expected {what}")
+        return int(self.text[start:self.pos])
+
+    def number(self) -> Fraction:
+        self.skip_ws()
+        num = self.digits("a number")
         if self.peek() == "/":
             self.pos += 1
             self.skip_ws()
-            dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if dstart == self.pos:
-                self.error("expected a denominator")
-            den = int(self.text[dstart:self.pos])
+            den = self.digits("a denominator")
             if not den:
                 self.error("division by zero")
             return Fraction(num, den)
@@ -443,13 +442,8 @@ class _PolyParser:
             return p
         if ch == "x":
             self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if start == self.pos:
-                self.error("expected a variable index after 'x'")
-            return Polynomial.var(n_vars, int(self.text[start:self.pos]))
-        if ch.isdigit():
+            return Polynomial.var(n_vars, self.digits("a variable index after 'x'"))
+        if ch.isdecimal():
             return Polynomial.const(n_vars, self.number())
         self.error("expected a term")
 
@@ -458,12 +452,7 @@ class _PolyParser:
         if self.peek() == "^":
             self.take("^")
             self.skip_ws()
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if start == self.pos:
-                self.error("expected an exponent")
-            k = int(self.text[start:self.pos])
+            k = self.digits("an exponent")
             if k > MAX_EXPONENT:
                 self.error(f"exponent {k} exceeds the limit of {MAX_EXPONENT}")
             self.bound(p.degree() * k)
@@ -503,7 +492,7 @@ def max_var_index(text: str) -> int:
     while i < len(text):
         if text[i] == "x":
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             if j > i + 1:
                 best = max(best, int(text[i + 1:j]))
@@ -558,8 +547,12 @@ class PolyMap:
 
         The coordinate selections of flat spaces are built this way: the
         map knows its `selection_images` from the start, so `compose_maps`
-        renames keys through it without scanning its components.
+        renames keys through it without scanning its components.  The
+        variables and their keys come from `_variables(src_dim)`, shared by
+        every selection out of Q^src_dim, so a selection costs one reference
+        per coordinate and the legs a flat space keeps stay small.
         """
+        keys, xs = _variables(src_dim)
         zero = _make(src_dim, {}, False)
         images: list[int | None] = []
         comps = []
@@ -570,9 +563,8 @@ class PolyMap:
                 continue
             if not 0 <= j < src_dim:
                 raise PolyError(f"variable x{j + 1} out of range for {src_dim} variables")
-            key = 1 << (_FIELD * j)
-            images.append(key)
-            comps.append(_make(src_dim, {key: 1}, False))
+            images.append(keys[j])
+            comps.append(xs[j])
         m = object.__new__(PolyMap)
         m.src_dim = src_dim
         m.tgt_dim = len(comps)
@@ -635,9 +627,6 @@ class PolyMap:
             comps.extend(m.components)
         return PolyMap(src, len(comps), comps)
 
-    def component(self, i: int) -> Polynomial:
-        return self.components[i]
-
     def selection_images(self) -> list[int | None] | None:
         """`_selection_images` of the components, worked out once per map.
 
@@ -649,10 +638,6 @@ class PolyMap:
         except AttributeError:
             self._images = _selection_images(self.components)
             return self._images
-
-    def then(self, g: "PolyMap") -> "PolyMap":
-        """Diagrammatic composition: self first, then g."""
-        return compose_maps(g, self)
 
     def __add__(self, other: "PolyMap") -> "PolyMap":
         if (self.src_dim, self.tgt_dim) != (other.src_dim, other.tgt_dim):
@@ -692,12 +677,9 @@ class PolyMap:
         comps += [c.shift_vars(self.src_dim, n) for c in other.components]
         return PolyMap(n, self.tgt_dim + other.tgt_dim, comps)
 
-    def is_affine(self) -> bool:
-        return self.max_degree() <= 1
-
     def linear_part(self):
         """(matrix, offset) for an affine map; raises if degree > 1."""
-        if not self.is_affine():
+        if self.max_degree() > 1:
             raise PolyError("map is not affine-linear")
         matrix = []
         offset = []
@@ -715,6 +697,33 @@ class PolyMap:
         return f"({body}): Q^{self.src_dim} -> Q^{self.tgt_dim}"
 
     __repr__ = __str__
+
+
+VARIABLE_CACHE_SIZE = 64
+
+# The term dict {key of x_{j+1}: 1} of each variable j, shared by the
+# variables of every dimension; `_variables` extends it as far as it needs.
+_VARIABLE_TERMS: list[dict] = []
+
+
+@lru_cache(maxsize=VARIABLE_CACHE_SIZE)
+def _variables(n_vars: int) -> tuple[tuple[int, ...], tuple[Polynomial, ...]]:
+    """The keys of x_1..x_n and the polynomials x_1..x_n, built once per n.
+
+    Polynomials are immutable and a term dict does not depend on the number
+    of variables, so every selection out of Q^n shares these polynomials and
+    every dimension shares their term dicts.  The cache holds at most
+    VARIABLE_CACHE_SIZE dimensions, least recently used first out (`tancat
+    selftest` uses 45), at about 70 B per variable each.  The shared term
+    dicts reach the largest dimension n asked for: the key of x_j takes
+    about 2j bytes, so they cost roughly n² bytes plus about 250 B per
+    variable, what one selection out of Q^n costs anyway (about 1.3 MB at
+    n = 1024).
+    """
+    terms = _VARIABLE_TERMS
+    terms.extend({1 << (_FIELD * j): 1} for j in range(len(terms), n_vars))
+    return tuple(next(iter(t)) for t in terms[:n_vars]), \
+        tuple(_make(n_vars, t, False) for t in terms[:n_vars])
 
 
 def _variable(key: int) -> int | None:
@@ -767,7 +776,19 @@ def _move(key: int, images: list[int | None], guard: int) -> int | None:
 
 
 def _select(polys, images: list[int | None], n_vars: int) -> list[Polynomial]:
-    """`polys` with x_{i+1} renamed to images[i] (None: set to 0)."""
+    """`polys` with x_{i+1} renamed to images[i] (None: set to 0).
+
+    When the renaming is x_{i+1} -> x_{i+1}, the identity or a prefix into
+    more variables, the keys do not change: each result shares its term dict
+    with its source, which is safe because no polynomial mutates its terms.
+    """
+    key = 1
+    for image in images:
+        if image != key:
+            break
+        key <<= _FIELD
+    else:
+        return [_make(n_vars, c._terms, c._frac) for c in polys]
     guard = _guard(n_vars)
     kept = [key for key in images if key is not None]
     # Two variables with one image: monomials can meet and cancel.

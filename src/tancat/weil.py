@@ -137,7 +137,7 @@ def parse_algebra(text: str) -> WeilAlgebra:
         tail = chunk[1:]
         if tail == "":
             widths.append(1)
-        elif tail.isdigit() and int(tail) >= 1:
+        elif tail.isdecimal() and int(tail) >= 1:
             widths.append(int(tail))
         else:
             raise WeilError(f"bad algebra factor: {chunk!r}")

@@ -5,10 +5,13 @@ Each test prints a `AC<n>: PASS/FAIL (elapsed)` line; tolerances are exact
 the ones stated with the criteria.
 """
 
+import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from tancat import selftest as ST
 
@@ -59,6 +62,33 @@ def test_ac7_section_bracket():
 
 def test_ac8_nerve_functoriality():
     run_criterion("AC8", lambda: ST.criterion_8_nerve(SEED + 4), 20.0)
+
+
+def test_ac8_memory_growth_is_bounded():
+    # Peak memory of AC8 over the post-import value, in a fresh interpreter:
+    # about 2.7 MB; a cache that keeps fresh polynomials per space (the span
+    # legs kept with one new Polynomial per coordinate) takes it to 5.1 MB.
+    # The peak is the kernel's VmHWM of the interpreter's own memory:
+    # ru_maxrss would start from the peak of this test process, which
+    # survives the exec.
+    root = Path(__file__).resolve().parents[1]
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status for the peak resident memory")
+    code = ("import re\n"
+            "def peak():\n"
+            "    status = open('/proc/self/status').read()\n"
+            "    return int(re.search(r'VmHWM:\\s*(\\d+)', status).group(1))\n"
+            "from tancat import selftest\n"
+            "before = peak()\n"
+            f"selftest.criterion_8_nerve({SEED + 4})\n"
+            "print(peak() - before)\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, text=True,
+                          capture_output=True, check=False,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    growth_mb = int(proc.stdout) / 1024
+    print(f"AC8: peak memory growth {growth_mb:.2f} MB, bound 4.5 MB")
+    assert growth_mb <= 4.5
 
 
 def test_ac9_prolongation_tangent_structure():

@@ -63,6 +63,19 @@ def test_bad_spec_file_exits_two(tmp_path):
     assert "missing" in proc.stderr
 
 
+def test_superscript_digits_exit_two(tmp_path):
+    # str.isdigit accepts superscripts, which int() rejects with a bare ValueError.
+    bad = tmp_path / "map.json"
+    bad.write_text('{"kind": "map", "src_dim": 1, "tgt_dim": 1, "components": ["x1^²"]}')
+    for args, message in [
+        (("cdc", "check", str(bad)), "expected an exponent"),
+        (("nerve", "object", str(EXAMPLES / "so3.json"), "-V", "W²"), "bad algebra factor"),
+        (("wone", "eval", "proj{²,2}"), "expected a number"),
+    ]:
+        proc = run_cli(*args)
+        assert proc.returncode == 2 and message in proc.stderr, proc.stderr
+
+
 def test_algebroid_check_so3():
     proc = run_cli("algebroid", "check", str(EXAMPLES / "so3.json"))
     assert proc.returncode == 0

@@ -13,7 +13,14 @@
 - `weil_prolong` (a fold of the packed T_n) against the jet products it
   replaced, and the shared substitution table of `compose_maps` and
   `Polynomial.substitute` against per-component, per-monomial expansion;
-- `PolyMap.selection` against the same map built from `Polynomial.var`;
+- `PolyMap.selection` against the same map built from `Polynomial.var`, and
+  identity or prefix renames (which share term dicts) against per-monomial
+  expansion;
+- the splits `flatspace.split_left` keeps on a space against freshly built
+  ones, and `join_at` through its kept plan against the block walk;
+- the one involution axiom AC6 computes per instance against the verdict of
+  all five, and `lie_layout_iso` and its inverse against the maps built one
+  `Polynomial.var` at a time;
 - `flatspace.tensor_action` (φ's columns applied to the moved blocks)
   against the route through `structure_nat(φ, n)` and `compose_maps`;
 - `Polynomial.eval` and `Polynomial.__str__` against formulas over
@@ -33,8 +40,8 @@ from tancat import flatspace as FS
 from tancat import nerve as NV
 from tancat import selftest as ST
 from tancat import weil, wterm
-from tancat.poly import (MAX_EXPONENT, PolyError, PolyMap, Polynomial,
-                         _selection_images, compose_maps, differential,
+from tancat.poly import (MAX_EXPONENT, VARIABLE_CACHE_SIZE, PolyError, PolyMap,
+                         Polynomial, _selection_images, compose_maps, differential,
                          random_map, random_polynomial)
 from tancat.report import CheckReport
 from tancat.tangent import W2, structure_nat, weil_prolong
@@ -589,6 +596,42 @@ def test_selection_matches_the_var_built_map(data):
         reference_substitute(c, list(expected.components), src) for c in g.components]))
 
 
+def test_selections_share_variables_across_dimensions():
+    # Dimensions out of order, past the cache size, so the shared term
+    # dicts grow, are reused by smaller dimensions and dimensions are evicted.
+    dims = [3, 70, 5, 130, 1, 0, 129] + list(range(200, 200 + VARIABLE_CACHE_SIZE)) + [70, 3]
+    for n in dims:
+        sources = list(range(n)) + [None] + list(range(n - 1, -1, -1))
+        sel = PolyMap.selection(n, sources)
+        assert_same_map(sel, var_selection(n, sources))
+        assert sel.selection_images() == _selection_images(sel.components)
+    again = PolyMap.selection(70, [69, 0])
+    assert again.components[0] is PolyMap.selection(70, [69]).components[0]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_identity_and_prefix_renames_match_the_generic_rename(data):
+    m = data.draw(st.integers(0, 3))
+    n = m + data.draw(st.integers(0, 3))
+    g = data.draw(shared_maps(m, data.draw(st.integers(1, 3)))) if m else \
+        PolyMap(0, 1, [Polynomial.const(0, data.draw(table_coefficients))])
+    before = [dict(c.monomials()) for c in g.components]
+    prefix = PolyMap.projection(n, 0, m)
+    got = compose_maps(g, prefix)
+    args = list(prefix.components)
+    assert_same_map(got, PolyMap(n, g.tgt_dim, [reference_substitute(c, args, n)
+                                                for c in g.components]))
+    if m:
+        assert_same_map(PolyMap(n, g.tgt_dim, [c.substitute(args) for c in g.components]), got)
+    # The rename keeps every key, so the results share their term dicts, and
+    # arithmetic on them leaves those dicts alone.
+    assert all(a._terms is b._terms for a, b in zip(got.components, g.components))
+    for c in got.components:
+        -(c + c) * 3 - c
+    assert [dict(c.monomials()) for c in g.components] == before
+
+
 def test_selection_rejects_an_index_out_of_range():
     for sources in ([3], [-1], [0, None, 5]):
         with pytest.raises(PolyError, match="out of range"):
@@ -644,6 +687,140 @@ def test_tensor_action_matches_the_structure_nat_route(name, make):
         row_sizes.update(sum(k == row for column in phi.columns for k, _ in column)
                          for row in range(phi.target.dim))
     assert {1, 2} <= coefficients and {0, 1, 2} <= row_sizes
+
+
+# -- kept splits and join plans ---------------------------------------------------
+
+
+def reference_join_at(shape, S1, S2, left_map, right_map) -> PolyMap:
+    """`join_at` by walking the blocks of A.(S1⊗S2) on every call."""
+    space = FS.prolongation(shape, S1.tensor(S2))
+    left_space, right_space = FS.prolongation(shape, S1), FS.prolongation(shape, S2)
+    comps = []
+    for block in space.blocks:
+        mu, nu = block.label[:S1.n_factors], block.label[S1.n_factors:]
+        if nu == S2.unit_monomial:
+            b = left_space.block(mu)
+            comps.extend(left_map.components[b.offset:b.offset + b.size])
+        else:
+            copy = S1.monomial_index(mu) * right_space.dim
+            b = right_space.block(nu)
+            comps.extend(right_map.components[copy + b.offset:copy + b.offset + b.size])
+    return PolyMap(left_map.src_dim, space.dim, comps)
+
+
+SPLIT_ALGEBROIDS = [ST.so3, lambda: AL.tangent_algebroid(2),
+                    lambda: ST.action_algebroid("x1"), ST.heisenberg,
+                    lambda: AL.tangent_algebroid(0), lambda: ST.abelian(1)]
+
+
+@given(make=st.sampled_from(SPLIT_ALGEBROIDS),
+       widths=st.lists(st.integers(1, 2), max_size=3), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_kept_splits_match_fresh_ones(make, widths, data):
+    A = make()
+    space = FS.prolongation(A.shape, WeilAlgebra(tuple(widths)))
+    ks = data.draw(st.permutations(range(len(widths) + 1)))
+    for k in ks:
+        split = FS.split_left(space, k)
+        assert FS.split_left(space, k) is split
+        assert len(space._splits) <= len(widths) + 1
+    # Use the kept legs, then compare them with legs built from scratch.
+    for k in ks:
+        to_left, to_right, S1, S2 = FS.split_left(space, k)
+        compose_maps(to_left, PolyMap.identity(space.dim))
+        compose_maps(weil_prolong(S1, PolyMap.identity(to_right.tgt_dim // S1.dim)), to_right)
+        fresh = FS._split_left(space, k)
+        assert_same_map(to_left, fresh[0])
+        assert_same_map(to_right, fresh[1])
+        assert (S1, S2) == fresh[2:] == (WeilAlgebra(tuple(widths[:k])),
+                                         WeilAlgebra(tuple(widths[k:])))
+    assert len(space._splits) == len(widths) + 1
+    # Joining the legs of a split gives the identity, through the kept plan
+    # as through the block walk it replaced.
+    for k in ks:
+        to_left, to_right, S1, S2 = FS.split_left(space, k)
+        joined = FS.join_at(A.shape, S1, S2, to_left, to_right)
+        assert_same_map(joined, reference_join_at(A.shape, S1, S2, to_left, to_right))
+        assert joined == PolyMap.identity(space.dim)
+        assert FS._join_plan(space, S1, S2) == space._joins[k]
+    assert len(space._joins) == len(widths) + 1
+    if widths:
+        assert space.proj1 is FS.split_left(space, 1)[1]
+    for k in (-1, len(widths) + 1):
+        with pytest.raises(ValueError, match="no factor boundary"):
+            FS.split_left(space, k)
+    assert len(space._splits) == len(widths) + 1
+
+
+# -- one involution axiom per paired verdict --------------------------------------
+
+
+def test_paired_axiom_matches_the_full_axiom_report():
+    cases = ST.equivalence_instances(ST.DEFAULT_SEED + 2)
+    cases += [(name, [ST.mutant(name)]) for name in ("alternating", "leibniz", "bianchi")]
+    for mutation, instances in cases:
+        _, prefix, _ = ST._PAIRED_CHECKERS[mutation]
+        seen = set()
+        for A in instances:
+            full = AL.check_involution_axioms(A, AL.involution_from_bracket(A))
+            expected = next(v.passed for v in full.verdicts if v.name.startswith(prefix))
+            assert ST._paired_verdicts(A, mutation)[1] == expected
+            seen.add(expected)
+        if len(instances) > 1:
+            assert seen == {True, False}, mutation
+        else:
+            assert seen == {False}, mutation
+    # The helpers assemble the public report in its order.
+    outcomes = set()
+    for A in [ST.so3()] + [ST.mutant(name) for name in ("alternating", "leibniz", "bianchi")]:
+        sigma = AL.involution_from_bracket(A)
+        t_sigma = weil_prolong(W, sigma)
+        diffs = [AL._axiom_involution(A, sigma), AL._axiom_double_linearity(A, sigma, t_sigma),
+                 AL._axiom_lift_symmetry(A, sigma), AL._axiom_target(A, sigma),
+                 AL._axiom_yang_baxter(A, sigma, t_sigma)]
+        report = AL.check_involution_axioms(A, sigma)
+        assert [v.name.split()[0] for v in report.verdicts] == \
+            ["(i)", "(ii)", "(iii)", "(iv)", "(v)"]
+        assert [v.passed for v in report.verdicts] == [d.is_zero() for d in diffs]
+        outcomes.add(tuple(v.passed for v in report.verdicts))
+    assert len(outcomes) == 4
+
+
+def reference_lie_layout_iso(A: AL.AlgebroidData) -> PolyMap:
+    """The block identification L(L'(A)) -> L²(A), one `Polynomial.var` per entry."""
+    d, r = A.base_dim, A.rank
+    big = FS.prolongation(A.shape, AL.L2_ALGEBRA)
+    n = d + 7 * r
+    offsets = {"x": 0, "c": d, "a": d + r, "ac": d + 2 * r, "b": d + 3 * r,
+               "bc": d + 4 * r, "ab": d + 5 * r, "abc": d + 6 * r}
+    names = {(0, 0, 0): "x", (1, 0, 0): "a", (0, 1, 0): "b", (0, 0, 1): "c",
+             (0, 1, 1): "bc", (1, 1, 0): "ab", (1, 0, 1): "ac", (1, 1, 1): "abc"}
+    comps = []
+    for block in big.blocks:
+        off = offsets[names[block.label]]
+        comps.extend(Polynomial.var(n, off + i + 1) for i in range(block.size))
+    return PolyMap(n, n, comps)
+
+
+def reference_inverse(iso: PolyMap) -> PolyMap:
+    n = iso.src_dim
+    perm = [None] * n
+    for out_i, comp in enumerate(iso.components):
+        (mono, _), = comp.monomials()
+        perm[mono.index(1)] = out_i
+    return PolyMap(n, n, [Polynomial.var(n, perm[i] + 1) for i in range(n)])
+
+
+@pytest.mark.parametrize("make", [ST.so3, lambda: ST.action_algebroid("x1"),
+                                  lambda: ST.leibniz_family(random.Random(3))],
+                         ids=["so3", "action x1", "leibniz_family"])
+def test_lie_layout_iso_is_the_block_permutation(make):
+    A = make()
+    iso, inverse = NV.lie_layout_iso(A), NV.lie_layout_iso_inverse(A)
+    assert_same_map(iso, reference_lie_layout_iso(A))
+    assert_same_map(inverse, reference_inverse(reference_lie_layout_iso(A)))
+    assert compose_maps(iso, inverse) == PolyMap.identity(iso.src_dim)
 
 
 # -- evaluation and printing against exponent tuples -------------------------------

@@ -63,6 +63,15 @@ def test_parse_errors_have_positions():
         parse_poly("x0", 2)
 
 
+@pytest.mark.parametrize("text", ["x²", "x1^²", "²", "x1 + ³/2", "3/²"])
+def test_non_decimal_digits_are_parse_errors(text):
+    # str.isdigit accepts superscripts, which int() rejects with a bare ValueError.
+    with pytest.raises(PolyError, match="position"):
+        parse_poly(text, 2)
+    with pytest.raises(PolyError, match="position"):
+        parse_poly(text)
+
+
 @pytest.mark.parametrize("text", [
     "0", "5", "-x1", "x1 - x1", "2*x1*x2 + x2^3 - 7/3",
     "x1^2 - 2*x1 + 1", "1/2*x2 - 1/2*x2",

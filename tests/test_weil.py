@@ -29,6 +29,10 @@ def test_algebra_notation():
     assert str(WeilAlgebra((2, 1))) == "W2*W"
     with pytest.raises(WeilError):
         parse_algebra("V3")
+    # str.isdigit accepts superscripts, which int() rejects with a bare ValueError.
+    for text in ("W²", "W2*W₂"):
+        with pytest.raises(WeilError, match="bad algebra factor"):
+            parse_algebra(text)
 
 
 def test_parse_algebra_bounds_the_dimension():
