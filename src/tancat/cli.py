@@ -243,15 +243,24 @@ def check_bounds(args) -> None:
                              f"got {value}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def env_seed() -> int:
+    """The default seed: TANCAT_SEED when it is set, else DEFAULT_SEED."""
+    text = os.environ.get("TANCAT_SEED")
+    if text is None:
+        return DEFAULT_SEED
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"TANCAT_SEED must be an integer, got {text!r}") from None
+
+
+def build_parser(default_seed: int = DEFAULT_SEED) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tancat",
         description="exact checkers for tangent-categorical structures")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable deterministic output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    env_seed = int(os.environ.get("TANCAT_SEED", DEFAULT_SEED))
 
     wone = sub.add_parser("wone", help="the free tangent category")
     wone_sub = wone.add_subparsers(dest="action", required=True)
@@ -267,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_check = cdc_sub.add_parser("check")
     c_check.add_argument("files", nargs="*")
     c_check.add_argument("--random", type=int, default=0, metavar="N")
-    c_check.add_argument("--seed", type=int, default=env_seed)
+    c_check.add_argument("--seed", type=int, default=default_seed)
     cdc.set_defaults(func=cmd_cdc)
 
     tangent = sub.add_parser("tangent", help="tangent structure on the polynomial model")
@@ -294,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     n_fun = nerve_sub.add_parser("functoriality")
     n_fun.add_argument("file")
     n_fun.add_argument("--pairs", type=int, default=25)
-    n_fun.add_argument("--seed", type=int, default=env_seed)
+    n_fun.add_argument("--seed", type=int, default=default_seed)
     nerve.set_defaults(func=cmd_nerve)
 
     lie = sub.add_parser("lie-tangent", help="the prolongation tangent structure")
@@ -303,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     lie.set_defaults(func=cmd_lie_tangent)
 
     selftest = sub.add_parser("selftest", help="run the acceptance suite")
-    selftest.add_argument("--seed", type=int, default=env_seed)
+    selftest.add_argument("--seed", type=int, default=default_seed)
     selftest.add_argument("--cases", type=int, default=200)
     selftest.add_argument("--mutate", choices=["bianchi", "alternating", "leibniz"])
     selftest.set_defaults(func=cmd_selftest)
@@ -311,9 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser(env_seed()).parse_args(argv)
         check_bounds(args)
         return args.func(args)
     except InputError as exc:

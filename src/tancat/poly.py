@@ -948,19 +948,30 @@ def tangent_n(f: PolyMap, n: int) -> PolyMap:
 
 
 def differential(f: PolyMap) -> PolyMap:
-    """D[f] : Q^(2n) -> Q^m, D[f](x, v) = Jacobian of f at x applied to v."""
+    """D[f] : Q^(2n) -> Q^m, D[f](x, v) = Jacobian of f at x applied to v.
+
+    Each component c is carried into Q^(2n) once, as c(x_1..x_n) (a prefix
+    renaming, so it shares c's terms), and D[f]_c = Σ_j ∂_j c · v_j is summed
+    there from its first nonzero term; x_i and v_j are the shared variables
+    of `_variables(2n)`.  `tangent_n(f, 1)` computes the same block in one
+    pass over the keys.  This path still goes through `Polynomial.substitute`
+    and `Polynomial.mul` on purpose: in the `cdc` benchmark workload only
+    `differential` reaches those two traced boundaries, so rerouting it
+    needs a change to that workload's expected calls first.
+    """
     n = f.src_dim
     two_n = 2 * n
-    xs = [Polynomial.var(two_n, i + 1) for i in range(n)]
+    xs = _variables(two_n)[1]
     comps = []
     for c in f.components:
-        acc = Polynomial.zero(two_n)
+        up = c.substitute(xs[:n])
+        acc = None
         for j in range(n):
-            pj = c.partial(j + 1)
-            if pj.is_zero():
-                continue
-            acc = acc + pj.substitute(xs) * Polynomial.var(two_n, n + j + 1)
-        comps.append(acc)
+            pj = up.partial(j + 1)
+            if pj._terms:
+                pj = pj * xs[n + j]
+                acc = pj if acc is None else acc + pj
+        comps.append(Polynomial.zero(two_n) if acc is None else acc)
     return PolyMap(two_n, f.tgt_dim, comps)
 
 
@@ -977,16 +988,41 @@ def is_linear(f: PolyMap) -> bool:
 def random_polynomial(rng: random.Random, n_vars: int, degree: int,
                       coeff_range: tuple[int, int] = (-3, 3),
                       n_terms: int = 4) -> Polynomial:
-    p = Polynomial.zero(n_vars)
+    """A seeded random polynomial of at most `n_terms` terms.
+
+    Draw order, which every seeded map, golden report and AC3 sample relies
+    on: for each of the n_terms terms, its degree k = randint(0, degree),
+    then, only when n_vars > 0, k variable indices randrange(n_vars), each
+    adding one to its exponent, then its coefficient randint(*coeff_range).
+    (randint(a, b) is randrange(a, b + 1), which is what is called.)  A term
+    with coefficient 0 is skipped; equal monomials merge, and a sum that
+    cancels drops out.  A term with an exponent above MAX_EXPONENT (only
+    possible when degree is) raises PolyError if its coefficient is nonzero.
+    Each term's packed key is summed as its variables are drawn, into one
+    term dict for the whole polynomial.
+    """
+    randrange = rng.randrange
+    low, high = coeff_range
+    terms: dict = {}
     for _ in range(n_terms):
-        mono = [0] * n_vars
-        for _ in range(rng.randint(0, degree)):
-            if n_vars:
-                mono[rng.randrange(n_vars)] += 1
-        c = rng.randint(*coeff_range)
+        key = 0
+        units = randrange(degree + 1)
+        if n_vars:
+            for _ in range(units):
+                key += 1 << (_FIELD * randrange(n_vars))
+        c = randrange(low, high + 1)
         if c:
-            p = p + _make(n_vars, {_pack(mono): c}, False)
-    return p
+            # A field past MAX_EXPONENT sets its guard bit, or carries and
+            # loses degree: only a degree above MAX_EXPONENT can do either.
+            if units > MAX_EXPONENT and n_vars and (
+                    key & _guard(n_vars) or _degree(key) != units):
+                raise _overflow()
+            c += terms.get(key, 0)
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
+    return _make(n_vars, terms, False)
 
 
 def random_map(rng: random.Random, src_dim: int, tgt_dim: int, degree: int,

@@ -19,7 +19,8 @@ SpecFileError naming the field.  Every polynomial has total degree at most
 MAX_DEGREE, and so has every product and power written inside it; the parser
 rejects a larger one before computing it, with a SpecFileError naming the
 field and the limit.  An algebroid's base_dim and rank are each at most
-MAX_ALGEBROID_DIM, checked before its polynomials are parsed.
+MAX_ALGEBROID_DIM, and a map's src_dim and tgt_dim at most MAX_MAP_DIM, both
+checked before any polynomial is parsed.
 """
 
 from __future__ import annotations
@@ -40,6 +41,13 @@ MAX_DEGREE = 128
 # file (216,000 strings) took 3.3 s.  Both dimensions are checked before any
 # polynomial is parsed.
 MAX_ALGEBROID_DIM = 16
+# `cdc check` on a map from Q^n checks CD.6 and CD.7 on maps out of Q^(4n),
+# so its cost grows faster than n.  On 2 vCPUs the whole command on a map
+# with the one component x1 takes 0.23 s at n = 128, 0.34 s at 256, 1.0 s at
+# 512 and 6.2 s (45 MB) at 1,000; with n components of two or three terms
+# each it takes 2.1 s (37 MB) at 256 and 9.2 s (88 MB) at 512.  Both
+# dimensions are checked before any polynomial is parsed.
+MAX_MAP_DIM = 256
 
 
 class SpecFileError(ValueError):
@@ -100,17 +108,23 @@ def load_document(path: str | Path, expect_kind: str | None = None) -> dict:
     return data
 
 
+def _bounded_dims(data: dict, kind: str, fields: tuple[str, str], limit: int,
+                  name: str) -> tuple[int, int]:
+    dims = tuple(_nat(data, field, kind) for field in fields)
+    for field, value in zip(fields, dims):
+        if value > limit:
+            raise SpecFileError(f"{kind}.{field} is {value}, above the limit "
+                                f"{name} = {limit}")
+    return dims
+
+
 def algebroid_dims(data: dict) -> tuple[int, int]:
     """(base_dim, rank) of an algebroid document, read before its polynomials.
 
     Each is at most MAX_ALGEBROID_DIM.
     """
-    dims = _nat(data, "base_dim", "algebroid"), _nat(data, "rank", "algebroid")
-    for field, value in zip(("base_dim", "rank"), dims):
-        if value > MAX_ALGEBROID_DIM:
-            raise SpecFileError(f"algebroid.{field} is {value}, above the limit "
-                                f"MAX_ALGEBROID_DIM = {MAX_ALGEBROID_DIM}")
-    return dims
+    return _bounded_dims(data, "algebroid", ("base_dim", "rank"), MAX_ALGEBROID_DIM,
+                         "MAX_ALGEBROID_DIM")
 
 
 def load_algebroid(data: dict) -> algebroid_mod.AlgebroidData:
@@ -148,8 +162,7 @@ def load_section(data: dict, base_dim: int) -> PolyMap:
 
 
 def load_map(data: dict) -> PolyMap:
-    n = _nat(data, "src_dim", "map")
-    m = _nat(data, "tgt_dim", "map")
+    n, m = _bounded_dims(data, "map", ("src_dim", "tgt_dim"), MAX_MAP_DIM, "MAX_MAP_DIM")
     comps = _polys(data, "components", "map", n)
     if len(comps) != m:
         raise SpecFileError(f"map needs {m} components, found {len(comps)}")

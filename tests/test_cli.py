@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -392,6 +393,50 @@ def test_algebroid_at_the_dimension_limit_is_accepted(tmp_path):
     proc = run_cli("nerve", "object", str(spec), "-V", "W")
     assert proc.returncode == 0, proc.stderr
     assert "dimension 32" in proc.stdout
+
+
+@pytest.mark.parametrize("field, value", [
+    # A 70-byte file: `cdc check` ran for minutes on it before the limit.
+    ("src_dim", 4000),
+    ("tgt_dim", 257),
+])
+def test_map_above_the_dimension_limit_exits_two(tmp_path, field, value):
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"kind": "map", "src_dim": 1, "tgt_dim": 1,
+                                "components": ["x1"], field: value}))
+    assert_input_error(run_cli("cdc", "check", str(spec)),
+                       f"map.{field} is {value}, above the limit MAX_MAP_DIM = 256")
+
+
+def test_cdc_check_at_the_map_dimension_limit_is_within_budget(tmp_path):
+    # Two or three terms in every component, 256 components out of Q^256:
+    # about 2 s on 2 vCPUs.
+    n = 256
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"kind": "map", "src_dim": n, "tgt_dim": n, "components": [
+        f"x{i + 1}*x{(i + 1) % n + 1} - 2*x{i + 1}^3" for i in range(n)]}))
+    start = time.perf_counter()
+    proc = run_cli("cdc", "check", str(spec))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 20, f"cdc check at MAX_MAP_DIM took {elapsed:.1f}s, budget 20s"
+
+
+@pytest.mark.parametrize("seed, args", [
+    ("abc", ("cdc", "check", "--random", "1")),
+    ("\u00b2", ("wone", "eval", "p")),
+])
+def test_malformed_seed_variable_exits_two(seed, args):
+    proc = run_cli(*args, env={**os.environ, "TANCAT_SEED": seed})
+    assert_input_error(proc, f"TANCAT_SEED must be an integer, got {seed!r}")
+
+
+def test_seed_variable_sets_the_default_seed():
+    by_env = run_cli("--json", "cdc", "check", "--random", "3",
+                     env={**os.environ, "TANCAT_SEED": "7"})
+    by_flag = run_cli("--json", "cdc", "check", "--random", "3", "--seed", "7")
+    assert by_env.returncode == by_flag.returncode == 0
+    assert by_env.stdout == by_flag.stdout
 
 
 def test_tensor_term_above_the_dimension_limit_exits_two():

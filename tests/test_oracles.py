@@ -24,7 +24,11 @@
 - `flatspace.tensor_action` (φ's columns applied to the moved blocks)
   against the route through `structure_nat(φ, n)` and `compose_maps`;
 - `Polynomial.eval` and `Polynomial.__str__` against formulas over
-  exponent tuples.
+  exponent tuples;
+- `differential` against the tangent block of `tangent_n(f, 1)` and against
+  the per-variable formula it replaced, and `random_polynomial` and
+  `random_map` against the generator that summed one polynomial per term
+  (same maps, same generator state afterwards, same PolyError).
 """
 
 import itertools
@@ -42,7 +46,7 @@ from tancat import selftest as ST
 from tancat import weil, wterm
 from tancat.poly import (MAX_EXPONENT, VARIABLE_CACHE_SIZE, PolyError, PolyMap,
                          Polynomial, _selection_images, compose_maps, differential,
-                         random_map, random_polynomial)
+                         random_map, random_polynomial, tangent_n)
 from tancat.report import CheckReport
 from tancat.tangent import W2, structure_nat, weil_prolong
 from tancat.weil import W, WeilAlgebra
@@ -887,3 +891,136 @@ def test_eval_converts_the_values_it_uses():
 @settings(max_examples=300, deadline=None)
 def test_printer_matches_the_exponent_tuple_printer(p):
     assert str(p) == reference_str(p)
+
+
+# -- differential and the seeded generators: their earlier formulas -------------
+
+
+@st.composite
+def small_maps(draw):
+    """Maps of dimension 0-3 and total degree at most 3, with Fraction
+    coefficients; a component with no terms (or only zero ones) is 0."""
+    src, tgt = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    comps = []
+    for _ in range(tgt):
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            mono = [0] * src
+            for i in draw(st.lists(st.integers(0, src - 1), max_size=3)) if src else []:
+                mono[i] += 1
+            terms[tuple(mono)] = draw(table_coefficients)
+        comps.append(Polynomial(src, terms))
+    return PolyMap(src, tgt, comps)
+
+
+def reference_differential(f: PolyMap) -> PolyMap:
+    """D[f]_c = Σ_j (∂_j c)(x_1..x_n) · v_j, one substitution per partial."""
+    n, two_n = f.src_dim, 2 * f.src_dim
+    xs = [Polynomial.var(two_n, i + 1) for i in range(n)]
+    comps = []
+    for c in f.components:
+        acc = Polynomial.zero(two_n)
+        for j in range(n):
+            acc = acc + c.partial(j + 1).substitute(xs) * Polynomial.var(two_n, n + j + 1)
+        comps.append(acc)
+    return PolyMap(two_n, f.tgt_dim, comps)
+
+
+@given(f=small_maps())
+@settings(max_examples=200, deadline=None)
+def test_differential_is_the_tangent_block_of_tangent_n(f):
+    block = tangent_n(f, 1).components[f.tgt_dim:]
+    assert_same_map(differential(f), PolyMap(2 * f.src_dim, f.tgt_dim, list(block)))
+
+
+@given(f=small_maps())
+@settings(max_examples=200, deadline=None)
+def test_differential_matches_the_per_variable_formula(f):
+    assert_same_map(differential(f), reference_differential(f))
+
+
+def reference_random_polynomial(rng, n_vars, degree, coeff_range=(-3, 3), n_terms=4):
+    """The generator as first written: one polynomial per term, summed."""
+    p = Polynomial.zero(n_vars)
+    for _ in range(n_terms):
+        mono = [0] * n_vars
+        for _ in range(rng.randint(0, degree)):
+            if n_vars:
+                mono[rng.randrange(n_vars)] += 1
+        c = rng.randint(*coeff_range)
+        if c:
+            p = p + Polynomial(n_vars, {tuple(mono): c})
+    return p
+
+
+COEFF_RANGES = [(-3, 3), (-1, 1), (0, 0), (1, 2), (-5, -5)]
+
+
+@given(seed=st.integers(0, 2 ** 32), n_vars=st.integers(0, 3), degree=st.integers(0, 4),
+       coeff_range=st.sampled_from(COEFF_RANGES), n_terms=st.integers(0, 8))
+@settings(max_examples=300, deadline=None)
+def test_random_polynomial_matches_the_reference_generator(seed, n_vars, degree,
+                                                           coeff_range, n_terms):
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = random_polynomial(rng, n_vars, degree, coeff_range, n_terms)
+    expected = reference_random_polynomial(ref, n_vars, degree, coeff_range, n_terms)
+    assert got == expected and str(got) == str(expected)
+    assert rng.getstate() == ref.getstate()
+
+
+@given(seed=st.integers(0, 2 ** 32), src=st.integers(0, 3), tgt=st.integers(0, 3),
+       degree=st.integers(0, 3), coeff_range=st.sampled_from(COEFF_RANGES))
+@settings(max_examples=150, deadline=None)
+def test_random_map_matches_the_reference_generator(seed, src, tgt, degree, coeff_range):
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = random_map(rng, src, tgt, degree, coeff_range)
+    expected = PolyMap(src, tgt, [reference_random_polynomial(ref, src, degree, coeff_range)
+                                  for _ in range(tgt)])
+    assert_same_map(got, expected)
+    assert rng.getstate() == ref.getstate()
+
+
+def draw_or_raise(generate, rng, *args):
+    try:
+        return generate(rng, *args)
+    except PolyError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_polynomial_raises_where_the_reference_does(seed):
+    # Half the terms have more than MAX_EXPONENT degree units on x1, and a
+    # third of the coefficients are 0, which skips the term without an error.
+    args = (1, 2 * MAX_EXPONENT, (-1, 1), 3)
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = draw_or_raise(random_polynomial, rng, *args)
+    assert got == draw_or_raise(reference_random_polynomial, ref, *args)
+    assert rng.getstate() == ref.getstate()
+
+
+class ScriptedRandom(random.Random):
+    """Answers `randrange` from a script, checking each answer is in range."""
+
+    def __init__(self, script):
+        super().__init__(0)
+        self.script = list(script)
+
+    def randrange(self, start, stop=None):
+        low, high = (0, start) if stop is None else (start, stop)
+        value = self.script.pop(0)
+        assert low <= value < high
+        return value
+
+
+@pytest.mark.parametrize("n_vars, exponent", [(1, MAX_EXPONENT + 1), (1, 2 ** 16),
+                                              (2, 2 ** 16), (2, 2 ** 16 + 5)])
+def test_random_polynomial_rejects_an_exponent_that_carries(n_vars, exponent):
+    # One term whose degree units all land on x1: at 2^16 a packed field
+    # wraps to 0 and carries into the next one.
+    script = [exponent] + [0] * exponent + [1]
+    for generate in (random_polynomial, reference_random_polynomial):
+        with pytest.raises(PolyError, match="exceeds the limit"):
+            generate(ScriptedRandom(script), n_vars, exponent, (-3, 3), 1)
+    ok = [MAX_EXPONENT] + [0] * MAX_EXPONENT + [1]
+    assert random_polynomial(ScriptedRandom(ok), n_vars, MAX_EXPONENT, (-3, 3), 1) == \
+        Polynomial(n_vars, {(MAX_EXPONENT,) + (0,) * (n_vars - 1): 1})

@@ -8,6 +8,7 @@ import pytest
 from tancat import bundle as BD
 from tancat import specfiles
 from tancat.algebroid import check_structure_equations
+from tancat.poly import PolyMap
 from tancat.specfiles import SpecFileError
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -97,3 +98,23 @@ def test_wrong_json_types_name_the_field(tmp_path, document, message):
 def test_section_entries_must_be_strings():
     with pytest.raises(SpecFileError, match=r"section.components\[0\] .* got null"):
         specfiles.load_section({"kind": "section", "components": [None]}, base_dim=1)
+
+
+@pytest.mark.parametrize("field, value", [("src_dim", 257), ("tgt_dim", 257),
+                                          ("src_dim", 4000)])
+def test_map_dimensions_are_bounded_before_parsing(tmp_path, field, value):
+    # The component is not a string, so reaching the parser would fail otherwise.
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"kind": "map", "src_dim": 1, "tgt_dim": 1,
+                                "components": [True], field: value}))
+    with pytest.raises(SpecFileError, match=f"map.{field} is {value}, above the limit "
+                                            f"MAX_MAP_DIM = {specfiles.MAX_MAP_DIM}"):
+        specfiles.load(path)
+
+
+def test_map_at_the_dimension_limit_loads(tmp_path):
+    n = specfiles.MAX_MAP_DIM
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"kind": "map", "src_dim": n, "tgt_dim": n,
+                                "components": [f"x{i + 1}" for i in range(n)]}))
+    assert specfiles.load(path) == PolyMap.identity(n)
