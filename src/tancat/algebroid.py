@@ -173,7 +173,16 @@ def sigma_hat(A: AlgebroidData) -> PolyMap:
 
 def involution_from_bracket(A: AlgebroidData,
                             conn: bundle_mod.Connection | None = None) -> PolyMap:
-    """The canonical involution on flat L(A): bar ∘ σ̂ ∘ hat."""
+    """The canonical involution on flat L(A): bar ∘ σ̂ ∘ hat.
+
+    Without a connection this is σ̂ itself.  Through the trivial connection
+    hat and bar are the identity of flat L(A): its κ reads the w block off
+    π₁(x; u, v, w) = (x, v, ρ(x)u, w), and its correction κ(x, v, ρ(x)u, 0)
+    is 0.  An explicit connection, the trivial one included, goes through
+    the full transport.
+    """
+    if conn is None:
+        return sigma_hat(A)
     return compose_maps(bar_map(A, conn),
                         compose_maps(sigma_hat(A), hat_map(A, conn)))
 
@@ -183,27 +192,35 @@ def bracket_from_involution(A: AlgebroidData, sigma: PolyMap,
     """Recover the bracket tensor: ⟨-,-⟩ = κ̂∘σ∘∇̂ −_π κ̂∘∇̂.
 
     Requires σ to preserve the base coordinate (checked; ValueError with the
-    witness otherwise).  Returns the C[α][β][γ] tensor.
+    witness otherwise).  Returns the C[α][β][γ] tensor.  Without a
+    connection, hat and bar are the identity (see `involution_from_bracket`),
+    so ∇̂ is (x; u, v, 0), κ̂∘∇̂ is 0 and C is σ's w block at (x; u, v, 0): one
+    selection.  An explicit connection goes through the full transport.
     """
     d, r = A.base_dim, A.rank
     space = prolongation_space(A, "L")
     base_out = PolyMap(space.dim, d, list(sigma.components[:d]))
     if base_out != PolyMap.projection(space.dim, 0, d):
         raise ValueError(f"σ is not base-preserving: base image {base_out}")
-    bar = bar_map(A, conn)
-    hat = hat_map(A, conn)
     n = d + 2 * r
-    x = [Polynomial.var(n, i + 1) for i in range(d)]
-    u = [Polynomial.var(n, d + a + 1) for a in range(r)]
-    v = [Polynomial.var(n, d + r + a + 1) for a in range(r)]
-    zero = [Polynomial.zero(n)] * r
-    nabla_hat = compose_maps(bar, PolyMap(n, d + 3 * r, x + u + v + zero))
-    def kappa_hat_fiber(m: PolyMap) -> list[Polynomial]:
-        return list(compose_maps(hat, m).components[d + 2 * r:])
-    with_sigma = kappa_hat_fiber(compose_maps(sigma, nabla_hat))
-    without = kappa_hat_fiber(nabla_hat)
-    c_map = PolyMap(n, r, [a - b for a, b in zip(with_sigma, without)])
-    # Extract coefficients: compose with the unit fiber vectors (x; e_a, e_b).
+    if conn is None:
+        c_map = compose_maps(PolyMap(space.dim, r, list(sigma.components[n:])),
+                             PolyMap.selection(n, list(range(n)) + [None] * r))
+    else:
+        bar = bar_map(A, conn)
+        hat = hat_map(A, conn)
+        x = [Polynomial.var(n, i + 1) for i in range(d)]
+        u = [Polynomial.var(n, d + a + 1) for a in range(r)]
+        v = [Polynomial.var(n, d + r + a + 1) for a in range(r)]
+        zero = [Polynomial.zero(n)] * r
+        nabla_hat = compose_maps(bar, PolyMap(n, d + 3 * r, x + u + v + zero))
+        def kappa_hat_fiber(m: PolyMap) -> list[Polynomial]:
+            return list(compose_maps(hat, m).components[n:])
+        with_sigma = kappa_hat_fiber(compose_maps(sigma, nabla_hat))
+        without = kappa_hat_fiber(nabla_hat)
+        c_map = PolyMap(n, r, [a - b for a, b in zip(with_sigma, without)])
+    # Extract coefficients: compose with the unit fiber vectors (x; e_a, e_b),
+    # a rename of c_map's keys (see `_selection_images`).
     x = [Polynomial.var(d, i + 1) for i in range(d)]
     units = [[Polynomial.const(d, 1 if t == a else 0) for t in range(r)]
              for a in range(r)]
@@ -234,25 +251,31 @@ def check_structure_equations(A: AlgebroidData) -> CheckReport:
     Σ_g ρ[i][g]·C[a][b][g]; Bianchi is K(α,β,γ,ν) + K(β,γ,α,ν) + K(γ,α,β,ν) = 0
     with the cyclic term K(p1,p2,p3,ν) = X_{p1}(C[p2][p3][ν]) +
     Σ_μ C[p2][p3][μ]·C[p1][μ][ν].  Each X_a(ρ[i][b]), each cyclic term and
-    each Bianchi sum is computed once per call (the three rotations of
-    (α,β,γ) share their terms and their sum), and every sum runs over
-    nonzero factors only.  The loops and their early exits are
-    those of the plain triple loop, so a failure reports the same witness.
+    each Bianchi sum is computed once per call, and every sum runs over
+    nonzero factors only.  When the alternating verdict passed, K is
+    antisymmetric in (p2, p3), so the Bianchi sum is alternating in
+    (α,β,γ): it is 0 when an index repeats and otherwise the sum of the
+    sorted triple times the sign of the permutation, so only the 3·C(r,3)
+    cyclic terms of sorted triples are built per ν.  Otherwise the three
+    rotations of (α,β,γ) share their terms and their sum.  The loops and
+    their early exits are those of the plain triple loop, so a failure
+    reports the same witness.
     """
     report = CheckReport(f"structure equations for {A}")
     d, r = A.base_dim, A.rank
     C = A.bracket
     rho = A.rho
 
-    ok, witness = True, None
+    alternating, witness = True, None
     for a in range(r):
         for b in range(r):
             for g in range(r):
                 diff = C[a][b][g] + C[b][a][g]
                 if not diff.is_zero():
-                    ok, witness = False, f"C[{a}][{b}][{g}] + C[{b}][{a}][{g}] = {diff}"
+                    alternating, witness = False, \
+                        f"C[{a}][{b}][{g}] + C[{b}][{a}][{g}] = {diff}"
                     break
-    report.add("alternating", ok, witness)
+    report.add("alternating", alternating, witness)
 
     # The nonzero anchor entries of each fiber direction a: (j + 1, ρ[j][a]).
     anchor = [[(j + 1, rho[j][a]) for j in range(d) if not rho[j][a].is_zero()]
@@ -304,19 +327,28 @@ def check_structure_equations(A: AlgebroidData) -> CheckReport:
             value = cyclic[key] = _total(terms, d)
         return value
 
-    # The Bianchi sum is the same for the three rotations of (α,β,γ): keep it
-    # under the lexicographically least one.
+    # Each sum is kept under the sorted triple (alternating C) or under the
+    # lexicographically least rotation of (α,β,γ) (any C).
     sums: dict[tuple[int, int, int, int], Polynomial] = {}
+    zero = Polynomial.zero(d)
 
     def bianchi_sum(a: int, b: int, g: int, nu: int) -> Polynomial:
-        key = min((a, b, g), (b, g, a), (g, a, b)) + (nu,)
+        odd = False
+        if alternating:
+            if a == b or b == g or a == g:
+                return zero
+            key = (*sorted((a, b, g)), nu)
+            odd = ((a > b) + (a > g) + (b > g)) % 2
+        else:
+            key = min((a, b, g), (b, g, a), (g, a, b)) + (nu,)
         value = sums.get(key)
         if value is None:
-            value = sums[key] = _total([k for k in (cyclic_term(a, b, g, nu),
-                                                    cyclic_term(b, g, a, nu),
-                                                    cyclic_term(g, a, b, nu))
+            p1, p2, p3, _ = key
+            value = sums[key] = _total([k for k in (cyclic_term(p1, p2, p3, nu),
+                                                    cyclic_term(p2, p3, p1, nu),
+                                                    cyclic_term(p3, p1, p2, nu))
                                         if not k.is_zero()], d)
-        return value
+        return -value if odd else value
 
     ok, witness = True, None
     for nu in range(r):
@@ -410,13 +442,17 @@ def _axiom_target(A: AlgebroidData, sigma: PolyMap) -> PolyMap:
 
 
 def _axiom_yang_baxter(A: AlgebroidData, sigma: PolyMap, t_sigma: PolyMap) -> PolyMap:
-    """(v), given T.σ: Yang-Baxter for σ×c and 1×T.σ on L²(A)."""
+    """(v), given T.σ: Yang-Baxter for σ×c and 1×T.σ on L²(A).
+
+    With σ₁ = 1×T.σ and σ₂ = σ×c, the two sides σ₂∘σ₁∘σ₂ and σ₁∘σ₂∘σ₁ share
+    the product σ₁∘σ₂, built once: three compositions instead of four.
+    """
     sigma2 = whiskered_generator(A.shape, "flip", NAT, W, sigma=sigma)   # σ×c
     # 1×T.σ, joined from the legs of L²(A) as `whisker_head` would, reusing T.σ.
     l2 = prolongation_space(A, "L2")
     sigma1 = join_at(A.shape, W, WW, l2.proj0, compose_maps(t_sigma, l2.proj1))
-    return (compose_maps(sigma2, compose_maps(sigma1, sigma2))
-            - compose_maps(sigma1, compose_maps(sigma2, sigma1)))
+    both = compose_maps(sigma1, sigma2)
+    return compose_maps(sigma2, both) - compose_maps(both, sigma1)
 
 
 def check_lambda_hat_coassociativity(A: AlgebroidData) -> CheckReport:

@@ -175,8 +175,11 @@ def cmd_lie_tangent(args) -> int:
         "bracket": [[[str(e) for e in cell] for cell in row] for row in prime.bracket],
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"kind": "algebroid", **payload}, fh, sort_keys=True, indent=2)
+        try:
+            with open(args.out, "w") as fh:
+                json.dump({"kind": "algebroid", **payload}, fh, sort_keys=True, indent=2)
+        except OSError as exc:
+            raise InputError(f"cannot write --out {args.out}: {exc.strerror}") from None
     if args.json:
         print(json.dumps({"derived": payload, "report": report.sort().as_dict()},
                          sort_keys=True, indent=2))

@@ -296,8 +296,8 @@ class Polynomial:
         """Plug args[i] in for x_{i+1}; args live in a common variable count.
 
         For a polynomial in zero variables (a constant) pass `out_vars` to
-        pick the ambient space.  When every argument is 0 or a bare variable
-        the substitution only renames keys; see `_substitute`.
+        pick the ambient space.  When every argument is 0, 1 or a bare
+        variable the substitution only renames keys; see `_substitute`.
         """
         if len(args) != self.n_vars:
             raise PolyError(f"need {self.n_vars} substitutions, got {len(args)}")
@@ -631,7 +631,9 @@ class PolyMap:
         """`_selection_images` of the components, worked out once per map.
 
         Maps such as the legs a prolongation caches are composed with again
-        and again; the components are immutable, so the answer is too.
+        and again; the components are immutable, so the answer is too.  A
+        constant 1 component has image key 0, so composing with a unit
+        vector renames keys too, and that rename merges terms.
         """
         try:
             return self._images
@@ -735,11 +737,14 @@ def _variable(key: int) -> int | None:
 
 
 def _selection_images(args) -> list[int | None] | None:
-    """The variable keys the polynomials `args` select, or None if they do not.
+    """The monomial keys the polynomials `args` select, or None if they do not.
 
-    `args` is a selection when every entry is 0 or a bare variable with
-    coefficient 1; entry i is the key of the variable args[i] copies, or None
-    for a zero entry.
+    `args` is a selection when every entry is 0, the constant 1 or a bare
+    variable with coefficient 1; entry i is the key of the variable args[i]
+    copies, 0 (the key of the monomial 1) for the constant 1, or None for a
+    zero entry.  Plugging in a constant 1 is a rename too: unit vectors such
+    as (x; e_a, e_b) select this way, and `_select` merges the monomials the
+    constant makes meet.
     """
     images = []
     for c in args:
@@ -750,7 +755,7 @@ def _selection_images(args) -> list[int | None] | None:
         if len(terms) != 1:
             return None
         for key in terms:
-            if terms[key] != 1 or _variable(key) is None:
+            if terms[key] != 1 or key and _variable(key) is None:
                 return None
         images.append(key)
     return images
@@ -776,11 +781,13 @@ def _move(key: int, images: list[int | None], guard: int) -> int | None:
 
 
 def _select(polys, images: list[int | None], n_vars: int) -> list[Polynomial]:
-    """`polys` with x_{i+1} renamed to images[i] (None: set to 0).
+    """`polys` with x_{i+1} renamed to images[i] (None: set to 0, 0: set to 1).
 
     When the renaming is x_{i+1} -> x_{i+1}, the identity or a prefix into
     more variables, the keys do not change: each result shares its term dict
     with its source, which is safe because no polynomial mutates its terms.
+    Monomials can meet, and cancel, when two variables share an image or
+    when a variable becomes 1 (x1 + 1 at x1 = 1 is 2), so then terms merge.
     """
     key = 1
     for image in images:
@@ -791,8 +798,7 @@ def _select(polys, images: list[int | None], n_vars: int) -> list[Polynomial]:
         return [_make(n_vars, c._terms, c._frac) for c in polys]
     guard = _guard(n_vars)
     kept = [key for key in images if key is not None]
-    # Two variables with one image: monomials can meet and cancel.
-    merges = len(set(kept)) < len(kept)
+    merges = 0 in kept or len(set(kept)) < len(kept)
     comps = []
     for c in polys:
         out: dict = {}
@@ -820,7 +826,7 @@ def _substitute(polys, args, n_vars: int, images) -> list[Polynomial]:
 
     The one substitution routine behind `Polynomial.substitute` and
     `compose_maps`, which pass `images`, the `_selection_images` of `args`.
-    When every argument is 0 or a bare variable it renames keys (`_select`).
+    When every argument is 0, 1 or a bare variable it renames keys (`_select`).
     Otherwise a polynomial that is 0 stays 0, one that is the bare variable
     x_{i+1} is args[i] itself (polynomials are immutable, so sharing it is
     safe), and every other one goes through a table that lives for this
@@ -898,7 +904,7 @@ def compose_maps(g: PolyMap, f: PolyMap) -> PolyMap:
 
     All of g's components go through one `_substitute` call, so a monomial
     that several components share is expanded once.  When f is a coordinate
-    selection (every component 0 or a bare variable) the composite only
+    selection (every component 0, 1 or a bare variable) the composite only
     renames g's variables, so g's keys are remapped directly; f works out
     whether it is one once (`PolyMap.selection_images`).
     """

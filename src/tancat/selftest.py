@@ -494,16 +494,16 @@ def run_selftest(seed: int = DEFAULT_SEED, cases: int = 200,
         report.merge(run_mutation(mutate))
         report.sort()
         return report
-    # Longest first, by in-process CPU time at the default seed, median of 5
-    # fresh processes on 2 vCPUs (AC8 0.35 s, AC3 0.23, AC9 0.11, AC6 0.08,
-    # AC4 0.06, AC7 0.06, the rest under 0.01), so that a pool starts the
-    # critical path at once.
+    # Longest first, by in-process CPU time at the default seed, each
+    # criterion alone in a fresh process, median of 5 on 2 vCPUs (AC8
+    # 0.25 s, AC3 0.17, AC9 0.10, AC4 0.063, AC7 0.059, AC6 0.052, the rest
+    # under 0.01), so that a pool starts the critical path at once.
     jobs = [("criterion_8_nerve", (seed + 4,)),
             ("criterion_3_cdc", (seed, cases)),
             ("criterion_9_lie_tangent", (seed + 5,)),
-            ("criterion_6_equivalences", (seed + 2,)),
             ("criterion_4_tangent", (seed + 1,)),
             ("criterion_7_sections", (seed + 3,)),
+            ("criterion_6_equivalences", (seed + 2,)),
             ("criterion_5_euler", ()),
             ("criterion_2_equations", ()),
             ("criterion_1_generators", ())]

@@ -68,3 +68,75 @@ def test_summary_flags_a_metric_worse_than_its_bound(tmp_path, capsys):
     assert bench_pairs.summarize(parent, fat, "cdc", spec) == 1
     out = capsys.readouterr().out
     assert "10/10" in out and "WORSE" in out
+
+
+def fake_side(walls: dict):
+    """A `run_side` that appends one synthetic run per call, its wall time
+    taken from `walls[(checkout name, workload)]` in turn."""
+    calls = []
+
+    def run_side(checkout, out, workload, seconds):
+        calls.append((checkout.name, workload))
+        data = json.loads(out.read_text()) if out.exists() else {"meta": {}, "runs": []}
+        wall = walls[checkout.name, workload].pop(0)
+        data["runs"].append({"workload": workload, "trace": 0, "attempted": 10, "failed": 0,
+                             "metrics": {"wall_s": wall}})
+        out.write_text(json.dumps(data))
+    return run_side, calls
+
+
+def test_a_workload_list_runs_every_workload_in_each_pair(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir(), change.mkdir()
+    walls = {("parent", "cdc"): [1.0, 1.0], ("change", "cdc"): [0.8, 0.8],
+             ("parent", "selftest"): [2.0, 2.0], ("change", "selftest"): [2.0, 2.0]}
+    run_side, calls = fake_side(walls)
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+    status = bench_pairs.main([
+        "--parent", str(parent), "--change", str(change), "--workload", "cdc,selftest",
+        "--pairs", "2", "--parent-out", str(tmp_path / "p.json"),
+        "--change-out", str(tmp_path / "c.json")])
+    assert status == 0
+    # Both sides of a workload back to back; the first side alternates per pair.
+    assert calls == [("parent", "cdc"), ("change", "cdc"),
+                     ("parent", "selftest"), ("change", "selftest"),
+                     ("change", "cdc"), ("parent", "cdc"),
+                     ("change", "selftest"), ("parent", "selftest")]
+    out = capsys.readouterr().out
+    assert "cdc: 2 pairs" in out and "selftest: 2 pairs" in out
+
+
+def test_a_workload_list_ors_the_bound_checks(tmp_path, monkeypatch):
+    def results(path, runs):
+        path.write_text(json.dumps({"meta": {}, "runs": [
+            {"workload": w, "trace": 0, "attempted": 10, "failed": 0,
+             "metrics": {"wall_s": v}} for w, v in runs]}))
+
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    results(tmp_path / "p.json", [("cdc", 1.0), ("selftest", 1.0)])
+    results(tmp_path / "ok.json", [("cdc", 0.9), ("selftest", 1.1)])
+    results(tmp_path / "slow.json", [("cdc", 0.9), ("selftest", 1.5)])
+    argv = ["--summarize", "--workload", "cdc,selftest", "--parent-out", str(tmp_path / "p.json")]
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    assert bench_pairs.main(argv + ["--change-out", str(tmp_path / "ok.json")]) == 0
+    assert bench_pairs.main(argv + ["--change-out", str(tmp_path / "slow.json")]) == 1
+    # A workload with no runs fails the check too.
+    assert bench_pairs.main(["--summarize", "--workload", "cdc,algebroid-mix",
+                             "--parent-out", str(tmp_path / "p.json"),
+                             "--change-out", str(tmp_path / "ok.json")]) == 1
+
+
+def test_warns_when_only_one_checkout_has_bytecode(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        (side / "src" / "tancat").mkdir(parents=True)
+    assert bench_pairs.bytecode_warning(parent, change) is None
+    (change / "src" / "tancat" / "__pycache__").mkdir()
+    warning = bench_pairs.bytecode_warning(parent, change)
+    assert warning and str(change) in warning and str(parent) not in warning
+    (parent / "src" / "tancat" / "__pycache__").mkdir()
+    assert bench_pairs.bytecode_warning(parent, change) is None

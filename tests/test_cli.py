@@ -129,6 +129,16 @@ def test_lie_tangent_writes_derived_algebroid(tmp_path):
     assert payload["anchor"] == [["1", "0"], ["0", "1"]]
 
 
+@pytest.mark.parametrize("target", ["", "missing/derived.json"])
+def test_lie_tangent_out_that_cannot_be_written_exits_two(tmp_path, target):
+    """A directory, or a path in a missing directory, is an input error."""
+    out = tmp_path / target
+    before = sorted(tmp_path.rglob("*"))
+    proc = run_cli("lie-tangent", str(EXAMPLES / "tangent1.json"), "--out", str(out))
+    assert_input_error(proc, f"cannot write --out {out}")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_selftest_json_deterministic():
     args = ("--json", "selftest", "--seed", "11", "--cases", "20")
     first = run_cli(*args)

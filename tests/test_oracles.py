@@ -1,7 +1,9 @@
 """Independent oracles for the structural kernels.
 
 - `check_structure_equations` against the plain triple loop it replaced
-  (`reference_structure_equations` below), witnesses included;
+  (`reference_structure_equations` below), witnesses included, also on
+  alternating brackets of rank 4-6 whose Bianchi sums fail on unsorted
+  triples;
 - `weil_prolong` against sympy: truncated substitution of Weil-algebra
   points, with one symbol per generator;
 - `structure_nat` against the Kronecker product of the morphism's matrix
@@ -19,8 +21,13 @@
 - the splits `flatspace.split_left` keeps on a space against freshly built
   ones, and `join_at` through its kept plan against the block walk;
 - the one involution axiom AC6 computes per instance against the verdict of
-  all five, and `lie_layout_iso` and its inverse against the maps built one
-  `Polynomial.var` at a time;
+  all five, Yang-Baxter through one shared product against four
+  compositions, and `lie_layout_iso` and its inverse against the maps built
+  one `Polynomial.var` at a time;
+- `involution_from_bracket` and `bracket_from_involution` without a
+  connection against the full transport through an explicit trivial or
+  nontrivial connection, on canonical and on bent involutions;
+- renames through 0, 1 and the variables against the generic substitution;
 - `flatspace.tensor_action` (φ's columns applied to the moved blocks)
   against the route through `structure_nat(φ, n)` and `compose_maps`;
 - `Polynomial.eval` and `Polynomial.__str__` against formulas over
@@ -40,13 +47,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tancat import algebroid as AL
+from tancat import bundle as BD
 from tancat import flatspace as FS
 from tancat import nerve as NV
 from tancat import selftest as ST
 from tancat import weil, wterm
 from tancat.poly import (MAX_EXPONENT, VARIABLE_CACHE_SIZE, PolyError, PolyMap,
-                         Polynomial, _selection_images, compose_maps, differential,
-                         random_map, random_polynomial, tangent_n)
+                         Polynomial, _selection_images, _substitute, compose_maps,
+                         differential, random_map, random_polynomial, tangent_n)
 from tancat.report import CheckReport
 from tancat.tangent import W2, structure_nat, weil_prolong
 from tancat.weil import W, WeilAlgebra
@@ -125,6 +133,25 @@ def random_polynomial_algebroid(rng: random.Random) -> AL.AlgebroidData:
     return AL.make_algebroid(d, r, rho, c)
 
 
+def alternating_wide_algebroid(rng: random.Random) -> AL.AlgebroidData:
+    """Alternating C of rank 4-6 that generically breaks Bianchi, with a
+    constant or a polynomial anchor: the checker reads such sums off sorted
+    triples, and the triple loop meets the failures on unsorted ones."""
+    d, r = rng.randint(1, 2), rng.randint(4, 6)
+    if rng.random() < 0.5:
+        rho = [[rng.randint(-1, 1) for _ in range(r)] for _ in range(d)]
+    else:
+        rho = [[random_polynomial(rng, d, 2, n_terms=rng.randint(0, 2)) for _ in range(r)]
+               for _ in range(d)]
+    c = [[[Polynomial.zero(d)] * r for _ in range(r)] for _ in range(r)]
+    for a in range(r):
+        for b in range(a + 1, r):
+            c[a][b] = [random_polynomial(rng, d, 1, n_terms=rng.randint(0, 1))
+                       for _ in range(r)]
+            c[b][a] = [-p for p in c[a][b]]
+    return AL.make_algebroid(d, r, rho, c)
+
+
 def structure_instance(kind: str, rng: random.Random) -> AL.AlgebroidData:
     if kind == "valid":
         return rng.choice(ST.valid_instances(rng, 9))
@@ -138,11 +165,13 @@ def structure_instance(kind: str, rng: random.Random) -> AL.AlgebroidData:
         return ST.mutate_bianchi(rng.choice([ST.so3(), ST.heisenberg(), ST.scaled_so3(3)]))
     if kind == "random-polynomial":
         return random_polynomial_algebroid(rng)
+    if kind == "alternating-wide":
+        return alternating_wide_algebroid(rng)
     return NV.lie_tangent(rng.choice(ST.valid_instances(rng, 9)))
 
 
 STRUCTURE_KINDS = ("valid", "leibniz-broken", "alternating-broken", "random-constants",
-                   "bianchi-broken", "random-polynomial", "lie-tangent")
+                   "bianchi-broken", "random-polynomial", "alternating-wide", "lie-tangent")
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,6 +193,23 @@ def test_structure_oracle_sees_every_failure_kind():
             assert report.as_dict() == reference_structure_equations(A).as_dict()
             failed |= {v.name for v in report.verdicts if not v.passed}
     assert failed == {"alternating", "Leibniz", "Bianchi"}
+
+
+def test_bianchi_witnesses_on_unsorted_triples_match_the_triple_loop():
+    """The sorted-triple sums, signed, give the triple loop's witnesses,
+    also where the failing (α,β,γ) is not sorted."""
+    rng = random.Random(11)
+    unsorted = 0
+    for _ in range(12):
+        A = alternating_wide_algebroid(rng)
+        report = AL.check_structure_equations(A)
+        assert report.as_dict() == reference_structure_equations(A).as_dict()
+        bianchi = next(v for v in report.verdicts if v.name == "Bianchi")
+        if not bianchi.passed:
+            triple = bianchi.witness.split("(α,β,γ)=(")[1].split(")")[0]
+            a, b, g = map(int, triple.split(","))
+            unsorted += not a < b < g
+    assert unsorted >= 3
 
 
 # -- weil_prolong: truncated substitution in sympy --------------------------------
@@ -789,6 +835,188 @@ def test_paired_axiom_matches_the_full_axiom_report():
         assert [v.passed for v in report.verdicts] == [d.is_zero() for d in diffs]
         outcomes.add(tuple(v.passed for v in report.verdicts))
     assert len(outcomes) == 4
+
+
+def test_shared_product_yang_baxter_matches_the_four_compositions():
+    """(v) as σ₂∘(σ₁∘σ₂) − (σ₁∘σ₂)∘σ₁ against σ₂∘σ₁∘σ₂ − σ₁∘σ₂∘σ₁ composed in
+    four steps, with σ₁ = 1×T.σ built by `whiskered_generator`."""
+    outcomes = set()
+    for _, instances in ST.equivalence_instances(ST.DEFAULT_SEED + 2):
+        for A in instances:
+            sigma = AL.involution_from_bracket(A)
+            sigma1 = FS.whiskered_generator(A.shape, "flip", W, weil.NAT, sigma=sigma)
+            sigma2 = FS.whiskered_generator(A.shape, "flip", weil.NAT, W, sigma=sigma)
+            four = (compose_maps(sigma2, compose_maps(sigma1, sigma2))
+                    - compose_maps(sigma1, compose_maps(sigma2, sigma1)))
+            got = AL._axiom_yang_baxter(A, sigma, weil_prolong(W, sigma))
+            assert_same_map(got, four)
+            outcomes.add(got.is_zero())
+    assert outcomes == {True, False}
+
+
+# -- σ and C without the identity transport ---------------------------------------
+
+
+def transport_instances() -> list[AL.AlgebroidData]:
+    """Valid, broken and prolonged algebroids, with constant and polynomial data."""
+    rng = random.Random(17)
+    return ST.valid_instances(rng, 12) + [
+        ST.leibniz_family(rng, break_leibniz=True), ST.mutate_alternating(ST.so3()),
+        ST.mutate_bianchi(ST.heisenberg()), random_polynomial_algebroid(rng),
+        alternating_wide_algebroid(rng), NV.lie_tangent(ST.so3()),
+        NV.lie_tangent(ST.action_algebroid("x1"))]
+
+
+def line_connection() -> BD.Connection:
+    """The nontrivial connection on the line bundle over Q of `test_algebroid.py`."""
+    kappa = PolyMap.from_strings(4, ["x1", "x4 + 2*x1*x3*x2"])
+    nabla = PolyMap.from_strings(3, ["x1", "x2", "x3", "0 - 2*x1*x3*x2"])
+    return BD.Connection(BD.TrivialBundle(1, 1), kappa, nabla)
+
+
+def assert_same_tensor(got, expected) -> None:
+    assert got == expected
+    assert [[[str(p) for p in cell] for cell in row] for row in got] == \
+        [[[str(p) for p in cell] for cell in row] for row in expected]
+
+
+def test_hat_and_bar_without_a_connection_are_the_identity():
+    for A in transport_instances():
+        identity = PolyMap.identity(AL.prolongation_space(A, "L").dim)
+        assert AL.hat_map(A) == identity
+        assert AL.bar_map(A) == identity
+
+
+def test_involution_without_a_connection_is_the_trivial_transport():
+    for A in transport_instances():
+        sigma = AL.involution_from_bracket(A)
+        assert_same_map(sigma, AL.involution_from_bracket(A, BD.trivial_connection(A.bundle)))
+        assert_same_map(sigma, AL.sigma_hat(A))
+
+
+@pytest.mark.parametrize("anchor, bracket", [
+    ("x1", "0"), ("x1 + 2", "0"), ("1", "0"), ("x1^2 + 3", "0"), ("2*x1^3 - x1", "0"),
+    # Not alternating: σ still goes through the connection unchanged.
+    ("x1", "x1 + 1"), ("1/2", "3*x1^2")])
+def test_involution_through_a_nontrivial_connection(anchor, bracket):
+    conn = line_connection()
+    assert BD.check_connection(conn).passed
+    A = AL.make_algebroid(1, 1, [[anchor]], [[[bracket]]])
+    assert AL.hat_map(A, conn) != PolyMap.identity(4)
+    assert_same_map(AL.involution_from_bracket(A), AL.involution_from_bracket(A, conn))
+
+
+def bent_involutions(A: AL.AlgebroidData) -> list[PolyMap]:
+    """Base-preserving maps of flat L(A) that are not bilinear involutions:
+    the plain transposition of u and v, and one with terms of degree 0, 1
+    and 3 in the fibers of its w block."""
+    d, r = A.base_dim, A.rank
+    n = d + 3 * r
+    x, u, v, w = (list(PolyMap.selection(n, range(start, start + size)).components)
+                  for start, size in ((0, d), (d, r), (d + r, r), (d + 2 * r, r)))
+    transposition = PolyMap(n, n, x + v + u + w)
+    extra = u[0] * u[0] * v[-1] + w[0] * Fraction(1, 2) + 3
+    if d:
+        extra = extra + x[0] * v[0] - x[-1] * x[-1]
+    bent = PolyMap(n, n, x + v + [u[0] + v[0] * v[0]] + u[1:] + [w[0] + extra] + w[1:])
+    return [transposition, bent]
+
+
+def test_bracket_recovery_without_a_connection_is_the_trivial_transport():
+    seen_broken = False
+    for A in transport_instances():
+        trivial = BD.trivial_connection(A.bundle)
+        sigma = AL.involution_from_bracket(A)
+        # The canonical σ gives back A's tensor, alternating or not.
+        assert_same_tensor(AL.bracket_from_involution(A, sigma), A.bracket)
+        seen_broken |= not AL.check_structure_equations(A).passed
+        for s in [sigma] + bent_involutions(A):
+            assert_same_tensor(AL.bracket_from_involution(A, s),
+                               AL.bracket_from_involution(A, s, trivial))
+    assert seen_broken
+    # A nontrivial connection recovers the same tensor from the canonical σ.
+    for bracket in ("0", "x1 + 1"):
+        A = AL.make_algebroid(1, 1, [["x1"]], [[[bracket]]])
+        assert_same_tensor(AL.bracket_from_involution(A, AL.involution_from_bracket(A)),
+                           AL.bracket_from_involution(A, AL.involution_from_bracket(A),
+                                                      line_connection()))
+
+
+def test_an_explicit_connection_goes_through_the_transport(monkeypatch):
+    """Without a connection neither function builds hat or bar; with one,
+    the trivial one included, both do: that path is the shortcut's oracle."""
+    calls = []
+    for name in ("hat_map", "bar_map"):
+        def traced(A, conn=None, _inner=getattr(AL, name), _name=name):
+            calls.append((_name, conn is not None))
+            return _inner(A, conn)
+        monkeypatch.setattr(AL, name, traced)
+    A = ST.so3()
+    sigma = AL.involution_from_bracket(A)
+    AL.bracket_from_involution(A, sigma)
+    assert calls == []
+    trivial = BD.trivial_connection(A.bundle)
+    AL.involution_from_bracket(A, trivial)
+    AL.bracket_from_involution(A, sigma, trivial)
+    assert sorted(calls) == [("bar_map", True)] * 2 + [("hat_map", True)] * 2
+
+
+def test_a_bent_involution_reads_the_connection():
+    """On the line bundle with ρ = x1, the bent σ(x; u, v, w) = (x; v, u + v²,
+    w + u²v + w/2 + 3 + xv − x²) gives C = σ_w(x; 1, 1, 0) = −x² + x + 4
+    without a connection.  Through the line connection, hat adds 2x²uv to w
+    and bar takes it off: ∇̂(x; 1, 1) = (x; 1, 1, −2x²), σ sends it to
+    (x; 1, 2, −4x² + x + 4), and κ̂ adds 2x²·1·2, so C = x + 4."""
+    A = AL.make_algebroid(1, 1, [["x1"]], [[["x1 + 1"]]])
+    _, bent = bent_involutions(A)
+    assert str(AL.bracket_from_involution(A, bent)[0][0][0]) == "-x1^2 + x1 + 4"
+    assert str(AL.bracket_from_involution(A, bent, line_connection())[0][0][0]) == "x1 + 4"
+
+
+# -- renames through 0, 1 and the variables -----------------------------------------
+
+
+@st.composite
+def unit_arguments(draw, n_vars: int, count: int) -> list[Polynomial]:
+    """`count` arguments, each 0, 1 or a variable x_j of Q^n_vars."""
+    choices = [Polynomial.zero(n_vars), Polynomial.const(n_vars, 1)]
+    choices += [Polynomial.var(n_vars, j + 1) for j in range(n_vars)]
+    return draw(st.lists(st.sampled_from(choices), min_size=count, max_size=count))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_renames_through_zero_one_and_variables_match_the_generic_path(data):
+    mid = data.draw(st.integers(1, 4))
+    # src 0: every argument is 0 or 1, and the result is a constant.
+    src = data.draw(st.integers(0, 3))
+    g = data.draw(shared_maps(mid, data.draw(st.integers(1, 4))))
+    args = data.draw(unit_arguments(src, mid))
+    images = _selection_images(args)
+    one = Polynomial.const(src, 1)
+    assert images is not None
+    assert [key == 0 for key in images] == [a == one for a in args]
+    got = PolyMap(src, g.tgt_dim, _substitute(g.components, args, src, images))
+    assert_same_map(got, PolyMap(src, g.tgt_dim, _substitute(g.components, args, src, None)))
+    assert_same_map(got, PolyMap(src, g.tgt_dim, [reference_substitute(c, args, src)
+                                                  for c in g.components]))
+    assert_same_map(compose_maps(g, PolyMap(src, mid, args)), got)
+
+
+@pytest.mark.parametrize("outer, inner, expected", [
+    ("x1 + 1", ["1"], "2"),
+    ("x1 - 1", ["1"], "0"),
+    ("1/2*x1 + 1/2", ["1"], "1"),
+    ("x1*x2 + x1 - x2^3", ["1", "x1"], "-x1^3 + x1 + 1"),
+    ("x1^2*x2 + x2 - 2*x1*x2", ["1", "x1"], "0"),
+    ("x1*x3 + x2*x3 + 2/3*x3", ["1", "1", "x1"], "8/3*x1"),
+])
+def test_renames_to_one_merge_and_cancel(outer, inner, expected):
+    g = PolyMap.from_strings(len(inner), [outer])
+    f = PolyMap.from_strings(1, inner)
+    assert f.selection_images() is not None
+    assert_same_map(compose_maps(g, f), PolyMap.from_strings(1, [expected]))
+    assert str(g.components[0].substitute(list(f.components))) == expected
 
 
 def reference_lie_layout_iso(A: AL.AlgebroidData) -> PolyMap:

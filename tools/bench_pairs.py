@@ -10,15 +10,20 @@ worse than the metric's bound in `BENCHMARK.json` (read, never written):
       --workload cdc --pairs 10 --seconds 30 \\
       --parent-out BENCH_parent.json --change-out BENCH_change.json
 
-  python3 tools/bench_pairs.py --summarize --workload cdc \\
+  python3 tools/bench_pairs.py --summarize --workload cdc,selftest \\
       --parent-out BENCH_parent.json --change-out BENCH_change.json
+
+`--workload` takes a comma-separated list: each pair runs every workload in
+turn, both sides of one workload back to back, and the tool prints one table
+per workload; the exit status is 1 if any workload fails a bound check.
 
 The claim rule: the change wins at least 9 of every 10 pairs, and its median
 is better than the parent's by more than the parent's interquartile range.
 The k-th run of a workload in one file is paired with the k-th in the other,
 so start from empty results files.  The side that runs first alternates
 from pair to pair.  Compare checkouts in the same bytecode state: a stale
-`__pycache__` changes what an import costs.  Standard library only.
+`__pycache__` changes what an import costs, so the tool warns when only one
+checkout has `src/tancat/__pycache__`.  Standard library only.
 """
 
 from __future__ import annotations
@@ -119,11 +124,21 @@ def run_side(checkout: Path, out: Path, workload: str, seconds: float) -> None:
     print(f"    {checkout}: wall_s {wall}", flush=True)
 
 
+def bytecode_warning(parent: Path, change: Path) -> str | None:
+    """A warning when exactly one checkout has compiled bytecode of the package."""
+    cached = [side for side in (parent, change) if (side / "src/tancat/__pycache__").is_dir()]
+    if len(cached) != 1:
+        return None
+    return (f"warning: only {cached[0]} has src/tancat/__pycache__; the checkouts "
+            "are in different bytecode states, so imports cost differently")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload, or a comma-separated list of workloads")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--parent-out", type=Path, required=True)
@@ -131,17 +146,27 @@ def main(argv=None) -> int:
     parser.add_argument("--summarize", action="store_true",
                         help="only print the table for the runs already recorded")
     args = parser.parse_args(argv)
+    workloads = [name for name in args.workload.split(",") if name]
+    if not workloads:
+        parser.error("--workload names no workload")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parent_out, change_out = args.parent_out.resolve(), args.change_out.resolve()
     if not args.summarize:
         if args.parent is None or args.change is None:
             parser.error("--parent and --change are required unless --summarize")
         sides = [(args.parent.resolve(), parent_out), (args.change.resolve(), change_out)]
+        warning = bytecode_warning(sides[0][0], sides[1][0])
+        if warning:
+            print(warning, file=sys.stderr, flush=True)
         for i in range(args.pairs):
             print(f"  pair {i + 1}/{args.pairs}", flush=True)
-            for checkout, out in sides if i % 2 == 0 else sides[::-1]:
-                run_side(checkout, out, args.workload, args.seconds)
-    return summarize(parent_out, change_out, args.workload, spec)
+            for workload in workloads:
+                for checkout, out in sides if i % 2 == 0 else sides[::-1]:
+                    run_side(checkout, out, workload, args.seconds)
+    status = 0
+    for workload in workloads:
+        status |= summarize(parent_out, change_out, workload, spec)
+    return status
 
 
 if __name__ == "__main__":
