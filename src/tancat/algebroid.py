@@ -8,7 +8,11 @@ axioms (i)–(v), and the equivalence between the two viewpoints is exercised
 in the test suite.
 
 Flat coordinates: the first prolongation L(A) is (x; u, v, w) with embedding
-(x, u; x, v, ρ(x)u, w) into A ×_ϱ,Tπ TA.  Hat coordinates (the A₃
+(x, u; x, v, ρ(x)u, w) into A ×_ϱ,Tπ TA.  Coordinates are the block
+variables of the flat spaces (`block_vars`): (x, u) of A = A.W, (x, u, v) of
+A₂ = A.W2 and (x; u, v, w) of L(A) = A.(W⊗W); on the base Q^d they are the
+identity's components.  Only `derived_brackets` writes its own, since
+TM ×_M A is not a prolongation of A.  Hat coordinates (the A₃
 presentation through a connection) are (π₀, p∘π₁, κ∘π₁); with the trivial
 connection they coincide with the flat ones, and the canonical involution is
 σ̂(x; u, v, w) = (x; v, u, w + C(x)(u, v)).
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
 from . import bundle as bundle_mod
 from . import weil
@@ -26,7 +31,7 @@ from .flatspace import (AnchoredShape, Prolongation, join_at, prolongation,
 from .poly import PolyMap, Polynomial, compose_maps, parse_poly
 from .report import CheckReport
 from .tangent import structure_nat, weil_prolong
-from .weil import NAT, W, WW, WeilAlgebra
+from .weil import NAT, W, W2, WW, WeilAlgebra
 
 L2_ALGEBRA = WeilAlgebra((1, 1, 1))
 
@@ -61,11 +66,9 @@ class AlgebroidData:
 
     def anchor_map(self) -> PolyMap:
         """ϱ: A -> TM, (x, u) -> (x, ρ(x)·u)."""
-        d, r = self.base_dim, self.rank
-        n = d + r
-        x = [Polynomial.var(n, i + 1) for i in range(d)]
-        u = [Polynomial.var(n, d + a + 1) for a in range(r)]
-        return PolyMap(n, 2 * d, x + self.shape.anchor_fiber(x, u))
+        x, u = block_vars(self, W)
+        return PolyMap(self.base_dim + self.rank, 2 * self.base_dim,
+                       x + self.shape.anchor_fiber(x, u))
 
     def bracket_fiber(self, x: list[Polynomial], u: list[Polynomial],
                       v: list[Polynomial]) -> list[Polynomial]:
@@ -85,11 +88,8 @@ class AlgebroidData:
     def bracket_map(self) -> PolyMap:
         """⟨-,-⟩: A₂ -> A on flat (x, u, v)."""
         d, r = self.base_dim, self.rank
-        n = d + 2 * r
-        x = [Polynomial.var(n, i + 1) for i in range(d)]
-        u = [Polynomial.var(n, d + a + 1) for a in range(r)]
-        v = [Polynomial.var(n, d + r + a + 1) for a in range(r)]
-        return PolyMap(n, d + r, x + self.bracket_fiber(x, u, v))
+        x, u, v = block_vars(self, W2)
+        return PolyMap(d + 2 * r, d + r, x + self.bracket_fiber(x, u, v))
 
     def __str__(self) -> str:
         return f"algebroid(d={self.base_dim}, r={self.rank})"
@@ -124,6 +124,14 @@ def prolongation_space(A: AlgebroidData, level: str) -> Prolongation:
     raise ValueError("level must be 'L' or 'L2' (general algebras live in nerve)")
 
 
+def block_vars(A: AlgebroidData, V: WeilAlgebra) -> list[list[Polynomial]]:
+    """The variables of each block of A.V, in block order: (x, u) on A.W,
+    (x, u, v) on A₂ = A.W2 and (x; u, v, w) on L(A) = A.(W⊗W)."""
+    space = prolongation(A.shape, V)
+    xs = PolyMap.identity(space.dim).components
+    return [[xs[j] for j in space.indices_of(b.label)] for b in space.blocks]
+
+
 # -- hat/bar transport through a connection ------------------------------------
 
 
@@ -146,10 +154,7 @@ def bar_map(A: AlgebroidData, conn: bundle_mod.Connection | None = None) -> Poly
     conn = conn or bundle_mod.trivial_connection(A.bundle)
     d, r = A.base_dim, A.rank
     n = d + 3 * r
-    x = [Polynomial.var(n, i + 1) for i in range(d)]
-    u = [Polynomial.var(n, d + a + 1) for a in range(r)]
-    v = [Polynomial.var(n, d + r + a + 1) for a in range(r)]
-    w = [Polynomial.var(n, d + 2 * r + a + 1) for a in range(r)]
+    x, u, v, w = block_vars(A, WW)
     # Correction: the κ-fiber of (x, v, ρ(x)u, 0).
     kappa_fib = PolyMap(2 * (d + r), r, list(conn.kappa.components[d:]))
     rho_u = A.shape.anchor_fiber(x, u)
@@ -161,12 +166,8 @@ def bar_map(A: AlgebroidData, conn: bundle_mod.Connection | None = None) -> Poly
 
 def sigma_hat(A: AlgebroidData) -> PolyMap:
     """σ̂(x; u, v, w) = (x; v, u, w + C(x)(u, v)) on hat coordinates."""
-    d, r = A.base_dim, A.rank
-    n = d + 3 * r
-    x = [Polynomial.var(n, i + 1) for i in range(d)]
-    u = [Polynomial.var(n, d + a + 1) for a in range(r)]
-    v = [Polynomial.var(n, d + r + a + 1) for a in range(r)]
-    w = [Polynomial.var(n, d + 2 * r + a + 1) for a in range(r)]
+    n = A.base_dim + 3 * A.rank
+    x, u, v, w = block_vars(A, WW)
     cw = A.bracket_fiber(x, u, v)
     return PolyMap(n, n, x + v + u + [a + b for a, b in zip(w, cw)])
 
@@ -209,9 +210,7 @@ def bracket_from_involution(A: AlgebroidData, sigma: PolyMap,
     else:
         bar = bar_map(A, conn)
         hat = hat_map(A, conn)
-        x = [Polynomial.var(n, i + 1) for i in range(d)]
-        u = [Polynomial.var(n, d + a + 1) for a in range(r)]
-        v = [Polynomial.var(n, d + r + a + 1) for a in range(r)]
+        x, u, v = block_vars(A, W2)
         zero = [Polynomial.zero(n)] * r
         nabla_hat = compose_maps(bar, PolyMap(n, d + 3 * r, x + u + v + zero))
         def kappa_hat_fiber(m: PolyMap) -> list[Polynomial]:
@@ -221,7 +220,7 @@ def bracket_from_involution(A: AlgebroidData, sigma: PolyMap,
         c_map = PolyMap(n, r, [a - b for a, b in zip(with_sigma, without)])
     # Extract coefficients: compose with the unit fiber vectors (x; e_a, e_b),
     # a rename of c_map's keys (see `_selection_images`).
-    x = [Polynomial.var(d, i + 1) for i in range(d)]
+    x = list(PolyMap.identity(d).components)
     units = [[Polynomial.const(d, 1 if t == a else 0) for t in range(r)]
              for a in range(r)]
     return tuple(
@@ -252,14 +251,14 @@ def check_structure_equations(A: AlgebroidData) -> CheckReport:
     with the cyclic term K(p1,p2,p3,ν) = X_{p1}(C[p2][p3][ν]) +
     Σ_μ C[p2][p3][μ]·C[p1][μ][ν].  Each X_a(ρ[i][b]), each cyclic term and
     each Bianchi sum is computed once per call, and every sum runs over
-    nonzero factors only.  When the alternating verdict passed, K is
-    antisymmetric in (p2, p3), so the Bianchi sum is alternating in
-    (α,β,γ): it is 0 when an index repeats and otherwise the sum of the
-    sorted triple times the sign of the permutation, so only the 3·C(r,3)
-    cyclic terms of sorted triples are built per ν.  Otherwise the three
-    rotations of (α,β,γ) share their terms and their sum.  The loops and
-    their early exits are those of the plain triple loop, so a failure
-    reports the same witness.
+    nonzero factors only.  Each verdict stops at its first failing cell in
+    the loop order of the plain triple loop and names that cell as its
+    witness.  When the alternating verdict passed, K is antisymmetric in
+    (p2, p3), so the Bianchi sum is alternating in (α,β,γ): it is 0 when an
+    index repeats, and a permutation fails exactly when its sorted triple
+    does, which the loop meets first.  So only sorted triples are summed,
+    3·C(r,3) cyclic terms per ν.  Otherwise the three rotations of (α,β,γ)
+    share their terms and their sum.
     """
     report = CheckReport(f"structure equations for {A}")
     d, r = A.base_dim, A.rank
@@ -267,14 +266,12 @@ def check_structure_equations(A: AlgebroidData) -> CheckReport:
     rho = A.rho
 
     alternating, witness = True, None
-    for a in range(r):
-        for b in range(r):
-            for g in range(r):
-                diff = C[a][b][g] + C[b][a][g]
-                if not diff.is_zero():
-                    alternating, witness = False, \
-                        f"C[{a}][{b}][{g}] + C[{b}][{a}][{g}] = {diff}"
-                    break
+    for a, b, g in product(range(r), repeat=3):
+        diff = C[a][b][g] + C[b][a][g]
+        if not diff.is_zero():
+            alternating, witness = False, \
+                f"C[{a}][{b}][{g}] + C[{b}][{a}][{g}] = {diff}"
+            break
     report.add("alternating", alternating, witness)
 
     # The nonzero anchor entries of each fiber direction a: (j + 1, ρ[j][a]).
@@ -300,17 +297,15 @@ def check_structure_equations(A: AlgebroidData) -> CheckReport:
         return value
 
     ok, witness = True, None
-    for i in range(d):
-        for a in range(r):
-            for b in range(r):
-                bracket_terms = [rho[i][g] * C[a][b][g] for g in range(r)
-                                 if not (rho[i][g].is_zero() or C[a][b][g].is_zero())]
-                diff = field_of_anchor(a, i, b) - _total(
-                    [field_of_anchor(b, i, a)] + bracket_terms, d)
-                if not diff.is_zero():
-                    ok, witness = False, \
-                        f"Leibniz fails at i={i}, α={a}, β={b}: difference {diff}"
-                    break
+    for i, a, b in product(range(d), range(r), range(r)):
+        bracket_terms = [rho[i][g] * C[a][b][g] for g in range(r)
+                         if not (rho[i][g].is_zero() or C[a][b][g].is_zero())]
+        diff = field_of_anchor(a, i, b) - _total(
+            [field_of_anchor(b, i, a)] + bracket_terms, d)
+        if not diff.is_zero():
+            ok, witness = False, \
+                f"Leibniz fails at i={i}, α={a}, β={b}: difference {diff}"
+            break
     report.add("Leibniz", ok, witness)
 
     cyclic: dict[tuple[int, int, int, int], Polynomial] = {}
@@ -327,20 +322,11 @@ def check_structure_equations(A: AlgebroidData) -> CheckReport:
             value = cyclic[key] = _total(terms, d)
         return value
 
-    # Each sum is kept under the sorted triple (alternating C) or under the
-    # lexicographically least rotation of (α,β,γ) (any C).
+    # Each sum is kept under the lexicographically least rotation of (α,β,γ).
     sums: dict[tuple[int, int, int, int], Polynomial] = {}
-    zero = Polynomial.zero(d)
 
     def bianchi_sum(a: int, b: int, g: int, nu: int) -> Polynomial:
-        odd = False
-        if alternating:
-            if a == b or b == g or a == g:
-                return zero
-            key = (*sorted((a, b, g)), nu)
-            odd = ((a > b) + (a > g) + (b > g)) % 2
-        else:
-            key = min((a, b, g), (b, g, a), (g, a, b)) + (nu,)
+        key = min((a, b, g), (b, g, a), (g, a, b)) + (nu,)
         value = sums.get(key)
         if value is None:
             p1, p2, p3, _ = key
@@ -348,18 +334,16 @@ def check_structure_equations(A: AlgebroidData) -> CheckReport:
                                                     cyclic_term(p2, p3, p1, nu),
                                                     cyclic_term(p3, p1, p2, nu))
                                         if not k.is_zero()], d)
-        return -value if odd else value
+        return value
 
+    triples = combinations(range(r), 3) if alternating else product(range(r), repeat=3)
     ok, witness = True, None
-    for nu in range(r):
-        for a in range(r):
-            for b in range(r):
-                for g in range(r):
-                    total = bianchi_sum(a, b, g, nu)
-                    if not total.is_zero():
-                        ok, witness = False, \
-                            f"Bianchi fails at ν={nu}, (α,β,γ)=({a},{b},{g}): {total}"
-                        break
+    for nu, (a, b, g) in product(range(r), triples):
+        total = bianchi_sum(a, b, g, nu)
+        if not total.is_zero():
+            ok, witness = False, \
+                f"Bianchi fails at ν={nu}, (α,β,γ)=({a},{b},{g}): {total}"
+            break
     report.add("Bianchi", ok, witness)
     return report
 
@@ -377,10 +361,7 @@ def lift_pullback_bundle(A: AlgebroidData) -> PolyMap:
     d, r = A.base_dim, A.rank
     n = d + 3 * r
     zero = [Polynomial.zero(n)] * r
-    x = [Polynomial.var(n, i + 1) for i in range(d)]
-    u = [Polynomial.var(n, d + a + 1) for a in range(r)]
-    v = [Polynomial.var(n, d + r + a + 1) for a in range(r)]
-    w = [Polynomial.var(n, d + 2 * r + a + 1) for a in range(r)]
+    x, u, v, w = block_vars(A, WW)
     zd = [Polynomial.zero(n)] * d
     return PolyMap(n, 2 * n, x + u + zero + zero + zd + zero + v + w)
 
@@ -390,10 +371,7 @@ def lift_prolongation_bundle(A: AlgebroidData) -> PolyMap:
     d, r = A.base_dim, A.rank
     n = d + 3 * r
     zero = [Polynomial.zero(n)] * r
-    x = [Polynomial.var(n, i + 1) for i in range(d)]
-    u = [Polynomial.var(n, d + a + 1) for a in range(r)]
-    v = [Polynomial.var(n, d + r + a + 1) for a in range(r)]
-    w = [Polynomial.var(n, d + 2 * r + a + 1) for a in range(r)]
+    x, u, v, w = block_vars(A, WW)
     zd = [Polynomial.zero(n)] * d
     return PolyMap(n, 2 * n, x + zero + v + zero + zd + u + zero + w)
 
@@ -523,7 +501,7 @@ def derived_brackets(A: AlgebroidData,
 def _section_to_l(A: AlgebroidData, X: PolyMap, Y: PolyMap) -> PolyMap:
     """(id, T.Y∘ϱ)∘X : M -> L(A) in flat coordinates."""
     d, r = A.base_dim, A.rank
-    x = [Polynomial.var(d, i + 1) for i in range(d)]
+    x = list(PolyMap.identity(d).components)
     xf = list(X.components)
     rho_x = A.shape.anchor_fiber(x, xf)
     dy = []
@@ -566,7 +544,7 @@ def _section_bracket(A: AlgebroidData, sigma: PolyMap, X: PolyMap, Y: PolyMap) -
 def section_bracket_coordinates(A: AlgebroidData, X: PolyMap, Y: PolyMap) -> PolyMap:
     """The coordinate formula ρX·∂Y − ρY·∂X + C(X,Y), used as an oracle."""
     d, r = A.base_dim, A.rank
-    x = [Polynomial.var(d, i + 1) for i in range(d)]
+    x = list(PolyMap.identity(d).components)
     rho_x = A.shape.anchor_fiber(x, list(X.components))
     rho_y = A.shape.anchor_fiber(x, list(Y.components))
     comps = []
@@ -587,7 +565,7 @@ def scalar_action_on_section(f: Polynomial, X: PolyMap) -> PolyMap:
 def anchor_derivation(A: AlgebroidData, X: PolyMap, f: Polynomial) -> Polynomial:
     """[X, f] = p̂∘T.f∘ϱ∘X = directional derivative of f along ρ·X."""
     d = A.base_dim
-    x = [Polynomial.var(d, i + 1) for i in range(d)]
+    x = list(PolyMap.identity(d).components)
     rho_x = A.shape.anchor_fiber(x, list(X.components))
     acc = Polynomial.zero(d)
     for j in range(d):
@@ -654,8 +632,7 @@ def check_morphism(A: AlgebroidData, B: AlgebroidData, fiber, base_map: PolyMap,
     conn_b = conn_b or bundle_mod.trivial_connection(B.bundle)
 
     n = dA + rA
-    x = [Polynomial.var(n, i + 1) for i in range(dA)]
-    u = [Polynomial.var(n, dA + a + 1) for a in range(rA)]
+    x, u = block_vars(A, W)
 
     def f_fiber(xs, us):
         amb = xs[0].n_vars if xs else us[0].n_vars
@@ -679,9 +656,7 @@ def check_morphism(A: AlgebroidData, B: AlgebroidData, fiber, base_map: PolyMap,
 
     # Bracket condition in the two-section space (x; u, v).
     m = dA + 2 * rA
-    xs = [Polynomial.var(m, i + 1) for i in range(dA)]
-    us = [Polynomial.var(m, dA + a + 1) for a in range(rA)]
-    vs = [Polynomial.var(m, dA + rA + a + 1) for a in range(rA)]
+    xs, us, vs = block_vars(A, W2)
 
     t_f = weil_prolong(W, full_f)
     kappa_b_fib = PolyMap(2 * (dB + rB), rB, list(conn_b.kappa.components[dB:]))

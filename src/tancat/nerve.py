@@ -10,6 +10,12 @@ exactly equal PolyMaps.
 `lie_tangent` builds the prolongation tangent structure: the algebroid
 L'(A) on base A with rank 2r, anchor π₁ and involution σ×c, with the
 structure-map table verified coordinatewise.
+
+Flat coordinates are read only through `Prolongation` block labels and the
+span legs.  The p-pullback certificate assembles its inverse with `join_at`
+and pins the slots that `indices_of` names.  L'(A).U is the shifted nerve
+A.(U⊗W) through `shift_iso`, the permutation that puts blocks (μ, 0) and
+(μ, 1) of A.(U⊗W) at block μ of L'(A).U.
 """
 
 from __future__ import annotations
@@ -17,11 +23,11 @@ from __future__ import annotations
 import random
 
 from . import weil, wterm
-from .algebroid import (L2_ALGEBRA, AlgebroidData, bracket_from_involution,
+from .algebroid import (AlgebroidData, block_vars, bracket_from_involution,
                         check_structure_equations, involution_from_bracket,
                         lift_prolongation_bundle, make_algebroid,
                         prolongation_space)
-from .flatspace import (AnchoredShape, Prolongation, head_generator,
+from .flatspace import (AnchoredShape, Prolongation, head_generator, join_at,
                         pair_action, prolongation, tensor_action,
                         whiskered_generator)
 from .poly import PolyMap, Polynomial, compose_maps
@@ -151,8 +157,9 @@ def check_cartesian_p(A: AlgebroidData) -> CheckReport:
     """The α-naturality squares for p at V ∈ {N, W, W⊗W} are pullbacks.
 
     The comparison A.(W⊗W⊗V) -> A.(W⊗V) ×_{T(A.V)} T(A.(W⊗V)) is certified
-    by an explicitly constructed inverse (a block selection), with both round
-    trips verified as exact polynomial identities.  Redundant naturality
+    by an explicitly constructed inverse, the span assembly (`join_at`) of
+    the head of s with t, with both round trips verified as exact polynomial
+    identities on a parametrisation of the pullback.  Redundant naturality
     assertions for 0, +, ℓ, c at V = N are included.
     """
     report = CheckReport(f"p-cartesian naturality for {A}")
@@ -168,54 +175,28 @@ def check_cartesian_p(A: AlgebroidData) -> CheckReport:
         # Naturality square.
         report.check(f"square commutes at V={V}",
                      compose_maps(alpha_v, p_wv) - compose_maps(t_p_v, alpha_mid))
-        # Comparison into the pullback.
+        # Comparison into the pullback of s ∈ A.(W⊗V) and t ∈ T(A.(W⊗V)).
         comparison = PolyMap.pairing([p_wv, alpha_mid])
-        total = mid.dim + 2 * mid.dim
-        s_proj = PolyMap.projection(total, 0, mid.dim)
-        t_proj = PolyMap.projection(total, mid.dim, 2 * mid.dim)
-        # Candidate inverse: select each A.WWV block out of (s, t).
-        comps: list[Polynomial] = []
-        for block in big.blocks:
-            h1, h2, nu = block.label[0], block.label[1], block.label[2:]
-            if h2 == 0:
-                # These blocks survive into s = A.(W⊗p⊗V)(z).
-                src = mid.block((h1,) + nu)
-                base = src.offset
-                comps.extend(Polynomial.var(total, base + i + 1)
-                             for i in range(block.size))
-            else:
-                # Blocks with h2 = 1 live inside t = α(z): copy h1 of T(A.WV).
-                src = mid.block((h2,) + nu)
-                base = mid.dim * h1 + src.offset + mid.dim
-                comps.extend(Polynomial.var(total, base + i + 1)
-                             for i in range(block.size))
-        inverse = PolyMap(total, big.dim, comps)
+        total = 3 * mid.dim
+        s = PolyMap.projection(total, 0, mid.dim)
+        t = PolyMap.projection(total, mid.dim, 2 * mid.dim)
+        # Candidate inverse: the span assembly of the head of s with t.
+        inverse = join_at(shape, W, W.tensor(V), compose_maps(mid.proj0, s), t)
         report.check(f"inverse ∘ comparison = id at V={V}",
                      compose_maps(inverse, comparison) - PolyMap.identity(big.dim))
-        # Parameterize the pullback: s free, t's unselected blocks free; the
-        # constraint α_V(s) = T(A.(p⊗V))(t) pins t's selected blocks.
-        free_t = [b for b in mid.blocks if b.label[0] != 0]
-        free_size = sum(b.size for b in free_t)
-        n_params = mid.dim + 2 * free_size
-        sp = [Polynomial.var(n_params, i + 1) for i in range(mid.dim)]
-        alpha_s = compose_maps(alpha_v, PolyMap(n_params, mid.dim, sp))
-        t_comps: list[Polynomial] = [None] * (2 * mid.dim)  # type: ignore[list-item]
-        # Selected blocks of t (labels with head 0, in both halves) copy α(s).
+        # Parameterize the pullback: s free; in both copies of t the slots
+        # that T(A.(p⊗V)) reads are pinned to α_V(s), the others are free.
         small = prolongation(shape, V)
-        for half in (0, 1):
-            for bl in small.blocks:
-                tgt = mid.block((0,) + bl.label)
-                for i in range(tgt.size):
-                    t_comps[half * mid.dim + tgt.offset + i] = \
-                        alpha_s.components[half * small.dim + bl.offset + i]
-        cursor = mid.dim
-        for half in (0, 1):
-            for bl in free_t:
-                for i in range(bl.size):
-                    t_comps[half * mid.dim + bl.offset + i] = \
-                        Polynomial.var(n_params, cursor + i + 1)
-                cursor += bl.size
-        iota = PolyMap(n_params, total, sp + t_comps)
+        # reads[j]: the A.V coordinate that A.(p⊗V) copies A.(W⊗V)'s j to.
+        reads = {j: i for i, j in enumerate(
+            j for b in small.blocks for j in mid.indices_of((0,) + b.label))}
+        n_params = mid.dim + 2 * (mid.dim - small.dim)
+        s_params = PolyMap.projection(n_params, 0, mid.dim)
+        alpha_s = compose_maps(alpha_v, s_params).components
+        free = iter(PolyMap.identity(n_params).components[mid.dim:])
+        t_params = [alpha_s[half * small.dim + reads[j]] if j in reads else next(free)
+                    for half in (0, 1) for j in range(mid.dim)]
+        iota = PolyMap(n_params, total, list(s_params.components) + t_params)
         # Constraint satisfied by construction; verify the second round trip.
         section = compose_maps(comparison, compose_maps(inverse, iota))
         report.check(f"comparison ∘ inverse = id on the pullback at V={V}",
@@ -253,29 +234,28 @@ def _lie_anchor(A: AlgebroidData):
     return tuple(rows)
 
 
-def _lie_layout_sources(A: AlgebroidData) -> list[int]:
-    """The L(L'(A))-flat coordinate behind each L²(A)-flat coordinate.
+def _shift_labels(A: AlgebroidData, U: WeilAlgebra) -> list[tuple[int, ...]]:
+    """The A.(U⊗W) blocks behind L'(A).U, in its coordinate order.
 
-    L'(A) has base (x, v_c) and fiber (u_a, u_ac); its first prolongation has
-    blocks (x'; u', v', w') of sizes (d+r; 2r, 2r, 2r), matching the seven
-    r-blocks of A.(W⊗W⊗W) as x→x, v_c→c, u_a→a, u_ac→ac, v_b→b, v_bc→bc,
-    w_ab→ab, w_abc→abc.
+    Block μ of L'(A).U is block (μ, 0) of A.(U⊗W) followed by (μ, 1): the
+    unit block (x, v_c) is x then c, a fiber block (u_μ, u_μc) is μ then μc.
     """
-    d, r = A.base_dim, A.rank
-    # Source layout (L(L'(A)) flat): x(d), v_c(r) | u_a, u_ac | v_b, v_bc | w_ab, w_abc
-    offsets = {
-        (0, 0, 0): 0, (0, 0, 1): d, (1, 0, 0): d + r, (1, 0, 1): d + 2 * r,
-        (0, 1, 0): d + 3 * r, (0, 1, 1): d + 4 * r, (1, 1, 0): d + 5 * r,
-        (1, 1, 1): d + 6 * r,
-    }
-    big = prolongation(A.shape, L2_ALGEBRA)
-    return [offsets[block.label] + i for block in big.blocks for i in range(block.size)]
+    return [b.label + (e,) for b in prolongation(A.shape, U).blocks for e in (0, 1)]
 
 
-def lie_layout_iso(A: AlgebroidData) -> PolyMap:
-    """L(L'(A))-flat -> L²(A)-flat, the canonical block identification."""
-    sources = _lie_layout_sources(A)
-    return PolyMap.selection(len(sources), sources)
+def shift_iso(A: AlgebroidData, U: WeilAlgebra) -> PolyMap:
+    """ι_U: L'(A).U-flat -> A.(U⊗W)-flat, the inverse permutation of
+    `shift_iso_inverse`."""
+    big = prolongation(A.shape, U.tensor(W))
+    sources = [0] * big.dim
+    for k, j in enumerate(j for label in _shift_labels(A, U) for j in big.indices_of(label)):
+        sources[j] = k
+    return PolyMap.selection(big.dim, sources)
+
+
+def shift_iso_inverse(A: AlgebroidData, U: WeilAlgebra) -> PolyMap:
+    """A.(U⊗W)-flat -> L'(A).U-flat, the selection of `_shift_labels`."""
+    return prolongation(A.shape, U.tensor(W)).select(_shift_labels(A, U))
 
 
 def lie_tangent(A: AlgebroidData) -> AlgebroidData:
@@ -298,20 +278,10 @@ def lie_tangent(A: AlgebroidData) -> AlgebroidData:
     d, r = A.base_dim, A.rank
     prime = make_algebroid(d + r, 2 * r, _lie_anchor(A),
                            [[[Polynomial.zero(d + r)] * (2 * r)] * (2 * r)] * (2 * r))
-    iso = lie_layout_iso(A)
-    iso_inv = lie_layout_iso_inverse(A)
-    sigma_prime = compose_maps(iso_inv, compose_maps(sigma_prime_l2, iso))
+    sigma_prime = compose_maps(shift_iso_inverse(A, WW),
+                               compose_maps(sigma_prime_l2, shift_iso(A, WW)))
     c_prime = bracket_from_involution(prime, sigma_prime)
     return AlgebroidData(d + r, 2 * r, _lie_anchor(A), c_prime)
-
-
-def lie_layout_iso_inverse(A: AlgebroidData) -> PolyMap:
-    """L²(A)-flat -> L(L'(A))-flat: the inverse permutation of `lie_layout_iso`."""
-    sources = _lie_layout_sources(A)
-    inverse = [0] * len(sources)
-    for k, j in enumerate(sources):
-        inverse[j] = k
-    return PolyMap.selection(len(sources), inverse)
 
 
 def _sigma_prime(A: AlgebroidData) -> PolyMap:
@@ -334,19 +304,15 @@ def _check_lie_table(A: AlgebroidData, sigma_prime: PolyMap) -> CheckReport:
 
     # π' = p∘π₁: the nerve map A.(p⊗W) equals base-of-proj1.
     pi_prime = whiskered_generator(shape, "p", NAT, W)
-    p_pi1 = PolyMap(n, d + r,
-                    list(space.proj1.components[:d])
-                    + list(space.proj1.components[d:d + r]))
+    p_pi1 = PolyMap(n, d + r, space.proj1.components[:d + r])
     report.check("π' = p∘π₁", pi_prime - p_pi1)
 
     # ξ' = (ξ∘π, 0): A.(0⊗W) sends (x, v) to (x; 0, v, 0).
     xi_prime = whiskered_generator(shape, "zero", NAT, W)
-    m = d + r
-    x = [Polynomial.var(m, i + 1) for i in range(d)]
-    v = [Polynomial.var(m, d + a + 1) for a in range(r)]
-    zero = [Polynomial.zero(m)] * r
+    x, v = block_vars(A, W)
+    zero = [Polynomial.zero(d + r)] * r
     report.check("ξ' = (ξ∘π, 0)",
-                 xi_prime - PolyMap(m, n, x + zero + v + zero))
+                 xi_prime - PolyMap(d + r, n, x + zero + v + zero))
 
     # λ' = λ×ℓ: legs T.π₀∘λ' = λ∘π₀ and T.π₁∘λ' = ℓ∘π₁.
     lam_prime = lift_prolongation_bundle(A)
@@ -363,10 +329,7 @@ def _check_lie_table(A: AlgebroidData, sigma_prime: PolyMap) -> CheckReport:
 
     # ϱ' = π₁ is proj1 by construction; record the anchor-matrix reading.
     prime_rho = _lie_anchor(A)
-    xv = [Polynomial.var(n, i + 1) for i in range(d)]
-    vv = [Polynomial.var(n, d + r + a + 1) for a in range(r)]
-    uu = [Polynomial.var(n, d + a + 1) for a in range(r)]
-    ww = [Polynomial.var(n, d + 2 * r + a + 1) for a in range(r)]
+    xv, uu, vv, ww = block_vars(A, WW)
     shape_p = AnchoredShape(d + r, 2 * r, prime_rho)
     fibers = shape_p.anchor_fiber(xv + vv, uu + ww)
     report.check("ϱ' = π₁ (anchor matrix reading)",

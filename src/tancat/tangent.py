@@ -23,7 +23,7 @@ the same matrix to blocks of coordinates directly, without this map.
 from __future__ import annotations
 
 from . import linalg, weil
-from .poly import PolyMap, Polynomial, compose_maps, tangent_n
+from .poly import PolyMap, compose_maps, tangent_n
 from .report import CheckReport
 from .weil import W, W2, WW, WeilAlgebra, WeilMorphism
 
@@ -54,16 +54,9 @@ def generator_nat(kind: str, n: int, **kwargs) -> PolyMap:
 def interleaving_iso(V: WeilAlgebra, n1: int, n2: int) -> PolyMap:
     """T^V(Q^n1) x T^V(Q^n2) -> T^V(Q^(n1+n2)), the block interleaving."""
     D = V.dim
-    total = (n1 + n2) * D
-    comps = []
-    for pos in range(D):
-        for i in range(n1 + n2):
-            if i < n1:
-                src = pos * n1 + i
-            else:
-                src = n1 * D + pos * n2 + i - n1
-            comps.append(Polynomial.var(total, src + 1))
-    return PolyMap(total, total, comps)
+    return PolyMap.selection((n1 + n2) * D, [
+        pos * n1 + i if i < n1 else n1 * D + pos * n2 + i - n1
+        for pos in range(D) for i in range(n1 + n2)])
 
 
 # -- exact pullback certification ---------------------------------------------

@@ -107,6 +107,33 @@ def test_action_algebroid_leibniz():
     assert AL.check_structure_equations(act).passed
 
 
+def _constant_bracket(r: int, entries: dict) -> list:
+    c = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for (a, b, g), value in entries.items():
+        c[a][b][g] = value
+    return c
+
+
+@pytest.mark.parametrize("d, r, rho, entries, name, witness", [
+    # One unpaired entry fails the cells (0,1,0) and (1,0,0).
+    (0, 2, [], {(0, 1, 0): 1}, "alternating", "C[0][1][0] + C[1][0][0] = 1"),
+    # A constant anchor with two equal rows fails Leibniz in both rows.
+    (2, 2, [[1, 0], [1, 0]], {(0, 1, 0): 1, (1, 0, 0): -1},
+     "Leibniz", "Leibniz fails at i=0, α=0, β=1: difference -1"),
+    # Every permutation of (0,1,2) fails Bianchi at ν = 0.
+    (0, 3, [], {(0, 1, 2): 1, (1, 0, 2): -1, (1, 2, 0): 1, (2, 1, 0): -1,
+                (0, 2, 2): 1, (2, 0, 2): -1},
+     "Bianchi", "Bianchi fails at ν=0, (α,β,γ)=(0,1,2): -1"),
+], ids=["alternating", "Leibniz", "Bianchi"])
+def test_structure_equations_name_the_first_failing_cell(d, r, rho, entries, name, witness):
+    """Each verdict stops at its first failing cell in loop order, so with two
+    failing rows the witness names the first, not the last."""
+    A = AL.make_algebroid(d, r, rho, _constant_bracket(r, entries))
+    failing = {v.name: v.witness for v in AL.check_structure_equations(A).verdicts
+               if not v.passed}
+    assert failing == {name: witness}
+
+
 # -- prolongation spaces ------------------------------------------------------------
 
 

@@ -489,6 +489,26 @@ def test_wone_output_matches_golden():
     assert wone_transcript().encode() == (DATA / "wone_golden.txt").read_bytes()
 
 
+# `nerve functoriality` (functor checks and the p-pullback certificate) and
+# `lie-tangent` (L'(A) through the shift layout) on the example algebroids,
+# at the default seed; the golden holds the output of the code that built the
+# pullback inverse and the L'(A) layout from hand-written offset tables.
+NERVE_FILES = ("docs/examples/so3.json", "docs/examples/action.json",
+               "docs/examples/tangent1.json")
+NERVE_CASES = [(command, path) for path in NERVE_FILES
+               for command in (("--json", "nerve", "functoriality"), ("--json", "lie-tangent"))]
+
+
+def test_nerve_output_matches_golden(monkeypatch):
+    monkeypatch.delenv("TANCAT_SEED", raising=False)
+    monkeypatch.chdir(ROOT)
+    parts = []
+    for command, path in NERVE_CASES:
+        code, out, _ = run_in_process((*command, path))
+        parts.append(f"$ tancat {shlex.join((*command, path))}\n{out}[exit {code}]\n")
+    assert "".join(parts).encode() == (DATA / "nerve_golden.txt").read_bytes()
+
+
 # -- fuzzing the CLI in process --------------------------------------------------
 
 _POLYS = st.one_of(

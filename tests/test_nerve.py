@@ -11,6 +11,7 @@ from tancat import tangent, weil, wterm
 from tancat.flatspace import (PROLONGATION_CACHE_SIZE, Prolongation, prolongation,
                               whiskered_generator)
 from tancat.poly import PolyMap, Polynomial, compose_maps
+from tancat.selftest import leibniz_family
 from tancat.weil import NAT, W, WW, WeilAlgebra
 
 
@@ -255,6 +256,32 @@ def test_engineered_gluing_breaks_the_comparison():
     assert kernel[0][4] != 0
 
 
+def test_cartesian_p_fails_when_a_leg_reads_a_tangent_copy(monkeypatch):
+    """A.(W⊗p⊗V) made to read the tangent copy (1,1)ν of its head block
+    instead of (1,0)ν: on so(3) every naturality square still commutes (the
+    base is a point), so only the two round trips of the certificate can
+    catch it, and they must fail at every V."""
+    real = NV.whiskered_generator
+
+    def skewed(shape, kind, left, right, sigma=None, **kwargs):
+        mor = real(shape, kind, left, right, sigma, **kwargs)
+        if (kind, left) != ("p", W):
+            return mor
+        big = prolongation(shape, WW.tensor(right))
+        mid = prolongation(shape, W.tensor(right))
+        labels = [(b.label[0], 0) + b.label[1:] for b in mid.blocks]
+        assert big.select(labels) == mor
+        labels[labels.index((1, 0) + right.unit_monomial)] = (1, 1) + right.unit_monomial
+        return big.select(labels)
+
+    monkeypatch.setattr(NV, "whiskered_generator", skewed)
+    report = NV.check_cartesian_p(so3())
+    failing = {v.name for v in report.verdicts if not v.passed}
+    assert failing == {f"{name} at V={V}" for V in (NAT, W, WW)
+                       for name in ("inverse ∘ comparison = id",
+                                    "comparison ∘ inverse = id on the pullback")}
+
+
 # -- the prolongation tangent structure ------------------------------------------------
 
 
@@ -291,6 +318,57 @@ def test_lie_table():
     for A in (so3(), action(), AL.tangent_algebroid(1)):
         report = NV.check_lie_table(A)
         assert report.passed, [v.name for v in report.verdicts if not v.passed]
+
+
+def shift_failures(A, prime, n_terms: int) -> int:
+    """Seeded depth-1 terms t whose square ι_V ∘ N(L'A)(t) = N(A)(t ⊗ id{W}) ∘ ι_U
+    fails, for the nerve of `prime` standing in for L'(A)."""
+    rng = random.Random(1)
+    model_prime, model = NV.NerveModel(prime), NV.NerveModel(A)
+    failures = 0
+    for _ in range(n_terms):
+        t = wterm.random_term(rng, depth=1)
+        lhs = compose_maps(NV.shift_iso(A, t.target), wterm.eval_model(t, model_prime))
+        shifted = wterm.Tensor(t, wterm.identity_term(W))
+        rhs = compose_maps(wterm.eval_model(shifted, model), NV.shift_iso(A, t.source))
+        failures += lhs != rhs
+    return failures
+
+
+def leibniz():
+    return leibniz_family(random.Random(4))
+
+
+@pytest.mark.parametrize("make", [so3, action, leibniz])
+def test_shift_iso_is_natural(make):
+    """The nerve of L'(A) is the nerve of A shifted by W on the right."""
+    A = make()
+    assert shift_failures(A, NV.lie_tangent(A), 20) == 0
+
+
+@pytest.mark.parametrize("make", [so3, leibniz])
+def test_shift_naturality_fails_on_a_flipped_bracket_pair(make):
+    """Negating ⟨e_0, e_1⟩ = −⟨e_1, e_0⟩ of L'(A) keeps it alternating but
+    breaks the square on the terms whose nerve image reads the bracket."""
+    A = make()
+    prime = NV.lie_tangent(A)
+    bracket = [list(row) for row in prime.bracket]
+    for a, b in ((0, 1), (1, 0)):
+        assert any(not p.is_zero() for p in bracket[a][b])
+        bracket[a][b] = tuple(-p for p in bracket[a][b])
+    flipped = AL.AlgebroidData(prime.base_dim, prime.rank, prime.rho,
+                               tuple(tuple(row) for row in bracket))
+    assert shift_failures(A, flipped, 40) > 0
+
+
+@pytest.mark.parametrize("make", [so3, action, leibniz])
+def test_shift_iso_and_its_inverse_are_inverse_permutations(make):
+    A = make()
+    for U in (NAT, W, WW, WeilAlgebra((2, 1))):
+        iso, inverse = NV.shift_iso(A, U), NV.shift_iso_inverse(A, U)
+        assert iso.src_dim == iso.tgt_dim == A.base_dim + (2 * U.dim - 1) * A.rank
+        assert compose_maps(iso, inverse) == PolyMap.identity(iso.src_dim)
+        assert compose_maps(inverse, iso) == PolyMap.identity(iso.src_dim)
 
 
 def test_section_vector_field_bijection():

@@ -1,9 +1,9 @@
 """Independent oracles for the structural kernels.
 
 - `check_structure_equations` against the plain triple loop it replaced
-  (`reference_structure_equations` below), witnesses included, also on
-  alternating brackets of rank 4-6 whose Bianchi sums fail on unsorted
-  triples;
+  (`reference_structure_equations` below), first failing witnesses
+  included, also on alternating brackets of rank 4-6 whose Bianchi sums
+  fail on unsorted triples too;
 - `weil_prolong` against sympy: truncated substitution of Weil-algebra
   points, with one symbol per generator;
 - `structure_nat` against the Kronecker product of the morphism's matrix
@@ -22,8 +22,9 @@
   ones, and `join_at` through its kept plan against the block walk;
 - the one involution axiom AC6 computes per instance against the verdict of
   all five, Yang-Baxter through one shared product against four
-  compositions, and `lie_layout_iso` and its inverse against the maps built
-  one `Polynomial.var` at a time;
+  compositions, and the L'(A) layout `shift_iso(A, W⊗W)` and
+  `shift_iso_inverse` against the maps built one `Polynomial.var` at a time
+  from a table of block offsets;
 - `involution_from_bracket` and `bracket_from_involution` without a
   connection against the full transport through an explicit trivial or
   nontrivial connection, on canonical and on bent involutions;
@@ -57,7 +58,7 @@ from tancat.poly import (MAX_EXPONENT, VARIABLE_CACHE_SIZE, PolyError, PolyMap,
                          differential, random_map, random_polynomial, tangent_n)
 from tancat.report import CheckReport
 from tancat.tangent import W2, structure_nat, weil_prolong
-from tancat.weil import W, WeilAlgebra
+from tancat.weil import W, WW, WeilAlgebra
 
 
 # -- structure equations: the triple loop ---------------------------------------
@@ -70,52 +71,59 @@ def reference_structure_equations(A: AL.AlgebroidData) -> CheckReport:
     C = A.bracket
     rho = A.rho
 
-    ok, witness = True, None
-    for a in range(r):
-        for b in range(r):
-            for g in range(r):
-                diff = C[a][b][g] + C[b][a][g]
-                if not diff.is_zero():
-                    ok, witness = False, f"C[{a}][{b}][{g}] + C[{b}][{a}][{g}] = {diff}"
-                    break
-    report.add("alternating", ok, witness)
-
-    ok, witness = True, None
-    for i in range(d):
-        for a in range(r):
-            for b in range(r):
-                lhs = Polynomial.zero(d)
-                for j in range(d):
-                    lhs = lhs + rho[j][a] * rho[i][b].partial(j + 1)
-                rhs = Polynomial.zero(d)
-                for g in range(r):
-                    rhs = rhs + rho[i][g] * C[a][b][g]
-                for j in range(d):
-                    rhs = rhs + rho[j][b] * rho[i][a].partial(j + 1)
-                diff = lhs - rhs
-                if not diff.is_zero():
-                    ok, witness = False, \
-                        f"Leibniz fails at i={i}, α={a}, β={b}: difference {diff}"
-                    break
-    report.add("Leibniz", ok, witness)
-
-    ok, witness = True, None
-    for nu in range(r):
+    # Each law returns the witness of its first failing cell in loop order.
+    def alternating():
         for a in range(r):
             for b in range(r):
                 for g in range(r):
-                    total = Polynomial.zero(d)
-                    for (p1, p2, p3) in ((a, b, g), (b, g, a), (g, a, b)):
-                        for i in range(d):
-                            total = total + rho[i][p1] * C[p2][p3][nu].partial(i + 1)
-                        for mu in range(r):
-                            total = total + C[p2][p3][mu] * C[p1][mu][nu]
-                    if not total.is_zero():
-                        ok, witness = False, \
-                            f"Bianchi fails at ν={nu}, (α,β,γ)=({a},{b},{g}): {total}"
-                        break
-    report.add("Bianchi", ok, witness)
+                    diff = C[a][b][g] + C[b][a][g]
+                    if not diff.is_zero():
+                        return f"C[{a}][{b}][{g}] + C[{b}][{a}][{g}] = {diff}"
+        return None
+
+    def leibniz():
+        for i in range(d):
+            for a in range(r):
+                for b in range(r):
+                    lhs = Polynomial.zero(d)
+                    for j in range(d):
+                        lhs = lhs + rho[j][a] * rho[i][b].partial(j + 1)
+                    rhs = Polynomial.zero(d)
+                    for g in range(r):
+                        rhs = rhs + rho[i][g] * C[a][b][g]
+                    for j in range(d):
+                        rhs = rhs + rho[j][b] * rho[i][a].partial(j + 1)
+                    diff = lhs - rhs
+                    if not diff.is_zero():
+                        return f"Leibniz fails at i={i}, α={a}, β={b}: difference {diff}"
+        return None
+
+    def bianchi():
+        for nu in range(r):
+            for a in range(r):
+                for b in range(r):
+                    for g in range(r):
+                        total = reference_bianchi_total(A, nu, a, b, g)
+                        if not total.is_zero():
+                            return f"Bianchi fails at ν={nu}, (α,β,γ)=({a},{b},{g}): {total}"
+        return None
+
+    for name, law in (("alternating", alternating), ("Leibniz", leibniz), ("Bianchi", bianchi)):
+        witness = law()
+        report.add(name, witness is None, witness)
     return report
+
+
+def reference_bianchi_total(A: AL.AlgebroidData, nu: int, a: int, b: int, g: int) -> Polynomial:
+    """The cyclic Bianchi sum at ν and (α,β,γ), term by term."""
+    d, r, C, rho = A.base_dim, A.rank, A.bracket, A.rho
+    total = Polynomial.zero(d)
+    for (p1, p2, p3) in ((a, b, g), (b, g, a), (g, a, b)):
+        for i in range(d):
+            total = total + rho[i][p1] * C[p2][p3][nu].partial(i + 1)
+        for mu in range(r):
+            total = total + C[p2][p3][mu] * C[p1][mu][nu]
+    return total
 
 
 def random_polynomial_algebroid(rng: random.Random) -> AL.AlgebroidData:
@@ -196,8 +204,9 @@ def test_structure_oracle_sees_every_failure_kind():
 
 
 def test_bianchi_witnesses_on_unsorted_triples_match_the_triple_loop():
-    """The sorted-triple sums, signed, give the triple loop's witnesses,
-    also where the failing (α,β,γ) is not sorted."""
+    """With alternating C the checker sums sorted triples only; the triple
+    loop, which also visits the unsorted ones, fails first on the same
+    sorted triple, also where unsorted triples fail too."""
     rng = random.Random(11)
     unsorted = 0
     for _ in range(12):
@@ -206,9 +215,11 @@ def test_bianchi_witnesses_on_unsorted_triples_match_the_triple_loop():
         assert report.as_dict() == reference_structure_equations(A).as_dict()
         bianchi = next(v for v in report.verdicts if v.name == "Bianchi")
         if not bianchi.passed:
+            nu = int(bianchi.witness.split("ν=")[1].split(",")[0])
             triple = bianchi.witness.split("(α,β,γ)=(")[1].split(")")[0]
             a, b, g = map(int, triple.split(","))
-            unsorted += not a < b < g
+            assert a < b < g
+            unsorted += not reference_bianchi_total(A, nu, g, b, a).is_zero()
     assert unsorted >= 3
 
 
@@ -1049,7 +1060,7 @@ def reference_inverse(iso: PolyMap) -> PolyMap:
                          ids=["so3", "action x1", "leibniz_family"])
 def test_lie_layout_iso_is_the_block_permutation(make):
     A = make()
-    iso, inverse = NV.lie_layout_iso(A), NV.lie_layout_iso_inverse(A)
+    iso, inverse = NV.shift_iso(A, WW), NV.shift_iso_inverse(A, WW)
     assert_same_map(iso, reference_lie_layout_iso(A))
     assert_same_map(inverse, reference_inverse(reference_lie_layout_iso(A)))
     assert compose_maps(iso, inverse) == PolyMap.identity(iso.src_dim)
