@@ -11,10 +11,9 @@ Flat coordinates: the first prolongation L(A) is (x; u, v, w) with embedding
 (x, u; x, v, ρ(x)u, w) into A ×_ϱ,Tπ TA.  Coordinates are the block
 variables of the flat spaces (`block_vars`): (x, u) of A = A.W, (x, u, v) of
 A₂ = A.W2 and (x; u, v, w) of L(A) = A.(W⊗W); on the base Q^d they are the
-identity's components.  Only `derived_brackets` writes its own, since
-TM ×_M A is not a prolongation of A.  Hat coordinates (the A₃
-presentation through a connection) are (π₀, p∘π₁, κ∘π₁); with the trivial
-connection they coincide with the flat ones, and the canonical involution is
+identity's components.  Hat coordinates (the A₃ presentation through a
+connection) are (π₀, p∘π₁, κ∘π₁); with the trivial connection they coincide
+with the flat ones, and the canonical involution is
 σ̂(x; u, v, w) = (x; v, u, w + C(x)(u, v)).
 """
 
@@ -22,15 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 from . import bundle as bundle_mod
-from . import weil
-from .flatspace import (AnchoredShape, Prolongation, join_at, prolongation,
-                        whiskered_generator)
+from .flatspace import AnchoredShape, join_at, prolongation, whiskered_generator
 from .poly import PolyMap, Polynomial, compose_maps, parse_poly
 from .report import CheckReport
-from .tangent import structure_nat, weil_prolong
+from .tangent import generator_nat, weil_prolong
 from .weil import NAT, W, W2, WW, WeilAlgebra
 
 L2_ALGEBRA = WeilAlgebra((1, 1, 1))
@@ -56,8 +54,9 @@ class AlgebroidData:
     rho: tuple[tuple[Polynomial, ...], ...]       # d rows × r cols
     bracket: tuple[tuple[tuple[Polynomial, ...], ...], ...]  # C[α][β][γ]
 
-    @property
+    @cached_property
     def shape(self) -> AnchoredShape:
+        """The anchored shape, built and validated on first use and kept."""
         return AnchoredShape(self.base_dim, self.rank, self.rho)
 
     @property
@@ -85,12 +84,6 @@ class AlgebroidData:
             out.append(acc)
         return out
 
-    def bracket_map(self) -> PolyMap:
-        """⟨-,-⟩: A₂ -> A on flat (x, u, v)."""
-        d, r = self.base_dim, self.rank
-        x, u, v = block_vars(self, W2)
-        return PolyMap(d + 2 * r, d + r, x + self.bracket_fiber(x, u, v))
-
     def __str__(self) -> str:
         return f"algebroid(d={self.base_dim}, r={self.rank})"
 
@@ -115,15 +108,6 @@ def tangent_algebroid(d: int) -> AlgebroidData:
     return make_algebroid(d, d, rho, zero)
 
 
-def prolongation_space(A: AlgebroidData, level: str) -> Prolongation:
-    """The flat prolongation: 'L' is A.(W⊗W), 'L2' is A.(W⊗W⊗W)."""
-    if level == "L":
-        return prolongation(A.shape, WW)
-    if level == "L2":
-        return prolongation(A.shape, L2_ALGEBRA)
-    raise ValueError("level must be 'L' or 'L2' (general algebras live in nerve)")
-
-
 def block_vars(A: AlgebroidData, V: WeilAlgebra) -> list[list[Polynomial]]:
     """The variables of each block of A.V, in block order: (x, u) on A.W,
     (x, u, v) on A₂ = A.W2 and (x; u, v, w) on L(A) = A.(W⊗W)."""
@@ -138,7 +122,7 @@ def block_vars(A: AlgebroidData, V: WeilAlgebra) -> list[list[Polynomial]]:
 def hat_map(A: AlgebroidData, conn: bundle_mod.Connection | None = None) -> PolyMap:
     """L(A) -> A₃ in hat coordinates: (π₀, p∘π₁, κ∘π₁) fiberwise."""
     conn = conn or bundle_mod.trivial_connection(A.bundle)
-    space = prolongation_space(A, "L")
+    space = prolongation(A.shape, WW)
     d, r = A.base_dim, A.rank
     pi1 = space.proj1                       # -> TA full coordinates
     kappa_fib = PolyMap(2 * (d + r), r, list(conn.kappa.components[d:]))
@@ -199,7 +183,7 @@ def bracket_from_involution(A: AlgebroidData, sigma: PolyMap,
     selection.  An explicit connection goes through the full transport.
     """
     d, r = A.base_dim, A.rank
-    space = prolongation_space(A, "L")
+    space = prolongation(A.shape, WW)
     base_out = PolyMap(space.dim, d, list(sigma.components[:d]))
     if base_out != PolyMap.projection(space.dim, 0, d):
         raise ValueError(f"σ is not base-preserving: base image {base_out}")
@@ -395,7 +379,7 @@ def check_involution_axioms(A: AlgebroidData, sigma: PolyMap) -> CheckReport:
 
 def _axiom_involution(A: AlgebroidData, sigma: PolyMap) -> PolyMap:
     """(i): σ∘σ − id."""
-    return compose_maps(sigma, sigma) - PolyMap.identity(prolongation_space(A, "L").dim)
+    return compose_maps(sigma, sigma) - PolyMap.identity(prolongation(A.shape, WW).dim)
 
 
 def _axiom_double_linearity(A: AlgebroidData, sigma: PolyMap, t_sigma: PolyMap) -> PolyMap:
@@ -413,8 +397,8 @@ def _axiom_lift_symmetry(A: AlgebroidData, sigma: PolyMap) -> PolyMap:
 def _axiom_target(A: AlgebroidData, sigma: PolyMap) -> PolyMap:
     """(iv): T.ϱ∘π₁∘σ − c∘T.ϱ∘π₁."""
     t_rho = weil_prolong(W, A.anchor_map())
-    pi1 = prolongation_space(A, "L").proj1
-    flip_m = structure_nat(weil.generator("flip"), A.base_dim)
+    pi1 = prolongation(A.shape, WW).proj1
+    flip_m = generator_nat("flip", A.base_dim)
     return (compose_maps(t_rho, compose_maps(pi1, sigma))
             - compose_maps(flip_m, compose_maps(t_rho, pi1)))
 
@@ -427,7 +411,7 @@ def _axiom_yang_baxter(A: AlgebroidData, sigma: PolyMap, t_sigma: PolyMap) -> Po
     """
     sigma2 = whiskered_generator(A.shape, "flip", NAT, W, sigma=sigma)   # σ×c
     # 1×T.σ, joined from the legs of L²(A) as `whisker_head` would, reusing T.σ.
-    l2 = prolongation_space(A, "L2")
+    l2 = prolongation(A.shape, L2_ALGEBRA)
     sigma1 = join_at(A.shape, W, WW, l2.proj0, compose_maps(t_sigma, l2.proj1))
     both = compose_maps(sigma1, sigma2)
     return compose_maps(sigma2, both) - compose_maps(both, sigma1)
@@ -442,57 +426,6 @@ def check_lambda_hat_coassociativity(A: AlgebroidData) -> CheckReport:
     report.check("(λ̂×ℓ)∘λ̂ = (id×T.λ̂)∘λ̂",
                  compose_maps(left, lam_hat) - compose_maps(right, lam_hat))
     return report
-
-
-# -- derived brackets ------------------------------------------------------------
-
-
-def derived_brackets(A: AlgebroidData,
-                     conn: bundle_mod.Connection | None = None,
-                     conn_base: bundle_mod.Connection | None = None
-                     ) -> tuple[PolyMap, PolyMap]:
-    """The curly and ternary brackets of the connection calculus.
-
-    {v,x}:   flat (x; v, u) -> TM fiber,   κ'∘T.ϱ∘∇(v, x)
-    {v,x,y}: flat (x; v, u1, u2) -> fiber, κ∘T(⟨-,-⟩)∘∇^{A₂}(v, x, y)
-    """
-    conn = conn or bundle_mod.trivial_connection(A.bundle)
-    conn_base = conn_base or bundle_mod.trivial_connection(
-        bundle_mod.TrivialBundle(A.base_dim, A.base_dim))
-    d, r = A.base_dim, A.rank
-
-    n = d + d + r
-    x = [Polynomial.var(n, i + 1) for i in range(d)]
-    v = [Polynomial.var(n, d + i + 1) for i in range(d)]
-    u = [Polynomial.var(n, 2 * d + a + 1) for a in range(r)]
-    nabla_in = PolyMap(n, d + r + d, x + u + v)
-    t_rho = weil_prolong(W, A.anchor_map())
-    full = compose_maps(t_rho, compose_maps(conn.nabla, nabla_in))
-    kappa_base_fib = PolyMap(4 * d, d, list(conn_base.kappa.components[d:]))
-    curly = compose_maps(kappa_base_fib, full)
-
-    m = d + d + 2 * r
-    x = [Polynomial.var(m, i + 1) for i in range(d)]
-    v = [Polynomial.var(m, d + i + 1) for i in range(d)]
-    u1 = [Polynomial.var(m, 2 * d + a + 1) for a in range(r)]
-    u2 = [Polynomial.var(m, 2 * d + r + a + 1) for a in range(r)]
-    lift1 = compose_maps(conn.nabla, PolyMap(m, d + r + d, x + u1 + v))
-    lift2 = compose_maps(conn.nabla, PolyMap(m, d + r + d, x + u2 + v))
-    if lift1.components[:d] != lift2.components[:d] or \
-            lift1.components[d + r:d + r + d] != lift2.components[d + r:d + r + d]:
-        raise ValueError("∇^{A₂} is ill-formed: the two lifts disagree on TM")
-    # T(A₂) flat coordinates ((x,u1,u2);(xdot,u1dot,u2dot)).
-    t_a2 = PolyMap(m, 2 * (d + 2 * r),
-                   list(lift1.components[:d])
-                   + list(lift1.components[d:d + r])
-                   + list(lift2.components[d:d + r])
-                   + list(lift1.components[d + r:d + r + d])
-                   + list(lift1.components[d + r + d:])
-                   + list(lift2.components[d + r + d:]))
-    t_bracket = weil_prolong(W, A.bracket_map())
-    kappa_fib = PolyMap(2 * (d + r), r, list(conn.kappa.components[d:]))
-    ternary = compose_maps(kappa_fib, compose_maps(t_bracket, t_a2))
-    return curly, ternary
 
 
 # -- sections and the section bracket --------------------------------------------

@@ -15,35 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg, weil
 from .poly import PolyMap, Polynomial, compose_maps
 from .report import CheckReport
-from .tangent import certify_linear_pullback, structure_nat, weil_prolong
+from .tangent import certify_linear_pullback, generator_nat, weil_prolong
+from .weil import W
 
 
 def _var(n: int, i: int) -> Polynomial:
     return Polynomial.var(n, i + 1)
-
-
-def tangent_of(f: PolyMap) -> PolyMap:
-    """T f on flat coordinates (point block, then tangent block)."""
-    return weil_prolong(weil.W, f)
-
-
-def ell_at(n: int) -> PolyMap:
-    return structure_nat(weil.generator("ell"), n)
-
-
-def flip_at(n: int) -> PolyMap:
-    return structure_nat(weil.generator("flip"), n)
-
-
-def zero_at(n: int) -> PolyMap:
-    return structure_nat(weil.generator("zero"), n)
-
-
-def proj_at(n: int) -> PolyMap:
-    return structure_nat(weil.generator("p"), n)
 
 
 @dataclass(frozen=True)
@@ -59,7 +38,7 @@ class Lift:
 
     def idempotent(self) -> PolyMap:
         """e = p∘λ : E -> E."""
-        return compose_maps(proj_at(self.total_dim), self.lam)
+        return compose_maps(generator_nat("p", self.total_dim), self.lam)
 
 
 @dataclass(frozen=True)
@@ -91,15 +70,6 @@ class TrivialBundle:
         comps += [_var(t, self.base_dim + j) for j in range(self.rank)]
         return Lift(t, PolyMap(t, 2 * t, comps))
 
-    @property
-    def plus_q(self) -> PolyMap:
-        """Fiberwise addition E2 -> E on flat (m, e, e')."""
-        d, k = self.base_dim, self.rank
-        n = d + 2 * k
-        comps = [_var(n, i) for i in range(d)]
-        comps += [_var(n, d + j) + _var(n, d + k + j) for j in range(k)]
-        return PolyMap(n, d + k, comps)
-
 
 def add_over(block_split: int, u: PolyMap, w: PolyMap) -> PolyMap:
     """Add two maps into a bundle whose first `block_split` components are the
@@ -115,8 +85,8 @@ def add_over(block_split: int, u: PolyMap, w: PolyMap) -> PolyMap:
 def add_over_tq(bundle: TrivialBundle, u: PolyMap, w: PolyMap) -> PolyMap:
     """u +_{T.q} w in TE: shared (m, mdot), added (e, edot)."""
     d, k, t = bundle.base_dim, bundle.rank, bundle.total_dim
-    tq = compose_maps(tangent_of(bundle.q), u)
-    tq2 = compose_maps(tangent_of(bundle.q), w)
+    tq = compose_maps(weil_prolong(W, bundle.q), u)
+    tq2 = compose_maps(weil_prolong(W, bundle.q), w)
     if tq != tq2:
         raise ValueError("summands live in different T.q fibers")
     comps = []
@@ -209,12 +179,13 @@ def check_lift(lift: Lift) -> CheckReport:
     report = CheckReport("lift axioms")
     lam = lift.lam
     n = lift.total_dim
-    coassoc = compose_maps(tangent_of(lam), lam) - compose_maps(ell_at(n), lam)
+    coassoc = (compose_maps(weil_prolong(W, lam), lam)
+               - compose_maps(generator_nat("ell", n), lam))
     report.check("coassociativity T.λ∘λ = ℓ∘λ", coassoc, lambda: f"λ={lam}")
     e = lift.idempotent()
     report.check("e = p∘λ is idempotent", compose_maps(e, e) - e, lambda: f"e={e}")
     report.check("λ∘e = T.e∘λ (e is a lift morphism)",
-                 compose_maps(lam, e) - compose_maps(tangent_of(e), lam))
+                 compose_maps(lam, e) - compose_maps(weil_prolong(W, e), lam))
     return report
 
 
@@ -225,7 +196,7 @@ def _certify_fork(comparison: PolyMap, left: PolyMap, right: PolyMap,
     for depth in range(depths + 1):
         comp, l, r = comparison, left, right
         for _ in range(depth):
-            comp, l, r = tangent_of(comp), tangent_of(l), tangent_of(r)
+            comp, l, r = weil_prolong(W, comp), weil_prolong(W, l), weil_prolong(W, r)
         label = name if depth == 0 else f"T^{depth} {name}"
         certify_linear_pullback(comp, l - r, report, label)
 
@@ -246,8 +217,8 @@ def check_universality(bundle: TrivialBundle, lift: Lift | None = None,
     d, k = bundle.base_dim, bundle.rank
 
     # Non-singularity: E --λ--> TE equalizes 0∘p and T.e, universally.
-    zero_p = compose_maps(zero_at(t), proj_at(t))
-    te = tangent_of(compose_maps(proj_at(t), lam))
+    zero_p = compose_maps(generator_nat("zero", t), generator_nat("p", t))
+    te = weil_prolong(W, compose_maps(generator_nat("p", t), lam))
     _certify_fork(lam, zero_p, te, report, "non-singularity fork", depths)
 
     # μ(x, y) = 0∘x +_{T.q} λ∘y on E2, equalizing (T.q, 0∘q∘p).
@@ -257,14 +228,15 @@ def check_universality(bundle: TrivialBundle, lift: Lift | None = None,
     y_part = PolyMap.pairing([PolyMap.projection(e2, 0, d),
                               PolyMap.projection(e2, d + k, k)])
     try:
-        mu = add_over_tq(bundle, compose_maps(zero_at(t), x_part),
+        mu = add_over_tq(bundle, compose_maps(generator_nat("zero", t), x_part),
                          compose_maps(lam, y_part))
     except ValueError as exc:
         report.add("μ is well-formed", False, str(exc))
         mu = None
     if mu is not None:
-        tq = tangent_of(bundle.q)
-        zqp = compose_maps(zero_at(d), compose_maps(bundle.q, proj_at(t)))
+        tq = weil_prolong(W, bundle.q)
+        zqp = compose_maps(generator_nat("zero", d),
+                           compose_maps(bundle.q, generator_nat("p", t)))
         _certify_fork(mu, tq, zqp, report, "μ equalizer", depths)
 
     # ν(v, y) = T.ξ∘v +_p λ∘y on TM x_M E, equalizing (p, ξ∘q∘p).
@@ -273,41 +245,16 @@ def check_universality(bundle: TrivialBundle, lift: Lift | None = None,
     y2 = PolyMap.pairing([PolyMap.projection(dom, 0, d),
                           PolyMap.projection(dom, 2 * d, k)])
     try:
-        nu = add_over(t, compose_maps(tangent_of(bundle.xi), v_part),
+        nu = add_over(t, compose_maps(weil_prolong(W, bundle.xi), v_part),
                       compose_maps(lam, y2))
     except ValueError as exc:
         report.add("ν is well-formed", False, str(exc))
         nu = None
     if nu is not None:
-        p_e = proj_at(t)
+        p_e = generator_nat("p", t)
         xi_q_p = compose_maps(bundle.xi, compose_maps(bundle.q, p_e))
         _certify_fork(nu, p_e, xi_q_p, report, "ν equalizer", depths)
     return report
-
-
-def recovered_addition(bundle: TrivialBundle, lift: Lift | None = None) -> PolyMap:
-    """The addition forced by non-singularity: solve λ∘(x+y) = λ∘x +_p λ∘y."""
-    lam = (lift or bundle.lift).lam
-    d, k, t = bundle.base_dim, bundle.rank, bundle.total_dim
-    matrix, offset = lam.linear_part()
-    if any(offset):
-        raise ValueError("recovered addition needs a linear lift")
-    left = linalg.left_inverse(matrix)
-    if left is None:
-        raise ValueError("lift is singular; no addition is recoverable")
-    e2 = d + 2 * k
-    x_part = PolyMap.pairing([PolyMap.projection(e2, 0, d),
-                              PolyMap.projection(e2, d, k)])
-    y_part = PolyMap.pairing([PolyMap.projection(e2, 0, d),
-                              PolyMap.projection(e2, d + k, k)])
-    total = add_over(t, compose_maps(lam, x_part), compose_maps(lam, y_part))
-    rows = [
-        sum((Polynomial.var(2 * t, j + 1) * c for j, c in enumerate(row) if c),
-            Polynomial.zero(2 * t))
-        for row in left
-    ]
-    retraction = PolyMap(2 * t, t, rows)
-    return compose_maps(retraction, total)
 
 
 # -- connections ----------------------------------------------------------------
@@ -368,11 +315,13 @@ def check_connection(conn: Connection) -> CheckReport:
     d, k, t = b.base_dim, b.rank, b.total_dim
     lam = b.lift.lam
     kappa, nabla = conn.kappa, conn.nabla
+    t_kappa, t_lam, t_nabla = (weil_prolong(W, f) for f in (kappa, lam, nabla))
+    ell, flip = generator_nat("ell", t), generator_nat("flip", t)
 
     report.check("vertical retract κ∘λ = id",
                  compose_maps(kappa, lam) - PolyMap.identity(t))
-    p_e = proj_at(t)
-    tq = tangent_of(b.q)
+    p_e = generator_nat("p", t)
+    tq = weil_prolong(W, b.q)
     section = PolyMap.pairing([p_e, tq])
     # (p, T.q)∘∇ lands back on (m, e, m, mdot); collapse the duplicate base.
     dom = t + d
@@ -387,19 +336,17 @@ def check_connection(conn: Connection) -> CheckReport:
     # κ is linear for both differential bundle structures on TE.
     lam_k = compose_maps(lam, kappa)
     report.check("κ linearity over ℓ: λ∘κ = T.κ∘ℓ",
-                 lam_k - compose_maps(tangent_of(kappa), ell_at(t)))
+                 lam_k - compose_maps(t_kappa, ell))
     report.check("κ linearity over c∘T.λ: λ∘κ = T.κ∘c∘T.λ",
-                 lam_k - compose_maps(tangent_of(kappa),
-                                      compose_maps(flip_at(t), tangent_of(lam))))
+                 lam_k - compose_maps(t_kappa, compose_maps(flip, t_lam)))
 
     # ∇ is linear for both lifts on E x_M TM.
     lift1, lift2 = _horizontal_lift_maps(b)
     report.check("∇ linearity over (λ×0): c∘T.λ∘∇ = T.∇∘(λ×0)",
-                 compose_maps(flip_at(t), compose_maps(tangent_of(lam), nabla))
-                 - compose_maps(tangent_of(nabla), lift1))
+                 compose_maps(flip, compose_maps(t_lam, nabla))
+                 - compose_maps(t_nabla, lift1))
     report.check("∇ linearity over (0×ℓ): ℓ∘∇ = T.∇∘(0×ℓ)",
-                 compose_maps(ell_at(t), nabla)
-                 - compose_maps(tangent_of(nabla), lift2))
+                 compose_maps(ell, nabla) - compose_maps(t_nabla, lift2))
 
     # Full-connection compatibilities.
     report.check("compatibility κ∘∇ = ξ∘q∘π0",
@@ -409,7 +356,7 @@ def check_connection(conn: Connection) -> CheckReport:
     into_dom = PolyMap.pairing([PolyMap.projection(2 * t, 0, t),
                                 PolyMap.projection(2 * t, t, d)])
     horizontal = compose_maps(nabla, into_dom)
-    mu_of = add_over_tq(b, compose_maps(zero_at(t), p_e),
+    mu_of = add_over_tq(b, compose_maps(generator_nat("zero", t), p_e),
                         compose_maps(lam, kappa))
     try:
         decomposition = add_over(t, horizontal, mu_of)
@@ -419,21 +366,7 @@ def check_connection(conn: Connection) -> CheckReport:
         report.add("decomposition ∇(p,T.q) +_p μ(p,κ) = id", False, str(exc))
 
     report.check("flatness κ∘T.κ∘c = κ∘T.κ",
-                 compose_maps(kappa, compose_maps(tangent_of(kappa), flip_at(t)))
-                 - compose_maps(kappa, tangent_of(kappa)))
+                 compose_maps(kappa, compose_maps(t_kappa, flip))
+                 - compose_maps(kappa, t_kappa))
     return report
 
-
-def covariant_derivative(conn: Connection, section_fiber: PolyMap,
-                         field_fiber: PolyMap) -> PolyMap:
-    """∇_X A = κ∘T.A∘X for a section A and vector field X (fiber parts)."""
-    b = conn.bundle
-    d = b.base_dim
-    if section_fiber.src_dim != d or section_fiber.tgt_dim != b.rank:
-        raise ValueError("section must map M -> fiber")
-    if field_fiber.src_dim != d or field_fiber.tgt_dim != d:
-        raise ValueError("vector field must map M -> TM fiber")
-    section = PolyMap.pairing([PolyMap.identity(d), section_fiber])
-    field = PolyMap.pairing([PolyMap.identity(d), field_fiber])
-    full = compose_maps(conn.kappa, compose_maps(tangent_of(section), field))
-    return PolyMap(d, b.rank, list(full.components[d:]))

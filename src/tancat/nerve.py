@@ -22,17 +22,16 @@ from __future__ import annotations
 
 import random
 
-from . import weil, wterm
+from . import wterm
 from .algebroid import (AlgebroidData, block_vars, bracket_from_involution,
                         check_structure_equations, involution_from_bracket,
-                        lift_prolongation_bundle, make_algebroid,
-                        prolongation_space)
+                        lift_prolongation_bundle, make_algebroid)
 from .flatspace import (AnchoredShape, Prolongation, head_generator, join_at,
                         pair_action, prolongation, tensor_action,
                         whiskered_generator)
 from .poly import PolyMap, Polynomial, compose_maps
 from .report import CheckReport
-from .tangent import structure_nat, weil_prolong
+from .tangent import generator_nat, weil_prolong
 from .weil import NAT, W, WW, WeilAlgebra
 
 
@@ -299,7 +298,7 @@ def _check_lie_table(A: AlgebroidData, sigma_prime: PolyMap) -> CheckReport:
     report = CheckReport("prolongation tangent structure table")
     shape = A.shape
     d, r = A.base_dim, A.rank
-    space = prolongation_space(A, "L")
+    space = prolongation(shape, WW)
     n = space.dim
 
     # π' = p∘π₁: the nerve map A.(p⊗W) equals base-of-proj1.
@@ -319,7 +318,7 @@ def _check_lie_table(A: AlgebroidData, sigma_prime: PolyMap) -> CheckReport:
     t_proj0 = weil_prolong(W, space.proj0)
     t_proj1 = weil_prolong(W, space.proj1)
     lam_a = A.bundle.lift.lam
-    ell_a = structure_nat(weil.generator("ell"), d + r)
+    ell_a = generator_nat("ell", d + r)
     report.check("T.π₀∘λ' = λ∘π₀",
                  compose_maps(t_proj0, lam_prime)
                  - compose_maps(lam_a, space.proj0))

@@ -15,7 +15,7 @@ nose.
 T^U(Q^n) induced by a rig morphism phi: V -> U, the Kronecker product
 M ⊗ I_n of phi's matrix M with the identity, built once with
 `PolyMap.linear`; the tangent-category structure maps are its values on the
-five generators.  Terms are evaluated in this model as
+five generators, `generator_nat(kind, n)`.  Terms are evaluated in this model as
 `structure_nat(wterm.eval_weil(t), n)`.  `flatspace.tensor_action` applies
 the same matrix to blocks of coordinates directly, without this map.
 """
@@ -47,7 +47,11 @@ def structure_nat(phi: WeilMorphism, n: int) -> PolyMap:
 
 
 def generator_nat(kind: str, n: int, **kwargs) -> PolyMap:
-    """Component at Q^n of the transformation induced by a generator."""
+    """Component at Q^n of the transformation induced by a generator.
+
+    This is the one helper for a generator's structure map (p, 0, +, ℓ, c
+    and the projections); callers do not wrap it per generator.
+    """
     return structure_nat(weil.generator(kind, **kwargs), n)
 
 

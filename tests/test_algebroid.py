@@ -12,7 +12,9 @@ import pytest
 
 from tancat import algebroid as AL
 from tancat import bundle as BD
-from tancat.poly import PolyMap, compose_maps, parse_poly, random_map
+from tancat.flatspace import prolongation
+from tancat.poly import PolyMap, Polynomial, compose_maps, parse_poly, random_map
+from tancat.weil import WW
 
 
 def levi_civita():
@@ -139,17 +141,30 @@ def test_structure_equations_name_the_first_failing_cell(d, r, rho, entries, nam
 
 def test_prolongation_dimensions():
     act = AL.make_algebroid(1, 1, [["x1"]], [[["0"]]])
-    assert AL.prolongation_space(act, "L").dim == 1 + 3 * 1
-    assert AL.prolongation_space(act, "L2").dim == 1 + 7 * 1
+    assert prolongation(act.shape, WW).dim == 1 + 3 * 1
+    assert prolongation(act.shape, AL.L2_ALGEBRA).dim == 1 + 7 * 1
     TA = AL.tangent_algebroid(1)
-    assert AL.prolongation_space(TA, "L").dim == 4   # L(TM) ≅ T²M
-    with pytest.raises(ValueError):
-        AL.prolongation_space(act, "L3")
+    assert prolongation(TA.shape, WW).dim == 4   # L(TM) ≅ T²M
+
+
+def test_shape_is_built_once_per_algebroid():
+    A = AL.make_algebroid(1, 2, [["x1", "1"]], [[["0"] * 2] * 2] * 2)
+    assert A.shape is A.shape
+
+
+def test_malformed_anchor_raises_on_first_use_of_the_shape():
+    one = Polynomial.const(1, 1)
+    zero = [[[Polynomial.zero(1)]]]
+    for rho in ((), ((one, one),), ((Polynomial.const(2, 1),),)):
+        A = AL.AlgebroidData(1, 1, rho, zero)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                A.shape
 
 
 def test_embedding_constraint_holds_identically():
     act = AL.make_algebroid(1, 1, [["x1"]], [[["0"]]])
-    space = AL.prolongation_space(act, "L")
+    space = prolongation(act.shape, WW)
     emb = space.embedding                    # (x,u; x,v,ρ(x)u,w)
     assert emb == PolyMap.from_strings(
         4, ["x1", "x2", "x1", "x3", "x1*x2", "x4"])
@@ -251,30 +266,6 @@ def test_involution_independent_of_connection():
     assert AL.involution_from_bracket(act) == AL.involution_from_bracket(act, conn)
 
 
-# -- derived brackets ---------------------------------------------------------------
-
-
-def test_derived_brackets_trivial_cases():
-    # Constant C: ternary bracket vanishes; constant rho: curly vanishes.
-    A = AL.make_algebroid(1, 2, [["1", "2"]],
-                          [[["0", "0"], ["1", "0"]],
-                           [["-1", "0"], ["0", "0"]]])
-    curly, ternary = AL.derived_brackets(A)
-    assert ternary.is_zero()
-    assert curly.is_zero()
-    # Action algebroid: {v, x} = v·x.
-    act = AL.make_algebroid(1, 1, [["x1"]], [[["0"]]])
-    curly, ternary = AL.derived_brackets(act)
-    assert curly == PolyMap.from_strings(3, ["x2*x3"])   # (x; v, u) -> v·u
-    # x-dependent bracket: ternary = directional derivative of C.
-    B = AL.make_algebroid(1, 2, [["0", "0"]],
-                          [[["0", "0"], ["x1", "0"]],
-                           [["-x1", "0"], ["0", "0"]]])
-    curly, ternary = AL.derived_brackets(B)
-    assert ternary == PolyMap.from_strings(
-        6, ["x2*x3*x6 - x2*x4*x5", "0"])
-
-
 # -- sections ----------------------------------------------------------------------
 
 
@@ -358,7 +349,6 @@ def test_lambda_hat_coassociativity_any_anchored_bundle():
 
 def _hat_sigma2(A):
     """σ×c in hat coordinates: (y, x, xy+⟨x,y⟩, z, yz, xz, xyz)."""
-    from tancat.poly import Polynomial
     d, r = A.base_dim, A.rank
     n = d + 7 * r
     x = [Polynomial.var(n, i + 1) for i in range(d)]
@@ -371,9 +361,23 @@ def _hat_sigma2(A):
     return PolyMap(n, n, comps)
 
 
+def _ternary(A, x, v, u1, u2):
+    """The ternary bracket through the trivial connection: the derivative
+    Σ_j v_j·∂_j C(x)(u1, u2) of the bracket tensor along v."""
+    n = u1[0].n_vars
+    out = []
+    for g in range(A.rank):
+        acc = Polynomial.zero(n)
+        for a, b, j in itertools.product(range(A.rank), range(A.rank), range(A.base_dim)):
+            dc = A.bracket[a][b][g].partial(j + 1)
+            if not dc.is_zero():
+                acc = acc + dc.substitute(x, out_vars=n) * v[j] * u1[a] * u2[b]
+        out.append(acc)
+    return out
+
+
 def _hat_sigma1(A):
     """1×T.σ in hat coordinates, with the ternary-bracket correction."""
-    from tancat.poly import Polynomial
     d, r = A.base_dim, A.rank
     n = d + 7 * r
     x = [Polynomial.var(n, i + 1) for i in range(d)]
@@ -383,10 +387,8 @@ def _hat_sigma1(A):
     c_y_xz = A.bracket_fiber(x, u_y, u_xz)
     c_xy_z = A.bracket_fiber(x, u_xy, u_z)
     rho_ux = A.shape.anchor_fiber(x, u_x)
-    _, ternary = AL.derived_brackets(A)
-    tern = compose_maps(ternary, PolyMap(n, 2 * d + 2 * r, x + rho_ux + u_y + u_z))
-    last = [a + b + c + t for a, b, c, t in
-            zip(u_xyz, c_y_xz, c_xy_z, tern.components)]
+    tern = _ternary(A, x, rho_ux, u_y, u_z)
+    last = [a + b + c + t for a, b, c, t in zip(u_xyz, c_y_xz, c_xy_z, tern)]
     new = {"a": u_x, "b": u_z, "ab": u_xz, "c": u_y, "ac": u_xy,
            "bc": [p + q for p, q in zip(u_yz, c_yz)], "abc": last}
     comps = x + sum((new[k] for k in ("a", "b", "c", "bc", "ab", "ac", "abc")), [])

@@ -4,6 +4,7 @@ import pytest
 
 from tancat import bundle as BD
 from tancat.poly import PolyMap, compose_maps
+from tancat.tangent import generator_nat
 
 
 def test_euler_of_scaling_action_is_canonical_lift():
@@ -53,7 +54,7 @@ def test_check_lift_failure_witness():
 
 def test_free_lift_passes():
     # ℓ on TM is the free lift: check at M = Q^1, E = TM = Q^2.
-    lift = BD.Lift(2, BD.ell_at(1))
+    lift = BD.Lift(2, generator_nat("ell", 1))
     assert BD.check_lift(lift).passed
 
 
@@ -69,15 +70,9 @@ def test_mu_retraction_shape():
     lam = bun.lift.lam
     x_part = PolyMap.from_strings(3, ["x1", "x2"])
     y_part = PolyMap.from_strings(3, ["x1", "x3"])
-    mu = BD.add_over_tq(bun, compose_maps(BD.zero_at(2), x_part),
+    mu = BD.add_over_tq(bun, compose_maps(generator_nat("zero", 2), x_part),
                         compose_maps(lam, y_part))
     assert mu == PolyMap.from_strings(3, ["x1", "x2", "0", "x3"])
-
-
-def test_recovered_addition_is_fiberwise():
-    for d, k in ((1, 1), (2, 2), (0, 3)):
-        bun = BD.TrivialBundle(d, k)
-        assert BD.recovered_addition(bun) == bun.plus_q
 
 
 def test_trivial_connection_all_laws():
@@ -102,14 +97,6 @@ def test_christoffel_connection_passes():
     nabla = PolyMap.from_strings(3, ["x1", "x2", "x3", "0 - x1*x3*x2"])
     report = BD.check_connection(BD.Connection(bun, kappa, nabla))
     assert report.passed, [v.name for v in report.verdicts if not v.passed]
-
-
-def test_covariant_derivative():
-    conn = BD.trivial_connection(BD.TrivialBundle(1, 1))
-    section = PolyMap.from_strings(1, ["x1^2"])
-    field = PolyMap.from_strings(1, ["1"])
-    assert BD.covariant_derivative(conn, section, field) == \
-        PolyMap.from_strings(1, ["2*x1"])
 
 
 def test_lift_morphism_commutes_with_idempotent():

@@ -237,30 +237,9 @@ def test_cartesian_p_passes():
         assert report.passed, [v.name for v in report.verdicts if not v.passed]
 
 
-def test_engineered_gluing_breaks_the_comparison():
-    """A rank-deficient stand-in for the first prolongation (an extra fiber
-    coordinate that the structure maps identify with an existing one) makes
-    the canonical comparison non-injective — the failure check_cartesian_p
-    certifies against."""
-    A = AL.tangent_algebroid(1)
-    space = NV.nerve_object(A, WW)
-    # Doctored complex: (x; u, v, w, w2) presented through w only.
-    collapse = PolyMap.from_strings(5, ["x1", "x2", "x3", "x4"])
-    alpha = compose_maps(space.proj1, collapse)
-    p_map = compose_maps(whiskered_generator(A.shape, "p", NAT, W), collapse)
-    comparison = PolyMap.pairing([p_map, alpha])
-    matrix, _ = comparison.linear_part()
-    from tancat import linalg
-    kernel = linalg.nullspace(matrix)
-    assert kernel  # the duplicated coordinate spans the kernel
-    assert kernel[0][4] != 0
-
-
-def test_cartesian_p_fails_when_a_leg_reads_a_tangent_copy(monkeypatch):
-    """A.(W⊗p⊗V) made to read the tangent copy (1,1)ν of its head block
-    instead of (1,0)ν: on so(3) every naturality square still commutes (the
-    base is a point), so only the two round trips of the certificate can
-    catch it, and they must fail at every V."""
+def _read_head_from(monkeypatch, label):
+    """Make A.(W⊗p⊗V) read block `label`ν of A.(W⊗W⊗V) in place of its
+    head block (1,0)ν, in every check that looks the leg up in `nerve`."""
     real = NV.whiskered_generator
 
     def skewed(shape, kind, left, right, sigma=None, **kwargs):
@@ -271,15 +250,37 @@ def test_cartesian_p_fails_when_a_leg_reads_a_tangent_copy(monkeypatch):
         mid = prolongation(shape, W.tensor(right))
         labels = [(b.label[0], 0) + b.label[1:] for b in mid.blocks]
         assert big.select(labels) == mor
-        labels[labels.index((1, 0) + right.unit_monomial)] = (1, 1) + right.unit_monomial
+        labels[labels.index((1, 0) + right.unit_monomial)] = label + right.unit_monomial
         return big.select(labels)
 
     monkeypatch.setattr(NV, "whiskered_generator", skewed)
+
+
+ROUND_TRIPS = {f"{name} at V={V}" for V in (NAT, W, WW)
+               for name in ("inverse ∘ comparison = id",
+                            "comparison ∘ inverse = id on the pullback")}
+
+
+def test_engineered_gluing_breaks_the_comparison(monkeypatch):
+    """A.(W⊗p⊗V) glued to the block (0,1)ν that α already reads, in place of
+    its head block (1,0)ν: the comparison (p, α) reads that block twice, and
+    on so(3), whose anchor is 0, nothing reads the head, so the comparison
+    has a kernel and no inverse exists.  Every naturality square still
+    commutes, so only the two round trips of the certificate can catch it,
+    and they must fail at every V."""
+    _read_head_from(monkeypatch, (0, 1))
     report = NV.check_cartesian_p(so3())
-    failing = {v.name for v in report.verdicts if not v.passed}
-    assert failing == {f"{name} at V={V}" for V in (NAT, W, WW)
-                       for name in ("inverse ∘ comparison = id",
-                                    "comparison ∘ inverse = id on the pullback")}
+    assert {v.name for v in report.verdicts if not v.passed} == ROUND_TRIPS
+
+
+def test_cartesian_p_fails_when_a_leg_reads_a_tangent_copy(monkeypatch):
+    """A.(W⊗p⊗V) made to read the tangent copy (1,1)ν of its head block
+    instead of (1,0)ν: on so(3) every naturality square still commutes (the
+    base is a point), so only the two round trips of the certificate can
+    catch it, and they must fail at every V."""
+    _read_head_from(monkeypatch, (1, 1))
+    report = NV.check_cartesian_p(so3())
+    assert {v.name for v in report.verdicts if not v.passed} == ROUND_TRIPS
 
 
 # -- the prolongation tangent structure ------------------------------------------------

@@ -893,7 +893,7 @@ def assert_same_tensor(got, expected) -> None:
 
 def test_hat_and_bar_without_a_connection_are_the_identity():
     for A in transport_instances():
-        identity = PolyMap.identity(AL.prolongation_space(A, "L").dim)
+        identity = PolyMap.identity(FS.prolongation(A.shape, WW).dim)
         assert AL.hat_map(A) == identity
         assert AL.bar_map(A) == identity
 
