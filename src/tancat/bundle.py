@@ -192,10 +192,11 @@ def check_lift(lift: Lift) -> CheckReport:
 def _certify_fork(comparison: PolyMap, left: PolyMap, right: PolyMap,
                   report: CheckReport, name: str, depths: int = 1) -> None:
     """Certify that `comparison` equalizes (left, right) universally, and
-    stays an equalizer after applying T up to `depths` times."""
+    stays an equalizer after applying T up to `depths` times; each depth
+    applies T once to the maps of the depth before."""
+    comp, l, r = comparison, left, right
     for depth in range(depths + 1):
-        comp, l, r = comparison, left, right
-        for _ in range(depth):
+        if depth:
             comp, l, r = weil_prolong(W, comp), weil_prolong(W, l), weil_prolong(W, r)
         label = name if depth == 0 else f"T^{depth} {name}"
         certify_linear_pullback(comp, l - r, report, label)

@@ -296,8 +296,9 @@ class Polynomial:
         """Plug args[i] in for x_{i+1}; args live in a common variable count.
 
         For a polynomial in zero variables (a constant) pass `out_vars` to
-        pick the ambient space.  When every argument is 0, 1 or a bare
-        variable the substitution only renames keys; see `_substitute`.
+        pick the ambient space.  Each argument is classed as 0, kept, renamed
+        or expanded, and only the expanded ones are multiplied out; see
+        `_substitute`.
         """
         if len(args) != self.n_vars:
             raise PolyError(f"need {self.n_vars} substitutions, got {len(args)}")
@@ -526,7 +527,7 @@ def parse_poly(text: str, n_vars: int | None = None,
 class PolyMap:
     """A polynomial map Q^src_dim -> Q^tgt_dim, stored componentwise."""
 
-    # `_images` is filled by `selection` or by the first `selection_images` call.
+    # `_images` is filled by the first `selection_images` call.
     __slots__ = ("src_dim", "tgt_dim", "components", "_images")
 
     def __init__(self, src_dim: int, tgt_dim: int, components: list[Polynomial]):
@@ -545,31 +546,27 @@ class PolyMap:
     def selection(src_dim: int, sources) -> "PolyMap":
         """The map whose component k is x_{sources[k]+1}, or 0 where it is None.
 
-        The coordinate selections of flat spaces are built this way: the
-        map knows its `selection_images` from the start, so `compose_maps`
-        renames keys through it without scanning its components.  The
-        variables and their keys come from `_variables(src_dim)`, shared by
+        The coordinate selections of flat spaces are built this way, so
+        `compose_maps` only renames keys through them (`selection_images`
+        classes the components on first use, and a kept leg keeps its
+        classes).  The variables come from `_variables(src_dim)`, shared by
         every selection out of Q^src_dim, so a selection costs one reference
         per coordinate and the legs a flat space keeps stay small.
         """
-        keys, xs = _variables(src_dim)
+        xs = _variables(src_dim)
         zero = _make(src_dim, {}, False)
-        images: list[int | None] = []
         comps = []
         for j in sources:
             if j is None:
-                images.append(None)
                 comps.append(zero)
-                continue
-            if not 0 <= j < src_dim:
+            elif 0 <= j < src_dim:
+                comps.append(xs[j])
+            else:
                 raise PolyError(f"variable x{j + 1} out of range for {src_dim} variables")
-            images.append(keys[j])
-            comps.append(xs[j])
         m = object.__new__(PolyMap)
         m.src_dim = src_dim
         m.tgt_dim = len(comps)
         m.components = tuple(comps)
-        m._images = images
         return m
 
     @staticmethod
@@ -627,13 +624,13 @@ class PolyMap:
             comps.extend(m.components)
         return PolyMap(src, len(comps), comps)
 
-    def selection_images(self) -> list[int | None] | None:
+    def selection_images(self) -> tuple:
         """`_selection_images` of the components, worked out once per map.
 
-        Maps such as the legs a prolongation caches are composed with again
-        and again; the components are immutable, so the answer is too.  A
-        constant 1 component has image key 0, so composing with a unit
-        vector renames keys too, and that rename merges terms.
+        As an argument of `compose_maps` each component is 0, kept in place,
+        renamed (a bare variable or the constant 1) or expanded.  Maps such
+        as the legs a prolongation caches, or σ, are composed with again and
+        again; the components are immutable, so their classes are too.
         """
         try:
             return self._images
@@ -709,14 +706,14 @@ _VARIABLE_TERMS: list[dict] = []
 
 
 @lru_cache(maxsize=VARIABLE_CACHE_SIZE)
-def _variables(n_vars: int) -> tuple[tuple[int, ...], tuple[Polynomial, ...]]:
-    """The keys of x_1..x_n and the polynomials x_1..x_n, built once per n.
+def _variables(n_vars: int) -> tuple[Polynomial, ...]:
+    """The polynomials x_1..x_n, built once per n.
 
     Polynomials are immutable and a term dict does not depend on the number
     of variables, so every selection out of Q^n shares these polynomials and
     every dimension shares their term dicts.  The cache holds at most
     VARIABLE_CACHE_SIZE dimensions, least recently used first out (`tancat
-    selftest` uses 45), at about 70 B per variable each.  The shared term
+    selftest` uses 45), at about 75 B per variable each.  The shared term
     dicts reach the largest dimension n asked for: the key of x_j takes
     about 2j bytes, so they cost roughly n² bytes plus about 250 B per
     variable, what one selection out of Q^n costs anyway (about 1.3 MB at
@@ -724,8 +721,7 @@ def _variables(n_vars: int) -> tuple[tuple[int, ...], tuple[Polynomial, ...]]:
     """
     terms = _VARIABLE_TERMS
     terms.extend({1 << (_FIELD * j): 1} for j in range(len(terms), n_vars))
-    return tuple(next(iter(t)) for t in terms[:n_vars]), \
-        tuple(_make(n_vars, t, False) for t in terms[:n_vars])
+    return tuple(_make(n_vars, t, False) for t in terms[:n_vars])
 
 
 def _variable(key: int) -> int | None:
@@ -736,29 +732,40 @@ def _variable(key: int) -> int | None:
     return bit // _FIELD
 
 
-def _selection_images(args) -> list[int | None] | None:
-    """The monomial keys the polynomials `args` select, or None if they do not.
+def _selection_images(args) -> tuple:
+    """The class of each argument of a substitution, and the masks they give.
 
-    `args` is a selection when every entry is 0, the constant 1 or a bare
-    variable with coefficient 1; entry i is the key of the variable args[i]
-    copies, 0 (the key of the monomial 1) for the constant 1, or None for a
-    zero entry.  Plugging in a constant 1 is a rename too: unit vectors such
-    as (x; e_a, e_b) select this way, and `_select` merges the monomials the
-    constant makes meet.
+    images[i] is the class of args[i], plugged in for x_{i+1}: None for 0,
+    the key of x_j for the bare variable x_j with coefficient 1 (kept in
+    place when j = i + 1, renamed otherwise), 0 (the key of the monomial 1)
+    for the constant 1, and -1 for any other polynomial, which is expanded.
+    Then come the masks of the fields of kept and of expanded arguments, and
+    whether monomials can meet: when an argument is expanded or 1, or two
+    share an image.  With no expanded argument `args` is a coordinate
+    selection; unit vectors such as (x; e_a, e_b) select too.
     """
     images = []
+    kept = expanded = 0
+    one, field = 1, _FIELD_MASK
     for c in args:
         terms = c._terms
-        if not terms:
-            images.append(None)
-            continue
         if len(terms) != 1:
-            return None
-        for key in terms:
-            if terms[key] != 1 or key and _variable(key) is None:
-                return None
+            key = -1 if terms else None
+        else:
+            ((key, coeff),) = terms.items()
+            if coeff != 1 or key != one and key and _variable(key) is None:
+                key = -1
+        if key == one:
+            kept |= field
+        elif key == -1:
+            expanded |= field
         images.append(key)
-    return images
+        one <<= _FIELD
+        field <<= _FIELD
+    if expanded or kept == one - 1:
+        return images, kept, expanded, bool(expanded)
+    zeros = images.count(None)
+    return images, kept, 0, 0 in images or len(set(images)) - (zeros > 0) < len(images) - zeros
 
 
 def _move(key: int, images: list[int | None], guard: int) -> int | None:
@@ -780,68 +787,40 @@ def _move(key: int, images: list[int | None], guard: int) -> int | None:
     return new
 
 
-def _select(polys, images: list[int | None], n_vars: int) -> list[Polynomial]:
-    """`polys` with x_{i+1} renamed to images[i] (None: set to 0, 0: set to 1).
-
-    When the renaming is x_{i+1} -> x_{i+1}, the identity or a prefix into
-    more variables, the keys do not change: each result shares its term dict
-    with its source, which is safe because no polynomial mutates its terms.
-    Monomials can meet, and cancel, when two variables share an image or
-    when a variable becomes 1 (x1 + 1 at x1 = 1 is 2), so then terms merge.
-    """
-    key = 1
-    for image in images:
-        if image != key:
-            break
-        key <<= _FIELD
-    else:
-        return [_make(n_vars, c._terms, c._frac) for c in polys]
-    guard = _guard(n_vars)
-    kept = [key for key in images if key is not None]
-    merges = 0 in kept or len(set(kept)) < len(kept)
-    comps = []
-    for c in polys:
-        out: dict = {}
-        for key, coeff in c._terms.items():
-            i = _variable(key)
-            new = images[i] if i is not None else _move(key, images, guard)
-            if new is None:
-                continue
-            out[new] = out.get(new, 0) + coeff if merges else coeff
-        frac = c._frac
-        if merges:
-            out = {key: coeff for key, coeff in out.items() if coeff}
-            frac = frac and _settle(out)
-        # _make inlined: this loop builds most polynomials of nerve evaluation.
-        p = object.__new__(Polynomial)
-        p.n_vars = n_vars
-        p._terms = out
-        p._frac = frac
-        comps.append(p)
-    return comps
-
-
-def _substitute(polys, args, n_vars: int, images) -> list[Polynomial]:
+def _substitute(polys, args, n_vars: int, classes) -> list[Polynomial]:
     """Each of `polys` with args[i] plugged in for x_{i+1}, in n_vars variables.
 
     The one substitution routine behind `Polynomial.substitute` and
-    `compose_maps`, which pass `images`, the `_selection_images` of `args`.
-    When every argument is 0, 1 or a bare variable it renames keys (`_select`).
-    Otherwise a polynomial that is 0 stays 0, one that is the bare variable
-    x_{i+1} is args[i] itself (polynomials are immutable, so sharing it is
-    safe), and every other one goes through a table that lives for this
-    call: each distinct monomial of `polys` is expanded once, as its memoised
-    prefix (the monomial without its highest variable) times one power
-    args[i]^e, itself computed once by binary powering.  A term is scaled by
-    its coefficient only when the coefficient is not 1.
+    `compose_maps`, which pass the `_selection_images` of `args` (None
+    expands every argument).  When every argument is kept in place (the
+    identity, or a prefix into more variables) no key changes, and each
+    result shares its term dict with its source.  Otherwise two masks split
+    each monomial key: the fields of kept arguments stay as they are, those
+    of zero and renamed arguments go through `_move` (memoised per call),
+    and only those of expanded arguments are looked up in a table that lives
+    for this call.  The table is keyed by that expanded part alone, so
+    monomials that differ only in kept or renamed variables share one
+    expansion: its memoised prefix (the part without its highest variable)
+    times one power args[i]^e, itself computed once by binary powering.  A term is that expansion
+    shifted by the key of the rest, one add per key, and the guard bits of
+    every shifted key are checked before it is summed.  A polynomial that is
+    the bare variable x_{i+1} is args[i] itself (polynomials are immutable,
+    so sharing it is safe).  Monomials meet, and may cancel, when an argument
+    is expanded, two variables share an image or a variable becomes 1
+    (x1 + 1 at x1 = 1 is 2); only then are terms summed.
     """
-    if images is not None:
-        return _select(polys, images, n_vars)
+    if classes is None:
+        classes = [-1] * len(args), 0, (1 << (_FIELD * len(args))) - 1, True
+    images, kept, expanded, merges = classes
+    if kept == (1 << (_FIELD * len(images))) - 1:
+        return [_make(n_vars, c._terms, c._frac) for c in polys]
     guard = _guard(n_vars)
-    args_frac = any(a._frac for a in args)
-    powers: dict[tuple[int, int], dict] = {}
-    # Expanded monomials by key; the empty monomial 1 seeds every prefix chain.
-    table: dict[int, dict] = {0: {0: 1}}
+    moved = ~(kept | expanded)
+    args_frac = expanded and any(a._frac for a in args)
+    powers: dict = {}
+    # Expanded parts by key; the empty monomial 1 seeds every prefix chain.
+    table: dict = {0: {0: 1}}
+    moves: dict = {}
 
     def expand(key: int) -> dict:
         chain = []
@@ -867,9 +846,6 @@ def _substitute(polys, args, n_vars: int, images) -> list[Polynomial]:
     comps = []
     for c in polys:
         terms = c._terms
-        if not terms:
-            comps.append(_make(n_vars, {}, False))
-            continue
         if len(terms) == 1:
             ((key, coeff),) = terms.items()
             i = _variable(key) if coeff == 1 else None
@@ -878,35 +854,66 @@ def _substitute(polys, args, n_vars: int, images) -> list[Polynomial]:
                 continue
         out: dict = {}
         for key, coeff in terms.items():
-            value = table.get(key)
-            if value is None:
-                value = expand(key)
-            if not value:
-                continue
-            if not out:
-                out = dict(value) if coeff == 1 else {k: coeff * v for k, v in value.items()}
-            elif coeff == 1:
-                _iadd(out, value)
+            shift = key & kept
+            rest = key & moved
+            if rest:
+                new = moves.get(rest, -1)
+                if new == -1:
+                    new = moves[rest] = _move(rest, images, guard)
+                if new is None:
+                    continue
+                shift += new
+                if shift & guard:
+                    raise _overflow()
+            part = key & expanded
+            if part:
+                value = table.get(part) or expand(part)
+                if shift:
+                    value = {k + shift: v for k, v in value.items()}
+                    if reduce(or_, value, 0) & guard:
+                        raise _overflow()
+                if not out:
+                    out = dict(value) if coeff == 1 else {k: coeff * v for k, v in value.items()}
+                elif coeff == 1:
+                    _iadd(out, value)
+                else:
+                    get = out.get
+                    for k, v in value.items():
+                        s = get(k, 0) + coeff * v
+                        if s:
+                            out[k] = s
+                        else:
+                            del out[k]
+            elif not merges:
+                out[shift] = coeff
             else:
-                get = out.get
-                for k, v in value.items():
-                    s = get(k, 0) + coeff * v
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        comps.append(_make(n_vars, out, (c._frac or args_frac) and _settle(out)))
+                coeff += out.get(shift, 0)
+                if coeff:
+                    out[shift] = coeff
+                else:
+                    del out[shift]
+        frac = c._frac
+        if merges:
+            frac = (frac or args_frac) and _settle(out)
+        # _make inlined: this loop builds most polynomials of nerve evaluation.
+        p = object.__new__(Polynomial)
+        p.n_vars = n_vars
+        p._terms = out
+        p._frac = frac
+        comps.append(p)
     return comps
 
 
 def compose_maps(g: PolyMap, f: PolyMap) -> PolyMap:
     """g after f (exact substitution).
 
-    All of g's components go through one `_substitute` call, so a monomial
-    that several components share is expanded once.  When f is a coordinate
-    selection (every component 0, 1 or a bare variable) the composite only
-    renames g's variables, so g's keys are remapped directly; f works out
-    whether it is one once (`PolyMap.selection_images`).
+    All of g's components go through one `_substitute` call, so the
+    expanded part of a monomial that several terms share is expanded once.
+    f classes its components once (`PolyMap.selection_images`): g's
+    variables that f sends to 0, to 1 or to a bare variable are renamed in
+    g's keys, and only those sent to another polynomial are substituted.
+    When f is a coordinate selection, with no expanded component, the
+    composite is only a renaming of g's keys.
     """
     if f.tgt_dim != g.src_dim:
         raise PolyError(f"cannot compose: inner target {f.tgt_dim} vs outer source {g.src_dim}")
@@ -967,7 +974,7 @@ def differential(f: PolyMap) -> PolyMap:
     """
     n = f.src_dim
     two_n = 2 * n
-    xs = _variables(two_n)[1]
+    xs = _variables(two_n)
     comps = []
     for c in f.components:
         up = c.substitute(xs[:n])

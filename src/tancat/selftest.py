@@ -495,9 +495,9 @@ def run_selftest(seed: int = DEFAULT_SEED, cases: int = 200,
         report.sort()
         return report
     # Longest first, by in-process CPU time at the default seed, each
-    # criterion alone in a fresh process, median of 5 on 2 vCPUs (AC8
-    # 0.25 s, AC3 0.17, AC9 0.10, AC4 0.063, AC7 0.059, AC6 0.052, the rest
-    # under 0.01), so that a pool starts the critical path at once.
+    # criterion alone in a fresh process, median of 9 on 2 vCPUs (AC8
+    # 0.19 s, AC3 0.15, AC9 0.050, AC4 0.036, AC7 0.036, AC6 0.026, the rest
+    # under 0.004), so that a pool starts the critical path at once.
     jobs = [("criterion_8_nerve", (seed + 4,)),
             ("criterion_3_cdc", (seed, cases)),
             ("criterion_9_lie_tangent", (seed + 5,)),

@@ -140,3 +140,45 @@ def test_warns_when_only_one_checkout_has_bytecode(tmp_path):
     assert warning and str(change) in warning and str(parent) not in warning
     (parent / "src" / "tancat" / "__pycache__").mkdir()
     assert bench_pairs.bytecode_warning(parent, change) is None
+
+
+def module_of(checkout: Path, name: str, lines: int) -> None:
+    """A module of `lines` statements `x = 1`: 4 tokens each, plus ENDMARKER."""
+    package = checkout / "src" / "tancat"
+    package.mkdir(parents=True, exist_ok=True)
+    (package / name).write_text("# a comment is not a token\n" + "x = 1\n" * lines)
+
+
+@pytest.mark.parametrize("before, after, step", [(1023, 1024, 4096), (2048, 2047, 8192)])
+def test_warns_when_a_module_crosses_a_token_step(tmp_path, before, after, step):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    module_of(parent, "poly.py", before)
+    module_of(change, "poly.py", after)
+    module_of(parent, "other.py", 10)
+    module_of(change, "other.py", 1000)
+    counts = 4 * before + 1, 4 * after + 1
+    assert bench_pairs.token_count(parent / "src/tancat/poly.py") == counts[0]
+    (warning,) = bench_pairs.token_step_warnings(parent, change)
+    assert "src/tancat/poly.py" in warning and f"{step}-token" in warning
+    assert f"{counts[0]} tokens in {parent} and {counts[1]} in {change}" in warning
+    module_of(change, "poly.py", before)
+    assert bench_pairs.token_step_warnings(parent, change) == []
+
+
+def test_a_module_only_one_checkout_has_counts_as_zero_tokens(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    module_of(parent, "poly.py", 10)
+    module_of(change, "poly.py", 10)
+    module_of(change, "big.py", 1100)
+    (warning,) = bench_pairs.token_step_warnings(parent, change)
+    assert "src/tancat/big.py has 0 tokens" in warning
+    # `main` prints it before any pair runs.
+    run_side, calls = fake_side({("parent", "cdc"): [1.0], ("change", "cdc"): [1.0]})
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+    bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload", "cdc",
+                      "--pairs", "1", "--parent-out", str(tmp_path / "p.json"),
+                      "--change-out", str(tmp_path / "c.json")])
+    assert warning in capsys.readouterr().err

@@ -64,6 +64,41 @@ def test_universality_canonical():
         assert report.passed, [v.name for v in report.verdicts if not v.passed]
 
 
+def rebuilt_fork(comparison, left, right, report, name, depths=1):
+    """`_certify_fork` with T^depth rebuilt from the given maps at every depth."""
+    for depth in range(depths + 1):
+        comp, l, r = comparison, left, right
+        for _ in range(depth):
+            comp, l, r = (BD.weil_prolong(BD.W, m) for m in (comp, l, r))
+        label = name if depth == 0 else f"T^{depth} {name}"
+        BD.certify_linear_pullback(comp, l - r, report, label)
+
+
+def test_universality_prolongs_each_fork_once_per_depth(monkeypatch):
+    calls = []
+    prolong = BD.weil_prolong
+    monkeypatch.setattr(BD, "weil_prolong", lambda V, f: calls.append(f) or prolong(V, f))
+    # The canonical lifts pass; the zero lift on E = Q^1 fails non-singularity.
+    cases = [(BD.TrivialBundle(d, k), None) for d, k in ((1, 1), (2, 1), (1, 2))]
+    cases.append((BD.TrivialBundle(0, 1), BD.Lift(1, PolyMap.from_strings(1, ["0", "0"]))))
+
+    def run():
+        calls.clear()
+        reports = [BD.check_universality(b, lift=lift) for b, lift in cases[:3]]
+        counted = len(calls)
+        return reports + [BD.check_universality(*cases[3])], counted
+
+    # Per bundle: T of comparison, left and right at depths 1 and 2 of three
+    # forks, and 5 for the data.
+    reports, counted = run()
+    assert counted == 3 * (3 * 3 * 2 + 5) == 69
+    monkeypatch.setattr(BD, "_certify_fork", rebuilt_fork)
+    rebuilt, counted = run()
+    assert counted == 96
+    assert reports == rebuilt
+    assert [r.passed for r in reports] == [True, True, True, False]
+
+
 def test_mu_retraction_shape():
     # μ(m,e,e') = (m,e,0,e') with retraction (m,e,mdot,edot) -> (m,e,edot).
     bun = BD.TrivialBundle(1, 1)

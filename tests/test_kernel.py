@@ -174,6 +174,23 @@ def test_selection_merge_overflow_raises():
         compose_maps(g3, PolyMap.from_strings(2, ["x1", "x1", "x1"]))
 
 
+def test_mixed_substitution_overflow_raises():
+    # x1 is kept in place, x2 renamed to x1 and x3 expanded, in one map.
+    f = PolyMap.from_strings(3, ["x1", "x1", "x2 + x3"])
+    images, kept, expanded, _ = f.selection_images()
+    assert kept and expanded and images[1] == images[0]
+    # The renamed field lands on the kept field, which is at the limit.
+    with pytest.raises(PolyError, match="32767"):
+        compose_maps(PolyMap.from_strings(3, ["x1^32767*x2*x3"]), f)
+    assert compose_maps(PolyMap.from_strings(3, ["x1^32766*x2*x3"]), f) == \
+        PolyMap.from_strings(3, ["x1^32767*x2 + x1^32767*x3"])
+    # The renamed key x2 is added onto an expanded term x2^32767.
+    g = PolyMap(2, 2, [Polynomial.var(2, 2), parse_poly("x2^32767 + x1", 2)])
+    with pytest.raises(PolyError, match="32767"):
+        compose_maps(PolyMap.from_strings(2, ["x1*x2"]), g)
+    assert compose_maps(PolyMap.from_strings(2, ["x2"]), g) == PolyMap(2, 1, [g.components[1]])
+
+
 @given(st.lists(st.one_of(polynomials(), st.integers(0, N_VARS)), min_size=1, max_size=4),
        st.lists(polynomials(n_vars=2), min_size=N_VARS, max_size=N_VARS))
 @settings(max_examples=100, deadline=None)

@@ -29,6 +29,9 @@
   connection against the full transport through an explicit trivial or
   nontrivial connection, on canonical and on bent involutions;
 - renames through 0, 1 and the variables against the generic substitution;
+- `compose_maps` through near-selections, whose arguments are zero, kept,
+  renamed or expanded (seeded maps, and σ, σ×c and 1×T.σ as the involution
+  axioms compose them), against sympy;
 - `flatspace.tensor_action` (φ's columns applied to the moved blocks)
   against the route through `structure_nat(φ, n)` and `compose_maps`;
 - `Polynomial.eval` and `Polynomial.__str__` against formulas over
@@ -1003,11 +1006,12 @@ def test_renames_through_zero_one_and_variables_match_the_generic_path(data):
     src = data.draw(st.integers(0, 3))
     g = data.draw(shared_maps(mid, data.draw(st.integers(1, 4))))
     args = data.draw(unit_arguments(src, mid))
-    images = _selection_images(args)
+    classes = _selection_images(args)
+    images, _, expanded, _ = classes
     one = Polynomial.const(src, 1)
-    assert images is not None
+    assert not expanded
     assert [key == 0 for key in images] == [a == one for a in args]
-    got = PolyMap(src, g.tgt_dim, _substitute(g.components, args, src, images))
+    got = PolyMap(src, g.tgt_dim, _substitute(g.components, args, src, classes))
     assert_same_map(got, PolyMap(src, g.tgt_dim, _substitute(g.components, args, src, None)))
     assert_same_map(got, PolyMap(src, g.tgt_dim, [reference_substitute(c, args, src)
                                                   for c in g.components]))
@@ -1028,6 +1032,86 @@ def test_renames_to_one_merge_and_cancel(outer, inner, expected):
     assert f.selection_images() is not None
     assert_same_map(compose_maps(g, f), PolyMap.from_strings(1, [expected]))
     assert str(g.components[0].substitute(list(f.components))) == expected
+
+
+# -- near-selections: the four argument classes against sympy --------------------
+
+
+ARGUMENT_CLASSES = ("zero", "kept", "renamed", "expanded")
+
+
+def mixed_inner_map(rng: random.Random) -> tuple[PolyMap, list[str]]:
+    """A seeded map Q^src -> Q^mid whose components are each 0, kept in place
+    (x_{i+1} at position i), renamed (another variable or 1) or expanded (a
+    polynomial with Fraction coefficients); every class occurs."""
+    mid = rng.randint(4, 6)
+    src = mid + rng.randint(0, 2)
+    kinds = list(ARGUMENT_CLASSES) + [rng.choice(ARGUMENT_CLASSES) for _ in range(mid - 4)]
+    rng.shuffle(kinds)
+    comps = []
+    for i, kind in enumerate(kinds):
+        if kind == "zero":
+            comps.append(Polynomial.zero(src))
+        elif kind == "kept":
+            comps.append(Polynomial.var(src, i + 1))
+        elif kind == "renamed":
+            j = rng.choice([j for j in range(src + 1) if j != i + 1])
+            comps.append(Polynomial.var(src, j) if j else Polynomial.const(src, 1))
+        else:
+            p = random_polynomial(rng, src, 2) + Polynomial.var(src, rng.randint(1, src))
+            comps.append(p * Fraction(rng.randint(1, 4), rng.randint(2, 3)) + 1)
+    return PolyMap(src, mid, comps), kinds
+
+
+def sympy_compose(sp, g: PolyMap, f: PolyMap, xs) -> list:
+    """g(f(x)) expanded in sympy, one component at a time."""
+    inner = [as_sympy(sp, c, xs) for c in f.components]
+    return [sp.expand(as_sympy(sp, c, inner)) for c in g.components]
+
+
+def assert_matches_sympy(sp, g: PolyMap, f: PolyMap) -> None:
+    got = compose_maps(g, f)
+    xs = sp.symbols(f"x1:{f.src_dim + 1}")
+    assert [as_sympy(sp, c, xs) for c in got.components] == sympy_compose(sp, g, f, xs)
+    assert canonical(got)
+    for c in got.components:
+        assert c._frac == any(type(v) is not int for v in c._terms.values())
+
+
+def test_near_selections_with_all_four_classes_match_sympy():
+    sp = pytest.importorskip("sympy")
+    rng = random.Random("near-selections")
+    for _ in range(30):
+        f, kinds = mixed_inner_map(rng)
+        images, kept, expanded, merges = f.selection_images()
+        assert [key is None for key in images] == [k == "zero" for k in kinds]
+        assert [key == -1 for key in images] == [k == "expanded" for k in kinds]
+        assert kept and expanded and merges
+        # Outer maps with Fraction coefficients, bare variables and shared
+        # monomials, so terms differ only in kept or renamed variables.
+        g = random_map(rng, f.tgt_dim, 4, 3)
+        g = PolyMap(g.src_dim, 6, [c * Fraction(1, rng.randint(1, 3)) for c in g.components]
+                    + [Polynomial.var(g.src_dim, rng.randint(1, g.src_dim)),
+                       g.components[0] * g.components[1]])
+        assert_matches_sympy(sp, g, f)
+
+
+@pytest.mark.parametrize("make", [ST.so3, lambda: ST.leibniz_family(random.Random(4)),
+                                  lambda: NV.lie_tangent(ST.leibniz_family(random.Random(4)))],
+                         ids=["so3", "leibniz_family", "L' of leibniz_family"])
+def test_involution_compositions_match_sympy(make):
+    """σ, σ×c and 1×T.σ are near-selections: compose them as the involution
+    axioms do and compare each composite with its sympy expansion."""
+    sp = pytest.importorskip("sympy")
+    A = make()
+    sigma = AL.involution_from_bracket(A)
+    sigma1 = FS.whiskered_generator(A.shape, "flip", W, weil.NAT, sigma=sigma)
+    sigma2 = FS.whiskered_generator(A.shape, "flip", weil.NAT, W, sigma=sigma)
+    for f in (sigma, sigma1, sigma2):
+        assert f.selection_images()[2], "some component is expanded"
+    both = compose_maps(sigma1, sigma2)
+    for g, f in ((sigma, sigma), (sigma1, sigma2), (sigma2, both), (both, sigma1)):
+        assert_matches_sympy(sp, g, f)
 
 
 def reference_lie_layout_iso(A: AL.AlgebroidData) -> PolyMap:

@@ -23,7 +23,11 @@ The k-th run of a workload in one file is paired with the k-th in the other,
 so start from empty results files.  The side that runs first alternates
 from pair to pair.  Compare checkouts in the same bytecode state: a stale
 `__pycache__` changes what an import costs, so the tool warns when only one
-checkout has `src/tancat/__pycache__`.  Standard library only.
+checkout has `src/tancat/__pycache__`.  It also warns when a module of
+`src/tancat` sits on different sides of a 4,096 or 8,192 token step in the
+two checkouts: CPython's parser doubles its token array there, so the
+module's compile, and with it `peak_rss_mb`, costs differently.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -34,10 +38,12 @@ import math
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WIN_SHARE = 0.9
+TOKEN_STEPS = (4096, 8192)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -133,6 +139,32 @@ def bytecode_warning(parent: Path, change: Path) -> str | None:
             "are in different bytecode states, so imports cost differently")
 
 
+def token_count(path: Path) -> int:
+    """Tokens of a module, without comments, NL and ENCODING; 0 if it is absent."""
+    if not path.exists():
+        return 0
+    skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+    with path.open("rb") as f:
+        return sum(tok.type not in skipped for tok in tokenize.tokenize(f.readline))
+
+
+def token_step_warnings(parent: Path, change: Path) -> list[str]:
+    """One warning per module of the package whose token counts in the two
+    checkouts lie on different sides of a step in TOKEN_STEPS."""
+    names = sorted({path.name for side in (parent, change)
+                    for path in (side / "src/tancat").glob("*.py")})
+    warnings = []
+    for name in names:
+        before, after = (token_count(side / "src/tancat" / name) for side in (parent, change))
+        steps = [step for step in TOKEN_STEPS if (before < step) != (after < step)]
+        if steps:
+            warnings.append(
+                f"warning: src/tancat/{name} has {before} tokens in {parent} and {after} "
+                f"in {change}, across the parser's {steps[0]}-token step, so compiling "
+                "it costs memory differently")
+    return warnings
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
@@ -155,8 +187,9 @@ def main(argv=None) -> int:
         if args.parent is None or args.change is None:
             parser.error("--parent and --change are required unless --summarize")
         sides = [(args.parent.resolve(), parent_out), (args.change.resolve(), change_out)]
-        warning = bytecode_warning(sides[0][0], sides[1][0])
-        if warning:
+        warnings = token_step_warnings(sides[0][0], sides[1][0])
+        warnings += filter(None, [bytecode_warning(sides[0][0], sides[1][0])])
+        for warning in warnings:
             print(warning, file=sys.stderr, flush=True)
         for i in range(args.pairs):
             print(f"  pair {i + 1}/{args.pairs}", flush=True)
