@@ -363,47 +363,49 @@ def lift_prolongation_bundle(A: AlgebroidData) -> PolyMap:
 def check_involution_axioms(A: AlgebroidData, sigma: PolyMap) -> CheckReport:
     """The five involution-algebroid axioms on flat L(A)/L²(A) coordinates.
 
-    Each axiom is one private helper returning the difference of its two
-    sides, so a caller that needs one verdict computes only that one.
+    Each axiom is one private helper returning its two sides, so a caller
+    that needs one verdict computes only that one.
     """
     report = CheckReport(f"involution axioms for {A}")
-    report.check("(i) involution σ∘σ = id", _axiom_involution(A, sigma))
+    report.equal("(i) involution σ∘σ = id", *_axiom_involution(A, sigma))
     t_sigma = weil_prolong(W, sigma)
-    report.check("(ii) double linearity T.σ∘(0×c∘T.λ) = (λ×ℓ)∘σ",
-                 _axiom_double_linearity(A, sigma, t_sigma))
-    report.check("(iii) symmetry of lift σ∘λ̂ = λ̂", _axiom_lift_symmetry(A, sigma))
-    report.check("(iv) target T.ϱ∘π₁∘σ = c∘T.ϱ∘π₁", _axiom_target(A, sigma))
-    report.check("(v) Yang-Baxter on L²(A)", _axiom_yang_baxter(A, sigma, t_sigma))
+    report.equal("(ii) double linearity T.σ∘(0×c∘T.λ) = (λ×ℓ)∘σ",
+                 *_axiom_double_linearity(A, sigma, t_sigma))
+    report.equal("(iii) symmetry of lift σ∘λ̂ = λ̂", *_axiom_lift_symmetry(A, sigma))
+    report.equal("(iv) target T.ϱ∘π₁∘σ = c∘T.ϱ∘π₁", *_axiom_target(A, sigma))
+    report.equal("(v) Yang-Baxter on L²(A)", *_axiom_yang_baxter(A, sigma, t_sigma))
     return report
 
 
-def _axiom_involution(A: AlgebroidData, sigma: PolyMap) -> PolyMap:
-    """(i): σ∘σ − id."""
-    return compose_maps(sigma, sigma) - PolyMap.identity(prolongation(A.shape, WW).dim)
+def _axiom_involution(A: AlgebroidData, sigma: PolyMap) -> tuple[PolyMap, PolyMap]:
+    """(i): (σ∘σ, id)."""
+    return compose_maps(sigma, sigma), PolyMap.identity(prolongation(A.shape, WW).dim)
 
 
-def _axiom_double_linearity(A: AlgebroidData, sigma: PolyMap, t_sigma: PolyMap) -> PolyMap:
-    """(ii), given T.σ: T.σ∘(0×c∘T.λ) − (λ×ℓ)∘σ."""
-    return (compose_maps(t_sigma, lift_pullback_bundle(A))
-            - compose_maps(lift_prolongation_bundle(A), sigma))
+def _axiom_double_linearity(A: AlgebroidData, sigma: PolyMap,
+                            t_sigma: PolyMap) -> tuple[PolyMap, PolyMap]:
+    """(ii), given T.σ: (T.σ∘(0×c∘T.λ), (λ×ℓ)∘σ)."""
+    return (compose_maps(t_sigma, lift_pullback_bundle(A)),
+            compose_maps(lift_prolongation_bundle(A), sigma))
 
 
-def _axiom_lift_symmetry(A: AlgebroidData, sigma: PolyMap) -> PolyMap:
-    """(iii): σ∘λ̂ − λ̂."""
+def _axiom_lift_symmetry(A: AlgebroidData, sigma: PolyMap) -> tuple[PolyMap, PolyMap]:
+    """(iii): (σ∘λ̂, λ̂)."""
     lam_hat = lambda_hat(A)
-    return compose_maps(sigma, lam_hat) - lam_hat
+    return compose_maps(sigma, lam_hat), lam_hat
 
 
-def _axiom_target(A: AlgebroidData, sigma: PolyMap) -> PolyMap:
-    """(iv): T.ϱ∘π₁∘σ − c∘T.ϱ∘π₁."""
+def _axiom_target(A: AlgebroidData, sigma: PolyMap) -> tuple[PolyMap, PolyMap]:
+    """(iv): (T.ϱ∘π₁∘σ, c∘T.ϱ∘π₁)."""
     t_rho = weil_prolong(W, A.anchor_map())
     pi1 = prolongation(A.shape, WW).proj1
     flip_m = generator_nat("flip", A.base_dim)
-    return (compose_maps(t_rho, compose_maps(pi1, sigma))
-            - compose_maps(flip_m, compose_maps(t_rho, pi1)))
+    return (compose_maps(t_rho, compose_maps(pi1, sigma)),
+            compose_maps(flip_m, compose_maps(t_rho, pi1)))
 
 
-def _axiom_yang_baxter(A: AlgebroidData, sigma: PolyMap, t_sigma: PolyMap) -> PolyMap:
+def _axiom_yang_baxter(A: AlgebroidData, sigma: PolyMap,
+                       t_sigma: PolyMap) -> tuple[PolyMap, PolyMap]:
     """(v), given T.σ: Yang-Baxter for σ×c and 1×T.σ on L²(A).
 
     With σ₁ = 1×T.σ and σ₂ = σ×c, the two sides σ₂∘σ₁∘σ₂ and σ₁∘σ₂∘σ₁ share
@@ -414,7 +416,7 @@ def _axiom_yang_baxter(A: AlgebroidData, sigma: PolyMap, t_sigma: PolyMap) -> Po
     l2 = prolongation(A.shape, L2_ALGEBRA)
     sigma1 = join_at(A.shape, W, WW, l2.proj0, compose_maps(t_sigma, l2.proj1))
     both = compose_maps(sigma1, sigma2)
-    return compose_maps(sigma2, both) - compose_maps(both, sigma1)
+    return compose_maps(sigma2, both), compose_maps(both, sigma1)
 
 
 def check_lambda_hat_coassociativity(A: AlgebroidData) -> CheckReport:
@@ -423,8 +425,8 @@ def check_lambda_hat_coassociativity(A: AlgebroidData) -> CheckReport:
     lam_hat = lambda_hat(A)
     left = whiskered_generator(A.shape, "ell", NAT, W)    # λ̂×ℓ : L -> L²
     right = whiskered_generator(A.shape, "ell", W, NAT)   # id×T.λ̂ : L -> L²
-    report.check("(λ̂×ℓ)∘λ̂ = (id×T.λ̂)∘λ̂",
-                 compose_maps(left, lam_hat) - compose_maps(right, lam_hat))
+    report.equal("(λ̂×ℓ)∘λ̂ = (id×T.λ̂)∘λ̂",
+                 compose_maps(left, lam_hat), compose_maps(right, lam_hat))
     return report
 
 
@@ -536,7 +538,7 @@ def check_section_laws(A: AlgebroidData, sections: list[PolyMap],
                 lhs = bracket(X, scalar_action_on_section(f, Y))
                 rhs = scalar_action_on_section(f, bracket(X, Y)) \
                     + scalar_action_on_section(anchor_derivation(A, X, f), Y)
-                report.check(f"Leibniz [{i}, f{s}·{j}]", lhs - rhs)
+                report.equal(f"Leibniz [{i}, f{s}·{j}]", lhs, rhs)
     return report
 
 
@@ -585,7 +587,7 @@ def check_morphism(A: AlgebroidData, B: AlgebroidData, fiber, base_map: PolyMap,
     t_phi = weil_prolong(W, base_map)
     lhs = compose_maps(t_phi, A.anchor_map())
     rhs = compose_maps(B.anchor_map(), full_f)
-    report.check("anchor preservation", lhs - rhs)
+    report.equal("anchor preservation", lhs, rhs)
 
     # Bracket condition in the two-section space (x; u, v).
     m = dA + 2 * rA
@@ -608,6 +610,6 @@ def check_morphism(A: AlgebroidData, B: AlgebroidData, fiber, base_map: PolyMap,
     f_bracket_a = f_fiber(xs, bracket_a)
     lhs_comps = [p + q for p, q in zip(nabla_f(us, vs).components, bracket_b)]
     rhs_comps = [p + q for p, q in zip(nabla_f(vs, us).components, f_bracket_a)]
-    report.check("bracket condition ∇[f](x,y) + ⟨fx,fy⟩ = ∇[f](y,x) + f⟨x,y⟩",
-                 PolyMap(m, rB, [a - b for a, b in zip(lhs_comps, rhs_comps)]))
+    report.equal("bracket condition ∇[f](x,y) + ⟨fx,fy⟩ = ∇[f](y,x) + f⟨x,y⟩",
+                 PolyMap(m, rB, lhs_comps), PolyMap(m, rB, rhs_comps))
     return report

@@ -108,15 +108,9 @@ def check_functoriality(A: AlgebroidData,
             continue
         # Both sides of a pair share most subterms; the memo lives for one pair.
         memo: dict = {}
-        m1 = wterm.eval_model(t1, model, memo)
-        m2 = wterm.eval_model(t2, model, memo)
-        # Equal maps pass without building their difference, which only a
-        # witness needs.
-        if m1 == m2:
-            report.add(f"pair#{idx} nerve images equal", True)
-        else:
-            report.check(f"pair#{idx} nerve images equal", m1 - m2,
-                         lambda: f"{wterm.print_term(t1)} vs {wterm.print_term(t2)}")
+        report.equal(f"pair#{idx} nerve images equal",
+                     wterm.eval_model(t1, model, memo), wterm.eval_model(t2, model, memo),
+                     lambda: f"{wterm.print_term(t1)} vs {wterm.print_term(t2)}")
     return report
 
 
@@ -141,10 +135,8 @@ def check_compose_functoriality(A: AlgebroidData, rng: random.Random,
             continue
         # Both sides contain t, t', s and s': one memo serves the case.
         memo: dict = {}
-        difference = (wterm.eval_model(whole, model, memo)
-                      - wterm.eval_model(parts, model, memo))
-        report.check(f"case#{done} {wterm.print_term(whole)} = "
-                     f"{wterm.print_term(parts)}", difference)
+        report.equal(f"case#{done} {wterm.print_term(whole)} = {wterm.print_term(parts)}",
+                     wterm.eval_model(whole, model, memo), wterm.eval_model(parts, model, memo))
         done += 1
     return report
 
@@ -172,8 +164,8 @@ def check_cartesian_p(A: AlgebroidData) -> CheckReport:
         p_v = whiskered_generator(shape, "p", NAT, V)  # A.(p⊗V):  A.WV  -> A.V
         t_p_v = weil_prolong(W, p_v)
         # Naturality square.
-        report.check(f"square commutes at V={V}",
-                     compose_maps(alpha_v, p_wv) - compose_maps(t_p_v, alpha_mid))
+        report.equal(f"square commutes at V={V}",
+                     compose_maps(alpha_v, p_wv), compose_maps(t_p_v, alpha_mid))
         # Comparison into the pullback of s ∈ A.(W⊗V) and t ∈ T(A.(W⊗V)).
         comparison = PolyMap.pairing([p_wv, alpha_mid])
         total = 3 * mid.dim
@@ -181,8 +173,8 @@ def check_cartesian_p(A: AlgebroidData) -> CheckReport:
         t = PolyMap.projection(total, mid.dim, 2 * mid.dim)
         # Candidate inverse: the span assembly of the head of s with t.
         inverse = join_at(shape, W, W.tensor(V), compose_maps(mid.proj0, s), t)
-        report.check(f"inverse ∘ comparison = id at V={V}",
-                     compose_maps(inverse, comparison) - PolyMap.identity(big.dim))
+        report.equal(f"inverse ∘ comparison = id at V={V}",
+                     compose_maps(inverse, comparison), PolyMap.identity(big.dim))
         # Parameterize the pullback: s free; in both copies of t the slots
         # that T(A.(p⊗V)) reads are pinned to α_V(s), the others are free.
         small = prolongation(shape, V)
@@ -198,8 +190,8 @@ def check_cartesian_p(A: AlgebroidData) -> CheckReport:
         iota = PolyMap(n_params, total, list(s_params.components) + t_params)
         # Constraint satisfied by construction; verify the second round trip.
         section = compose_maps(comparison, compose_maps(inverse, iota))
-        report.check(f"comparison ∘ inverse = id on the pullback at V={V}",
-                     section - iota)
+        report.equal(f"comparison ∘ inverse = id on the pullback at V={V}",
+                     section, iota)
     # Redundant naturality assertions at V = N for the other generators.
     model = NerveModel(A)
     for text, kind in (("0", "zero"), ("+", "plus"), ("l", "ell"), ("c", "flip")):
@@ -210,7 +202,7 @@ def check_cartesian_p(A: AlgebroidData) -> CheckReport:
         rhs = compose_maps(
             weil_prolong(W, wterm.eval_model(term, model)),
             prolongation(shape, W.tensor(gen.source)).proj1)
-        report.check(f"naturality of α against {text} at V=N", lhs - rhs)
+        report.equal(f"naturality of α against {text} at V=N", lhs, rhs)
     return report
 
 
@@ -304,14 +296,14 @@ def _check_lie_table(A: AlgebroidData, sigma_prime: PolyMap) -> CheckReport:
     # π' = p∘π₁: the nerve map A.(p⊗W) equals base-of-proj1.
     pi_prime = whiskered_generator(shape, "p", NAT, W)
     p_pi1 = PolyMap(n, d + r, space.proj1.components[:d + r])
-    report.check("π' = p∘π₁", pi_prime - p_pi1)
+    report.equal("π' = p∘π₁", pi_prime, p_pi1)
 
     # ξ' = (ξ∘π, 0): A.(0⊗W) sends (x, v) to (x; 0, v, 0).
     xi_prime = whiskered_generator(shape, "zero", NAT, W)
     x, v = block_vars(A, W)
     zero = [Polynomial.zero(d + r)] * r
-    report.check("ξ' = (ξ∘π, 0)",
-                 xi_prime - PolyMap(d + r, n, x + zero + v + zero))
+    report.equal("ξ' = (ξ∘π, 0)",
+                 xi_prime, PolyMap(d + r, n, x + zero + v + zero))
 
     # λ' = λ×ℓ: legs T.π₀∘λ' = λ∘π₀ and T.π₁∘λ' = ℓ∘π₁.
     lam_prime = lift_prolongation_bundle(A)
@@ -319,23 +311,23 @@ def _check_lie_table(A: AlgebroidData, sigma_prime: PolyMap) -> CheckReport:
     t_proj1 = weil_prolong(W, space.proj1)
     lam_a = A.bundle.lift.lam
     ell_a = generator_nat("ell", d + r)
-    report.check("T.π₀∘λ' = λ∘π₀",
-                 compose_maps(t_proj0, lam_prime)
-                 - compose_maps(lam_a, space.proj0))
-    report.check("T.π₁∘λ' = ℓ∘π₁",
-                 compose_maps(t_proj1, lam_prime)
-                 - compose_maps(ell_a, space.proj1))
+    report.equal("T.π₀∘λ' = λ∘π₀",
+                 compose_maps(t_proj0, lam_prime),
+                 compose_maps(lam_a, space.proj0))
+    report.equal("T.π₁∘λ' = ℓ∘π₁",
+                 compose_maps(t_proj1, lam_prime),
+                 compose_maps(ell_a, space.proj1))
 
     # ϱ' = π₁ is proj1 by construction; record the anchor-matrix reading.
     prime_rho = _lie_anchor(A)
     xv, uu, vv, ww = block_vars(A, WW)
     shape_p = AnchoredShape(d + r, 2 * r, prime_rho)
     fibers = shape_p.anchor_fiber(xv + vv, uu + ww)
-    report.check("ϱ' = π₁ (anchor matrix reading)",
-                 PolyMap(n, 2 * (d + r), xv + vv + fibers) - space.proj1)
+    report.equal("ϱ' = π₁ (anchor matrix reading)",
+                 PolyMap(n, 2 * (d + r), xv + vv + fibers), space.proj1)
 
     # σ' = σ×c is an involution on L²(A).
-    report.check("σ'∘σ' = id",
-                 compose_maps(sigma_prime, sigma_prime)
-                 - PolyMap.identity(sigma_prime.src_dim))
+    report.equal("σ'∘σ' = id",
+                 compose_maps(sigma_prime, sigma_prime),
+                 PolyMap.identity(sigma_prime.src_dim))
     return report

@@ -107,8 +107,8 @@ def certify_linear_pullback(comparison: PolyMap, constraints: PolyMap,
         return
     retraction = PolyMap.linear(comparison.tgt_dim,
                                 [{j: c for j, c in enumerate(row) if c} for row in left])
-    round_trip = compose_maps(retraction, comparison) - PolyMap.identity(comparison.src_dim)
-    report.check(f"{name}: retraction inverts on the source", round_trip)
+    report.equal(f"{name}: retraction inverts on the source",
+                 compose_maps(retraction, comparison), PolyMap.identity(comparison.src_dim))
     # On the subspace the other round trip must be the identity: check on a
     # basis of the subspace, exactly.
     basis = linalg.nullspace(cons_matrix)
@@ -144,8 +144,7 @@ def check_tangent_axioms(n: int, sample: list[PolyMap] | None = None,
     def nat(phi: WeilMorphism) -> PolyMap:
         return structure_nat(phi, n)
 
-    def eq(name: str, lhs: PolyMap, rhs: PolyMap) -> None:
-        report.check(name, lhs - rhs)
+    eq = report.equal
 
     # TC.1: additive bundle structure on p.
     eq("TC.1 p∘0 = id", compose_maps(nat(p), nat(z)), PolyMap.identity(n))
@@ -257,10 +256,10 @@ def check_naturality(phi: WeilMorphism, f: PolyMap) -> CheckReport:
     V, U = phi.source, phi.target
     lhs = compose_maps(structure_nat(phi, f.tgt_dim), weil_prolong(V, f))
     rhs = compose_maps(weil_prolong(U, f), structure_nat(phi, f.src_dim))
-    report.check("naturality square", lhs - rhs, lambda: f"phi={phi}")
-    report.check(
+    report.equal("naturality square", lhs, rhs, lambda: f"phi={phi}")
+    report.equal(
         "strictness T^{U⊗V}f = T^U(T^V f)",
-        weil_prolong(U.tensor(V), f) - weil_prolong(U, weil_prolong(V, f)),
+        weil_prolong(U.tensor(V), f), weil_prolong(U, weil_prolong(V, f)),
         lambda: f"U={U}, V={V}")
     return report
 
@@ -272,8 +271,8 @@ def check_square_preservation(square: weil.TransverseSquare, n: int) -> CheckRep
     right = structure_nat(square.right_leg, n)
     lbase = structure_nat(square.left_base, n)
     rbase = structure_nat(square.right_base, n)
-    report.check("image square commutes",
-                 compose_maps(lbase, left) - compose_maps(rbase, right))
+    report.equal("image square commutes",
+                 compose_maps(lbase, left), compose_maps(rbase, right))
     comparison = PolyMap.pairing([left, right])
     total = left.tgt_dim + right.tgt_dim
     cl = PolyMap.projection(total, 0, left.tgt_dim)
@@ -290,6 +289,6 @@ def check_product_preservation(V: WeilAlgebra, f: PolyMap, g: PolyMap) -> CheckR
     tgt_iso = interleaving_iso(V, f.tgt_dim, g.tgt_dim)
     lhs = compose_maps(weil_prolong(V, f.cross(g)), src_iso)
     rhs = compose_maps(tgt_iso, weil_prolong(V, f).cross(weil_prolong(V, g)))
-    report.check("interleaved equality", lhs - rhs)
+    report.equal("interleaved equality", lhs, rhs)
     return report
 

@@ -70,6 +70,31 @@ def test_summary_flags_a_metric_worse_than_its_bound(tmp_path, capsys):
     assert "10/10" in out and "WORSE" in out
 
 
+def test_summary_shows_attempted_counts_and_warns_when_they_differ(tmp_path, capsys):
+    # peak_rss_mb grows with the cases a run keeps, so it is shown with the
+    # median `attempted` of each side, and a gap over 10% is flagged.
+    def results(path, attempted):
+        runs = [{"workload": "cdc", "trace": 0, "attempted": n, "failed": 0,
+                 "metrics": {"wall_s": 1.0, "peak_rss_mb": 20.0}} for n in attempted]
+        path.write_text(json.dumps({"meta": {}, "runs": runs}))
+        return path
+
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                           {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
+    parent = results(tmp_path / "p.json", [600, 590, 610])
+    for attempted, warns in (([600, 660, 650], False), ([600, 670, 680], True),
+                             ([550, 560, 540], False), ([530, 500, 520], True)):
+        change = results(tmp_path / "c.json", attempted)
+        assert bench_pairs.summarize(parent, change, "cdc", spec) == 0
+        lines = capsys.readouterr().out.splitlines()
+        (row,) = [line for line in lines if line.lstrip().startswith("peak_rss_mb")]
+        assert row.endswith(f"attempted 600/{sorted(attempted)[1]}")
+        assert not any(line.lstrip().startswith("wall_s") and "attempted" in line
+                       for line in lines)
+        assert any("warning" in line for line in lines) is warns, attempted
+    assert bench_pairs.attempted_warning(0, 5) is None
+
+
 def fake_side(walls: dict):
     """A `run_side` that appends one synthetic run per call, its wall time
     taken from `walls[(checkout name, workload)]` in turn."""

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tancat.poly import (MAX_EXPONENT, PolyError, PolyMap, Polynomial,
-                         compose_maps, parse_poly)
+                         compose_maps, differential, parse_poly, tangent_n)
 
 N_VARS = 3
 
@@ -203,3 +203,32 @@ def test_composition_with_bare_variable_components(parts, inner):
     expected = PolyMap(2, g.tgt_dim, [expand(c, inner, 2) for c in comps])
     assert compose_maps(g, f) == expected
     assert str(compose_maps(g, f)) == str(expected)
+
+
+def stores_no_zero(*results) -> bool:
+    """No term of any polynomial or map component has coefficient 0."""
+    polys = [q for r in results
+             for q in (r.components if isinstance(r, PolyMap) else (r,))]
+    return all(c != 0 for q in polys for _, c in q.monomials())
+
+
+@given(polynomials(), polynomials(), st.lists(polynomials(), min_size=N_VARS, max_size=N_VARS),
+       st.integers(0, 3), st.integers(1, N_VARS), st.integers(0, 2),
+       st.lists(st.dictionaries(st.integers(0, N_VARS - 1), coefficients, max_size=3),
+                max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_kernel_results_store_no_zero_coefficient(a, b, args, k, i, offset, rows):
+    # `CheckReport.equal` passes two sides on `==` alone; that agrees with a
+    # zero difference only while no term dict keeps a 0 coefficient.
+    f = PolyMap(N_VARS, N_VARS, args)
+    results = [a + b, a - b, a - a, a + (-a), a * b, a * 0, a * Fraction(1, 2) * 2, a ** k,
+               a.partial(i), a.substitute(args), a.shift_vars(offset, N_VARS + offset),
+               compose_maps(f, f), differential(f), tangent_n(f, 2),
+               PolyMap.linear(N_VARS, rows), PolyMap.linear(N_VARS, [{0: 0, 1: Fraction(0)}]),
+               parse_poly("x1 - x1"), parse_poly("2*x1*x2 - x2*x1*2 + 0*x3", 3)]
+    assert stores_no_zero(*results)
+    for lhs, rhs in [(a + b, b + a), (a - b, a + (-b)), (a * b, b * a), (a, b),
+                     (a - a, Polynomial.zero(N_VARS)), (a.substitute(args), b),
+                     (compose_maps(f, f), f), (differential(f), differential(f)),
+                     (parse_poly("x1 - x1", N_VARS), Polynomial.zero(N_VARS))]:
+        assert (lhs == rhs) is (lhs - rhs).is_zero()

@@ -39,7 +39,10 @@
 - `differential` against the tangent block of `tangent_n(f, 1)` and against
   the per-variable formula it replaced, and `random_polynomial` and
   `random_map` against the generator that summed one polynomial per term
-  (same maps, same generator state afterwards, same PolyError).
+  (same maps, same generator state afterwards, same PolyError);
+- `random_polynomial`, which draws from `getrandbits`, against the same
+  draws made through `rng.randrange`, over up to 8 variables, degree 6 and
+  single-value (0 included) and all-negative coefficient ranges.
 """
 
 import itertools
@@ -840,31 +843,34 @@ def test_paired_axiom_matches_the_full_axiom_report():
     for A in [ST.so3()] + [ST.mutant(name) for name in ("alternating", "leibniz", "bianchi")]:
         sigma = AL.involution_from_bracket(A)
         t_sigma = weil_prolong(W, sigma)
-        diffs = [AL._axiom_involution(A, sigma), AL._axiom_double_linearity(A, sigma, t_sigma),
+        sides = [AL._axiom_involution(A, sigma), AL._axiom_double_linearity(A, sigma, t_sigma),
                  AL._axiom_lift_symmetry(A, sigma), AL._axiom_target(A, sigma),
                  AL._axiom_yang_baxter(A, sigma, t_sigma)]
         report = AL.check_involution_axioms(A, sigma)
         assert [v.name.split()[0] for v in report.verdicts] == \
             ["(i)", "(ii)", "(iii)", "(iv)", "(v)"]
-        assert [v.passed for v in report.verdicts] == [d.is_zero() for d in diffs]
+        assert [v.passed for v in report.verdicts] == [(lhs - rhs).is_zero() for lhs, rhs in sides]
+        assert [v.passed for v in report.verdicts] == [lhs == rhs for lhs, rhs in sides]
         outcomes.add(tuple(v.passed for v in report.verdicts))
     assert len(outcomes) == 4
 
 
 def test_shared_product_yang_baxter_matches_the_four_compositions():
-    """(v) as σ₂∘(σ₁∘σ₂) − (σ₁∘σ₂)∘σ₁ against σ₂∘σ₁∘σ₂ − σ₁∘σ₂∘σ₁ composed in
-    four steps, with σ₁ = 1×T.σ built by `whiskered_generator`."""
+    """(v) as the sides σ₂∘(σ₁∘σ₂) and (σ₁∘σ₂)∘σ₁ against σ₂∘σ₁∘σ₂ and σ₁∘σ₂∘σ₁
+    composed in four steps, with σ₁ = 1×T.σ built by `whiskered_generator`."""
     outcomes = set()
     for _, instances in ST.equivalence_instances(ST.DEFAULT_SEED + 2):
         for A in instances:
             sigma = AL.involution_from_bracket(A)
             sigma1 = FS.whiskered_generator(A.shape, "flip", W, weil.NAT, sigma=sigma)
             sigma2 = FS.whiskered_generator(A.shape, "flip", weil.NAT, W, sigma=sigma)
-            four = (compose_maps(sigma2, compose_maps(sigma1, sigma2))
-                    - compose_maps(sigma1, compose_maps(sigma2, sigma1)))
-            got = AL._axiom_yang_baxter(A, sigma, weil_prolong(W, sigma))
-            assert_same_map(got, four)
-            outcomes.add(got.is_zero())
+            left = compose_maps(sigma2, compose_maps(sigma1, sigma2))
+            right = compose_maps(sigma1, compose_maps(sigma2, sigma1))
+            lhs, rhs = AL._axiom_yang_baxter(A, sigma, weil_prolong(W, sigma))
+            assert_same_map(lhs, left)
+            assert_same_map(rhs, right)
+            assert_same_map(lhs - rhs, left - right)
+            outcomes.add((lhs - rhs).is_zero())
     assert outcomes == {True, False}
 
 
@@ -1303,6 +1309,52 @@ def test_random_map_matches_the_reference_generator(seed, src, tgt, degree, coef
     assert rng.getstate() == ref.getstate()
 
 
+def randrange_terms(rng, n_vars, degree, coeff_range, n_terms):
+    """The draws of `random_polynomial` made through `rng.randrange`, as
+    {exponent tuple: coefficient}; a term past MAX_EXPONENT raises PolyError
+    when `Polynomial` packs it."""
+    low, high = coeff_range
+    terms = {}
+    for _ in range(n_terms):
+        mono = [0] * n_vars
+        for _ in range(rng.randrange(degree + 1)):
+            if n_vars:
+                mono[rng.randrange(n_vars)] += 1
+        c = rng.randrange(low, high + 1)
+        if c:
+            Polynomial(n_vars, {tuple(mono): c})
+            terms[tuple(mono)] = terms.get(tuple(mono), 0) + c
+    return {mono: c for mono, c in terms.items() if c}
+
+
+DRAW_RANGES = st.tuples(st.integers(-9, 9), st.integers(0, 9)).map(
+    lambda lw: (lw[0], lw[0] + lw[1]))
+
+
+@given(seed=st.integers(0, 2 ** 64), n_vars=st.integers(0, 8), degree=st.integers(0, 6),
+       coeff_range=st.one_of(DRAW_RANGES, st.sampled_from([(0, 0), (-4, -4), (-7, -1)])),
+       n_terms=st.integers(0, 6))
+@settings(max_examples=300, deadline=None)
+def test_random_polynomial_draws_what_randrange_draws(seed, n_vars, degree, coeff_range,
+                                                      n_terms):
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = random_polynomial(rng, n_vars, degree, coeff_range, n_terms)
+    assert dict(got.monomials()) == randrange_terms(ref, n_vars, degree, coeff_range, n_terms)
+    assert rng.getstate() == ref.getstate()
+
+
+@given(seed=st.integers(0, 2 ** 32), n_vars=st.integers(1, 2),
+       degree=st.sampled_from([MAX_EXPONENT + 1, 2 * MAX_EXPONENT]))
+@settings(max_examples=12, deadline=None)
+def test_random_polynomial_past_the_exponent_limit_raises_as_randrange_does(seed, n_vars,
+                                                                            degree):
+    rng, ref = random.Random(seed), random.Random(seed)
+    args = (n_vars, degree, (-1, 1), 2)
+    got = draw_or_raise(lambda r, *a: dict(random_polynomial(r, *a).monomials()), rng, *args)
+    assert got == draw_or_raise(randrange_terms, ref, *args)
+    assert rng.getstate() == ref.getstate()
+
+
 def draw_or_raise(generate, rng, *args):
     try:
         return generate(rng, *args)
@@ -1322,16 +1374,20 @@ def test_random_polynomial_raises_where_the_reference_does(seed):
 
 
 class ScriptedRandom(random.Random):
-    """Answers `randrange` from a script, checking each answer is in range."""
+    """Answers `getrandbits` from a script, checking each answer fits its bits.
+
+    Both generators draw below n through getrandbits(n.bit_length()) until
+    the bits are less than n, so a scripted value v < n is one draw:
+    `randrange(n)` is v, and `randrange(a, b)` is a + v.
+    """
 
     def __init__(self, script):
         super().__init__(0)
         self.script = list(script)
 
-    def randrange(self, start, stop=None):
-        low, high = (0, start) if stop is None else (start, stop)
+    def getrandbits(self, k):
         value = self.script.pop(0)
-        assert low <= value < high
+        assert 0 <= value < 1 << k
         return value
 
 
@@ -1339,11 +1395,15 @@ class ScriptedRandom(random.Random):
                                               (2, 2 ** 16), (2, 2 ** 16 + 5)])
 def test_random_polynomial_rejects_an_exponent_that_carries(n_vars, exponent):
     # One term whose degree units all land on x1: at 2^16 a packed field
-    # wraps to 0 and carries into the next one.
-    script = [exponent] + [0] * exponent + [1]
+    # wraps to 0 and carries into the next one.  The last draw, 4, is the
+    # coefficient -3 + 4 = 1.
+    script = [exponent] + [0] * exponent + [4]
     for generate in (random_polynomial, reference_random_polynomial):
+        rng = ScriptedRandom(script)
         with pytest.raises(PolyError, match="exceeds the limit"):
-            generate(ScriptedRandom(script), n_vars, exponent, (-3, 3), 1)
-    ok = [MAX_EXPONENT] + [0] * MAX_EXPONENT + [1]
-    assert random_polynomial(ScriptedRandom(ok), n_vars, MAX_EXPONENT, (-3, 3), 1) == \
+            generate(rng, n_vars, exponent, (-3, 3), 1)
+        assert rng.script == []
+    rng = ScriptedRandom([MAX_EXPONENT] + [0] * MAX_EXPONENT + [4])
+    assert random_polynomial(rng, n_vars, MAX_EXPONENT, (-3, 3), 1) == \
         Polynomial(n_vars, {(MAX_EXPONENT,) + (0,) * (n_vars - 1): 1})
+    assert rng.script == []

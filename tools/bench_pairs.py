@@ -26,8 +26,11 @@ from pair to pair.  Compare checkouts in the same bytecode state: a stale
 checkout has `src/tancat/__pycache__`.  It also warns when a module of
 `src/tancat` sits on different sides of a 4,096 or 8,192 token step in the
 two checkouts: CPython's parser doubles its token array there, so the
-module's compile, and with it `peak_rss_mb`, costs differently.  Standard
-library only.
+module's compile, and with it `peak_rss_mb`, costs differently.  The
+`peak_rss_mb` row shows each side's median `attempted` count, and the tool
+warns when the two differ by more than 10%: a run keeps every case latency,
+so its peak memory grows with the cases it runs, and a faster change runs
+more of them in the same seconds.  Standard library only.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WIN_SHARE = 0.9
 TOKEN_STEPS = (4096, 8192)
+ATTEMPTED_SPREAD = 0.1
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -101,6 +105,7 @@ def summarize(parent_path: Path, change_path: Path, workload: str, spec: dict) -
     print(f"  {'metric':14s} {'parent q1/median/q3':>30s} {'change q1/median/q3':>30s}"
           f" {'ratio':>7s} {'wins':>6s}  claim  bound")
     status = 0
+    attempted = [statistics.median(r["attempted"] for r in side) for side in (parent, change)]
     for metric in spec["end_to_end"]:
         name, better, bound = metric["name"], metric["better"], metric["bound"]
         a = [r["metrics"][name] for r in parent]
@@ -109,14 +114,28 @@ def summarize(parent_path: Path, change_path: Path, workload: str, spec: dict) -
         ratio = cq[1] / pq[1] if pq[1] else float("nan")
         over = worse_than_bound(a, b, better, bound)
         status |= over
+        counts = f"  attempted {attempted[0]:g}/{attempted[1]:g}" if name == "peak_rss_mb" else ""
         print(f"  {name:14s} {'/'.join(f'{v:.4g}' for v in pq):>30s}"
               f" {'/'.join(f'{v:.4g}' for v in cq):>30s} {ratio:7.3f}"
               f" {wins(a, b, better):3d}/{n:<2d}  {'yes' if claim_holds(a, b, better) else 'no ':5s}"
-              f"  {'WORSE' if over else 'ok'}")
+              f"  {'WORSE' if over else 'ok'}{counts}")
+    warning = attempted_warning(*attempted)
+    if warning:
+        print(warning)
     failed = [sum(r["failed"] for r in side) / max(1, sum(r["attempted"] for r in side))
               for side in (parent, change)]
     print(f"  failed share: parent {failed[0]:.4f}, change {failed[1]:.4f}")
     return status | (failed[1] > failed[0])
+
+
+def attempted_warning(a: float, b: float) -> str | None:
+    """A warning when the median `attempted` counts a (parent) and b
+    (change) differ by more than ATTEMPTED_SPREAD of a."""
+    if not a or abs(b - a) <= ATTEMPTED_SPREAD * a:
+        return None
+    return (f"  warning: the change attempted {b:g} cases per run (median) against the "
+            f"parent's {a:g}; peak_rss_mb grows with the cases a run keeps, so the two "
+            "sides' memory is not measured at equal work")
 
 
 def run_side(checkout: Path, out: Path, workload: str, seconds: float) -> None:
