@@ -13,26 +13,31 @@ gives the (x; u, v, w) layout with embedding (x, u; x, v, ρ(x)u, w).  Each
 block carries its monomial label, so reorderings (e.g. against the tangent
 model's basis-ordered layout) are explicit permutations, not conventions.
 
-The structural maps of the Weil nerve are built here: whiskered generator
-actions (the flip takes the involution σ as an argument), span tensoring of
-evaluated maps, and fibered-sum pairing.  One decomposition serves them all:
-`split_left` cuts A.(S1⊗S2) into its legs to A.S1 and T^{S1}(A.S2), and
-`join_at` assembles a map into A.(S1⊗S2) from two such legs.  The legs are
-coordinate selections built from index lists (`indices_of`,
-`PolyMap.selection`); only when d > 0 do the base slots of the non-unit
-copies in the right leg take the components of A.S1's right leg.
-`tensor_action` pushes through the Weil morphism by its columns: target copy
-k of A.S2 is Σ_j M[k][j] · (copy j) of the moved right leg.  A space keeps
-its split at each factor boundary it is asked for, and the index plan of
-`join_at` into it, at most n_factors + 1 of each: AC8 asks for 231
-distinct (space, k) splits 1,661 times.  Kept legs are cheap because a
-selection shares the variables of its dimension (`PolyMap.selection`)
-instead of holding one new polynomial per coordinate, which made a
-per-space split cache cost 3.5 MB of peak memory before.  The head leg
-`proj1` of a space is its split after the first factor, and a whisker
-id_{W_n} ⊠ g is joined from `proj0` and T_n g ∘ `proj1`.  The only
-constrained coordinates, ρ(x)·u, come from the right leg `rho_leg` of a
-single-factor space A.W_n.
+The structural maps of the Weil nerve are built here.  A rig morphism
+φ: V -> U acts by its N-matrix M (`weil_push`): block μ of A.U is
+Σ_ν M[μ][ν]·(block ν of A.V), blocks matched by label (Leung, "Classifying
+tangent structures using Weil algebras", TAC 32, 2017).  This is A.θ for
+p, 0, +, ℓ, proj, ! and id and for every whiskering of them; only the flip
+carries the algebroid's bracket, through σ on its spine (`_flip_head`),
+and is whiskered head by head (`whisker_head`).  Span tensoring of
+evaluated maps and fibered-sum pairing complete the nerve.  One
+decomposition serves the tensor: `split_left` cuts A.(S1⊗S2) into its legs
+to A.S1 and T^{S1}(A.S2), and `join_at` assembles a map into A.(S1⊗S2)
+from two such legs.  The legs are coordinate selections built from index
+lists (`indices_of`, `PolyMap.selection`); only when d > 0 do the base
+slots of the non-unit copies in the right leg take the components of
+A.S1's right leg.  `tensor_action` pushes through the Weil morphism by
+the same `matrix_action` as `weil_push`: target copy k of A.S2 is
+Σ_j M[k][j] · (copy j) of the moved right leg.  A space keeps its split
+at each factor boundary it is asked for, and the index plan of `join_at`
+into it, at most n_factors + 1 of each: AC8 asks for 231 distinct (space,
+k) splits 1,661 times.  Kept legs are cheap because a selection shares the
+variables of its dimension (`PolyMap.selection`) instead of holding one
+new polynomial per coordinate, which made a per-space split cache cost
+3.5 MB of peak memory before.  The head leg `proj1` of a space is its
+split after the first factor, and a whisker id_{W_n} ⊠ g is joined from
+`proj0` and T_n g ∘ `proj1`.  The only constrained coordinates, ρ(x)·u,
+come from the right leg `rho_leg` of a single-factor space A.W_n.
 
 Every space is obtained through `prolongation(shape, V)`, one
 least-recently-used cache of at most PROLONGATION_CACHE_SIZE spaces keyed on
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 
 from . import weil
 from .poly import PolyMap, Polynomial, compose_maps
@@ -180,11 +186,6 @@ class Prolongation:
     # -- the two legs of the span and the head decomposition ------------------
 
     @cached_property
-    def pi_leg(self) -> PolyMap:
-        """Left leg A.V -> M (base projection)."""
-        return self.select([self.V.unit_monomial])
-
-    @cached_property
     def rho_leg(self) -> PolyMap:
         """Right leg A.V -> T^V(M).
 
@@ -245,128 +246,103 @@ class Prolongation:
 # -- structural maps -----------------------------------------------------------
 
 
-def whisker_head(src: Prolongation, tgt: Prolongation, inner_map: PolyMap) -> PolyMap:
-    """id_{W_n} ⊠ g on flat coordinates, for g between the inner spaces."""
-    if src.head_width != tgt.head_width:
-        raise ValueError("whisker_head needs equal head widths")
-    head = WeilAlgebra((src.head_width,))
-    lifted = weil_prolong(head, inner_map)
-    return join_at(src.shape, head, tgt.inner.V, src.proj0, compose_maps(lifted, src.proj1))
+def weil_push(shape: AnchoredShape, phi: WeilMorphism) -> PolyMap:
+    """A.φ: A.V -> A.U on flat coordinates, for a rig morphism φ: V -> U.
 
-
-def _relabel_map(src: Prolongation, tgt: Prolongation,
-                 assignment: dict[Label, Label]) -> PolyMap:
-    """Target block `label` copies source block assignment[label]; the rest 0."""
-    sources: list[int | None] = []
-    for block in tgt.blocks:
-        source_label = assignment.get(block.label)
-        if source_label is None:
-            sources.extend([None] * block.size)
-        else:
-            sources.extend(src.indices_of(source_label))
-    return PolyMap.selection(src.dim, sources)
-
-
-def head_generator(shape: AnchoredShape, kind: str, tail: WeilAlgebra,
-                   sigma: PolyMap | None = None, *, i: int | None = None,
-                   n: int | None = None) -> PolyMap:
-    """The generator acting on the leading factor(s), whiskered by `tail`.
-
-    p:  A.(W⊗tail)  -> A.tail          (base-copy extraction)
-    0:  A.tail      -> A.(W⊗tail)      (zero insertion)
-    +:  A.(W2⊗tail) -> A.(W⊗tail)      (fiberwise addition)
-    proj(i,n): A.(W_n⊗tail) -> A.(W⊗tail)
-    ell: A.(W⊗tail) -> A.(W⊗W⊗tail)    (generalized lift: label push a -> ab)
-    c:  A.(W⊗W⊗tail) -> same           (σ on the spine, flip on mixed blocks)
+    Block μ of A.U is Σ_ν M[μ][ν]·(block ν of A.V), with the blocks matched
+    by label and M read off φ's columns (`matrix_action`).  A rig morphism
+    sends the unit to the unit and nothing else there, so the base block is
+    copied and the fiber blocks are sums of fiber blocks.  This is A.φ for
+    every generator but the flip, whose spine carries the bracket through σ.
     """
-    if kind == "p":
-        src = prolongation(shape, weil.W.tensor(tail))
-        tgt = prolongation(shape, tail)
-        labels = [(0,) + tgt.V.unit_monomial]
-        labels += [(0,) + b.label for b in tgt.fiber_blocks]
-        return src.select(labels)
-    if kind == "zero":
-        src = prolongation(shape, tail)
-        tgt = prolongation(shape, weil.W.tensor(tail))
-        assignment = {tgt.V.unit_monomial: src.V.unit_monomial}
-        for b in src.fiber_blocks:
-            assignment[(0,) + b.label] = b.label
-        return _relabel_map(src, tgt, assignment)
-    if kind == "proj":
-        src = prolongation(shape, WeilAlgebra((n,)).tensor(tail))
-        tgt = prolongation(shape, weil.W.tensor(tail))
-        return src.select([(i if b.label[0] else 0,) + b.label[1:] for b in tgt.blocks])
-    if kind == "plus":
-        src = prolongation(shape, weil.W2.tensor(tail))
-        tgt = prolongation(shape, weil.W.tensor(tail))
-        comps: list[Polynomial] = []
-        for block in tgt.blocks:
-            rest = block.label[1:]
-            if block.label[0] == 0:
-                comps.extend(src.vars_of((0,) + rest))
-            else:
-                comps.extend(a + b for a, b in zip(src.vars_of((1,) + rest),
-                                                   src.vars_of((2,) + rest)))
-        return PolyMap(src.dim, tgt.dim, comps)
-    if kind == "ell":
-        src = prolongation(shape, weil.W.tensor(tail))
-        tgt = prolongation(shape, weil.WW.tensor(tail))
-        assignment: dict[Label, Label] = {}
-        for block in tgt.blocks:
-            h1, h2, rest = block.label[0], block.label[1], block.label[2:]
-            if (h1, h2) == (0, 0):
-                assignment[block.label] = (0,) + rest
-            elif (h1, h2) == (1, 1):
-                assignment[block.label] = (1,) + rest
-        return _relabel_map(src, tgt, assignment)
-    if kind == "flip":
-        if sigma is None:
-            raise ValueError("the flip needs the algebroid involution σ")
-        space = prolongation(shape, weil.WW.tensor(tail))
-        l_space = prolongation(shape, weil.WW)
-        if sigma.src_dim != l_space.dim or sigma.tgt_dim != l_space.dim:
-            raise ValueError("σ must act on the flat first prolongation")
-        # σ applied to the spine blocks (x; u=(a), v=(b), w=(ab)): the blocks
-        # whose tail part is the unit, which come in σ's block order.
-        spine_out = iter(compose_maps(sigma, space.select(
-            [b.label for b in space.blocks if b.label[2:] == tail.unit_monomial])).components)
-        comps: list[Polynomial] = []
-        for block in space.blocks:
-            h1, h2, rest = block.label[0], block.label[1], block.label[2:]
-            if rest == tail.unit_monomial:
-                comps.extend(next(spine_out) for _ in range(block.size))
-            elif (h1, h2) == (1, 0):
-                comps.extend(space.vars_of((0, 1) + rest))
-            elif (h1, h2) == (0, 1):
-                comps.extend(space.vars_of((1, 0) + rest))
-            else:
-                comps.extend(space.vars_of(block.label))
-        return PolyMap(space.dim, space.dim, comps)
-    raise ValueError(f"unknown head generator {kind!r}")
+    src = prolongation(shape, phi.source)
+    tgt = prolongation(shape, phi.target)
+    xs = PolyMap.identity(src.dim).components
+    copies = [xs[b.offset:b.offset + b.size]
+              for b in map(src.block, phi.source.basis())]
+    labels = phi.target.basis()
+    sizes = [tgt.block(label).size for label in labels]
+    pushed = dict(zip(labels, matrix_action(phi, copies, sizes, Polynomial.zero(src.dim))))
+    comps = list(chain.from_iterable(pushed[b.label] for b in tgt.blocks))
+    return PolyMap(src.dim, tgt.dim, comps)
 
 
-_GENERATOR_WIDTHS = {
-    "p": ((1,), ()),
-    "zero": ((), (1,)),
-    "plus": ((2,), (1,)),
-    "ell": ((1,), (1, 1)),
-    "flip": ((1, 1), (1, 1)),
-}
+def matrix_action(phi: WeilMorphism, copies: list, sizes: list[int],
+                  zero: Polynomial) -> list:
+    """φ's N-matrix M on copies: result k, sizes[k] long, is Σ_j M[k][j]·copies[j].
+
+    Copies follow the basis of φ.source and results that of φ.target.  A row
+    whose one entry is 1 passes its copy on as it is.
+    """
+    rows: list[list[tuple[int, int]]] = [[] for _ in sizes]
+    for j, column in enumerate(phi.columns):
+        for k, c in column:
+            rows[k].append((j, c))
+    out = []
+    for row, size in zip(rows, sizes):
+        if not row:
+            out.append([zero] * size)
+        elif len(row) == 1 and row[0][1] == 1:
+            out.append(copies[row[0][0]])
+        else:
+            sums = []
+            for i in range(size):
+                total = zero
+                for j, c in row:
+                    total = total + (copies[j][i] if c == 1 else copies[j][i] * c)
+                sums.append(total)
+            out.append(sums)
+    return out
+
+
+def whisker_head(space: Prolongation, inner_map: PolyMap) -> PolyMap:
+    """id_{W_n} ⊠ g on A.(W_n⊗V'), for an endomorphism g of A.V'."""
+    head = WeilAlgebra((space.head_width,))
+    lifted = weil_prolong(head, inner_map)
+    return join_at(space.shape, head, space.inner.V, space.proj0,
+                   compose_maps(lifted, space.proj1))
+
+
+def _flip_head(shape: AnchoredShape, tail: WeilAlgebra, sigma: PolyMap | None) -> PolyMap:
+    """A.(c⊗tail): σ on the spine blocks, the swap on the mixed ones."""
+    if sigma is None:
+        raise ValueError("the flip needs the algebroid involution σ")
+    space = prolongation(shape, weil.WW.tensor(tail))
+    l_space = prolongation(shape, weil.WW)
+    if sigma.src_dim != l_space.dim or sigma.tgt_dim != l_space.dim:
+        raise ValueError("σ must act on the flat first prolongation")
+    # σ applied to the spine blocks (x; u=(a), v=(b), w=(ab)): the blocks
+    # whose tail part is the unit, which come in σ's block order.
+    spine_out = iter(compose_maps(sigma, space.select(
+        [b.label for b in space.blocks if b.label[2:] == tail.unit_monomial])).components)
+    comps: list[Polynomial] = []
+    for block in space.blocks:
+        h1, h2, rest = block.label[0], block.label[1], block.label[2:]
+        if rest == tail.unit_monomial:
+            comps.extend(next(spine_out) for _ in range(block.size))
+        else:
+            comps.extend(space.vars_of((h2, h1) + rest))
+    return PolyMap(space.dim, space.dim, comps)
 
 
 def whiskered_generator(shape: AnchoredShape, kind: str, left: WeilAlgebra,
                         right: WeilAlgebra, sigma: PolyMap | None = None,
                         *, i: int | None = None, n: int | None = None) -> PolyMap:
-    """A.(left ⊗ θ ⊗ right) for a generator θ, by head recursion on `left`."""
+    """A.(left ⊗ θ ⊗ right) for a generator θ.
+
+    Every θ but the flip is the push of id ⊗ θ ⊗ id (`weil_push`); the flip
+    acts at the head (`_flip_head`) and is whiskered by `left` one factor at
+    a time (`whisker_head`).
+    """
+    if kind != "flip":
+        phi = weil.tensor_morphisms(
+            weil.tensor_morphisms(weil.identity_morphism(left), weil.generator(kind, i=i, n=n)),
+            weil.identity_morphism(right))
+        return weil_push(shape, phi)
     if left.n_factors == 0:
-        return head_generator(shape, kind, right, sigma, i=i, n=n)
-    src_mid, tgt_mid = _GENERATOR_WIDTHS[kind] if kind != "proj" else ((n,), (1,))
-    tail_left = WeilAlgebra(left.widths[1:])
-    inner = whiskered_generator(shape, kind, tail_left, right, sigma, i=i, n=n)
-    head = (left.widths[0],)
-    src = prolongation(shape, WeilAlgebra(head + tail_left.widths + src_mid + right.widths))
-    tgt = prolongation(shape, WeilAlgebra(head + tail_left.widths + tgt_mid + right.widths))
-    return whisker_head(src, tgt, inner)
+        return _flip_head(shape, right, sigma)
+    inner = whiskered_generator(shape, kind, WeilAlgebra(left.widths[1:]), right, sigma)
+    return whisker_head(prolongation(shape, left.tensor(weil.WW).tensor(right)), inner)
 
 
 def split_left(space: Prolongation, k: int) -> tuple[PolyMap, PolyMap, WeilAlgebra, WeilAlgebra]:
@@ -469,33 +445,17 @@ def tensor_action(shape: AnchoredShape,
     it needs; of g = right_map only the boundary algebras
     right_source -> right_target matter.  T^{S1} g moves each of the
     dim S1 copies of A.S2 (`split_left`); left_phi then acts on those copies
-    by its matrix M, so target copy k is Σ_j M[k][j] · (moved copy j), read
-    off phi's columns.  This is `structure_nat(left_phi, n)` composed after
-    the moved copies, without building M ⊗ I_n as a map.
+    by its matrix M (`matrix_action`), so target copy k is
+    Σ_j M[k][j] · (moved copy j).  This is `structure_nat(left_phi, n)`
+    composed after the moved copies, without building M ⊗ I_n as a map.
     """
     src_space = prolongation(shape, left_phi.source.tensor(right_source))
     to_left, to_right, S1, S2 = split_left(src_space, left_phi.source.n_factors)
     moved = compose_maps(weil_prolong(S1, right_map), to_right).components
     n = prolongation(shape, right_target).dim
-    # rows[k]: the (j, coefficient) entries of row k of M.
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(left_phi.target.dim)]
-    for j, column in enumerate(left_phi.columns):
-        for k, c in column:
-            rows[k].append((j, c))
-    zero = Polynomial.zero(src_space.dim)
-    pushed: list[Polynomial] = []
-    for row in rows:
-        if not row:
-            pushed.extend([zero] * n)
-        elif len(row) == 1 and row[0][1] == 1:
-            j = row[0][0]
-            pushed.extend(moved[j * n:(j + 1) * n])
-        else:
-            for i in range(n):
-                total = zero
-                for j, c in row:
-                    total = total + (moved[j * n + i] if c == 1 else moved[j * n + i] * c)
-                pushed.append(total)
+    copies = [moved[j * n:(j + 1) * n] for j in range(S1.dim)]
+    pushed = list(chain.from_iterable(matrix_action(
+        left_phi, copies, [n] * left_phi.target.dim, Polynomial.zero(src_space.dim))))
     new_left = compose_maps(left_map, to_left)
     return join_at(shape, left_phi.target, right_target, new_left,
                    PolyMap(src_space.dim, len(pushed), pushed))

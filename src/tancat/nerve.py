@@ -1,11 +1,12 @@
 """The Weil nerve: an involution algebroid as a model of the term language.
 
 A NerveModel interprets each Weil algebra V as the flat prolongation A.V and
-each term constructor structurally: generators act by the span formulas
-(p ↦ π, 0 ↦ ξ, + ↦ fiberwise addition, ℓ ↦ λ̂, c ↦ σ), tensor by span
-composition, pairing by fibered-sum tupling.  `check_functoriality` is the
-executable content of the nerve theorem: terms with equal W1 denotations get
-exactly equal PolyMaps.
+each term constructor structurally: a generator other than c acts by its
+Weil matrix on the labelled blocks (`weil_push` of its denotation, which
+gives p ↦ π, 0 ↦ ξ, + ↦ fiberwise addition, ℓ ↦ λ̂), c acts by σ, tensor
+by span composition, pairing by fibered-sum tupling.  `check_functoriality`
+is the executable content of the nerve theorem: terms with equal W1
+denotations get exactly equal PolyMaps.
 
 `lie_tangent` builds the prolongation tangent structure: the algebroid
 L'(A) on base A with rank 2r, anchor π₁ and involution σ×c, with the
@@ -26,9 +27,8 @@ from . import wterm
 from .algebroid import (AlgebroidData, block_vars, bracket_from_involution,
                         check_structure_equations, involution_from_bracket,
                         lift_prolongation_bundle, make_algebroid)
-from .flatspace import (AnchoredShape, Prolongation, head_generator, join_at,
-                        pair_action, prolongation, tensor_action,
-                        whiskered_generator)
+from .flatspace import (AnchoredShape, Prolongation, join_at, pair_action,
+                        prolongation, tensor_action, weil_push, whiskered_generator)
 from .poly import PolyMap, Polynomial, compose_maps
 from .report import CheckReport
 from .tangent import generator_nat, weil_prolong
@@ -49,9 +49,6 @@ class NerveModel:
         self.shape = A.shape
         self._generators: dict[wterm.Gen, PolyMap] = {}
 
-    def object_of(self, algebra: WeilAlgebra) -> Prolongation:
-        return prolongation(self.shape, algebra)
-
     def generator_map(self, term: wterm.Gen) -> PolyMap:
         value = self._generators.get(term)
         if value is None:
@@ -59,17 +56,9 @@ class NerveModel:
         return value
 
     def _build_generator(self, term: wterm.Gen) -> PolyMap:
-        kind = term.kind
-        if kind == "id":
-            return PolyMap.identity(self.object_of(term.algebra).dim)
-        if kind == "bang":
-            space = self.object_of(term.algebra)
-            return space.pi_leg
-        if kind == "proj":
-            return head_generator(self.shape, "proj", NAT, i=term.i, n=term.n)
-        if kind == "flip":
-            return head_generator(self.shape, "flip", NAT, sigma=self.sigma)
-        return head_generator(self.shape, kind, NAT)
+        if term.kind == "flip":
+            return whiskered_generator(self.shape, "flip", NAT, NAT, sigma=self.sigma)
+        return weil_push(self.shape, wterm.eval_weil(term))
 
     def compose(self, outer: PolyMap, inner: PolyMap) -> PolyMap:
         return compose_maps(outer, inner)
@@ -89,11 +78,6 @@ class NerveModel:
 def nerve_object(A: AlgebroidData, V: WeilAlgebra) -> Prolongation:
     """The flat prolongation A.V (dimension d + (dim V - 1)·r)."""
     return prolongation(A.shape, V)
-
-
-def nerve_eval(A: AlgebroidData, t: wterm.WTerm) -> PolyMap:
-    """Evaluate a term in the nerve model of A."""
-    return wterm.eval_model(t, NerveModel(A))
 
 
 def check_functoriality(A: AlgebroidData,

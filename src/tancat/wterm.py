@@ -374,8 +374,6 @@ class ModelInterface(Protocol):
     possibly the W1 denotation) of the factors.
     """
 
-    def object_of(self, algebra: WeilAlgebra): ...
-
     def generator_map(self, term: Gen): ...
 
     def compose(self, outer, inner): ...

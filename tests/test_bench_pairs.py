@@ -70,6 +70,42 @@ def test_summary_flags_a_metric_worse_than_its_bound(tmp_path, capsys):
     assert "10/10" in out and "WORSE" in out
 
 
+WIDE = [1.0, 0.6, 1.4, 0.7, 1.3, 1.0, 0.8, 1.2, 0.9, 1.1]   # IQR/median 0.35
+
+
+@pytest.mark.parametrize("better, parent, change, expected", [
+    ("lower", WIDE, WIDE, True),                            # wide parent, no clear win
+    ("lower", WIDE, [w * 0.9 for w in WIDE], True),
+    ("lower", WIDE, [0.55] * 10, False),                    # every change run beats every parent run
+    ("lower", PARENT, PARENT, False),                       # narrow parent
+    ("higher", WIDE, [1.5] * 10, False),
+    ("higher", WIDE, [1.4] * 10, True),                     # ties the best parent run
+    ("lower", [0.0] * 4, [0.0] * 4, False),
+])
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound(better, parent, change,
+                                                                 expected):
+    assert bench_pairs.unresolved(parent, change, better, 0.25) is expected
+
+
+def test_summary_prints_unresolved_in_place_of_ok(tmp_path, capsys):
+    def results(path, walls):
+        runs = [{"workload": "cdc", "trace": 0, "attempted": 10, "failed": 0,
+                 "metrics": {"wall_s": w}} for w in walls]
+        path.write_text(json.dumps({"meta": {}, "runs": runs}))
+        return path
+
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
+    parent = results(tmp_path / "p.json", WIDE)
+    for walls, word in ((WIDE, "unresolved"), ([0.5] * 10, "ok"),
+                        ([w * 1.5 for w in WIDE], "WORSE")):
+        status = bench_pairs.summarize(parent, results(tmp_path / "c.json", walls), "cdc", spec)
+        (row,) = [line for line in capsys.readouterr().out.splitlines()
+                  if line.lstrip().startswith("wall_s")]
+        assert row.split()[-1] == word
+        # `unresolved` leaves the exit status as `ok` does.
+        assert status == (word == "WORSE")
+
+
 def test_summary_shows_attempted_counts_and_warns_when_they_differ(tmp_path, capsys):
     # peak_rss_mb grows with the cases a run keeps, so it is shown with the
     # median `attempted` of each side, and a gap over 10% is flagged.

@@ -63,12 +63,13 @@ def test_tangent_algebroid_prolongation_is_second_tangent_bundle():
 
 def test_generator_examples_unwhiskered():
     A = action()
-    lam_hat = NV.nerve_eval(A, wterm.parse_term("l"))
+    lam_hat = wterm.eval_model(wterm.parse_term("l"), NV.NerveModel(A))
     assert lam_hat == PolyMap.from_strings(2, ["x1", "0", "0", "x2"])
     sigma = AL.involution_from_bracket(A)
-    assert NV.nerve_eval(A, wterm.parse_term("c")) == sigma
-    assert NV.nerve_eval(A, wterm.parse_term("p")) == \
-        NV.nerve_object(A, W).pi_leg
+    assert wterm.eval_model(wterm.parse_term("c"), NV.NerveModel(A)) == sigma
+    # p: A.W -> A.N is the base projection (x, u) -> x.
+    assert wterm.eval_model(wterm.parse_term("p"), NV.NerveModel(A)) == \
+        PolyMap.from_strings(2, ["x1"])
 
 
 def test_whiskered_generators_match_weil_action_on_tangent_algebroid():
@@ -94,9 +95,9 @@ def test_whiskered_generators_match_weil_action_on_tangent_algebroid():
 
 def test_bang_and_id_maps():
     A = so3()
-    ident = NV.nerve_eval(A, wterm.parse_term("id{W*W}"))
+    ident = wterm.eval_model(wterm.parse_term("id{W*W}"), NV.NerveModel(A))
     assert ident == PolyMap.identity(NV.nerve_object(A, WW).dim)
-    bang = NV.nerve_eval(A, wterm.parse_term("!{W} * id{W}"))
+    bang = wterm.eval_model(wterm.parse_term("!{W} * id{W}"), NV.NerveModel(A))
     # A.(!⊗W): A.(W⊗W) -> A.W drops the first factor's blocks.
     space = NV.nerve_object(A, WW)
     assert bang.src_dim == space.dim and bang.tgt_dim == NV.nerve_object(A, W).dim
@@ -107,15 +108,15 @@ def test_bang_and_id_maps():
 
 def test_nerve_eval_lift_symmetry():
     for A in (so3(), action(), AL.tangent_algebroid(2)):
-        lhs = NV.nerve_eval(A, wterm.parse_term("c . l"))
-        rhs = NV.nerve_eval(A, wterm.parse_term("l"))
+        lhs = wterm.eval_model(wterm.parse_term("c . l"), NV.NerveModel(A))
+        rhs = wterm.eval_model(wterm.parse_term("l"), NV.NerveModel(A))
         assert lhs == rhs
 
 
 def test_nerve_eval_identity():
     A = so3()
     t = wterm.parse_term("id{W2*W}")
-    assert NV.nerve_eval(A, t) == PolyMap.identity(
+    assert wterm.eval_model(t, NV.NerveModel(A)) == PolyMap.identity(
         NV.nerve_object(A, WeilAlgebra((2, 1))).dim)
 
 
@@ -156,13 +157,12 @@ def test_generator_maps_are_kept_per_model():
     for text, value in zip(texts, built):
         assert first.generator_map(wterm.parse_term(text)) is value
     assert len(first._generators) == len(texts)
-    # Another model over the same algebroid builds its own maps; only `!{V}`
-    # is the shared space's leg `pi_leg` in both.
+    # Another model over the same algebroid builds its own, equal maps.
     assert not second._generators
     for g, value in zip(gens, built):
         other = second.generator_map(g)
         assert other == value
-        assert (other is value) == (g.kind == "bang")
+        assert other is not value
     assert len(second._generators) == len(texts)
     assert all(first.generator_map(g) is value for g, value in zip(gens, built))
 

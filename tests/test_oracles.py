@@ -34,6 +34,11 @@
   axioms compose them), against sympy;
 - `flatspace.tensor_action` (φ's columns applied to the moved blocks)
   against the route through `structure_nat(φ, n)` and `compose_maps`;
+- `flatspace.whiskered_generator` (the Weil push of id ⊗ θ ⊗ id) against
+  the per-kind span formulas and head-by-head whiskers it replaced, for p,
+  0, +, ℓ and two projections whiskered by N, W, W2 and W⊗W on eight
+  algebroids; the push of a c-free term's denotation against its nerve
+  image; and the push of c against σ, which it equals exactly when C = 0;
 - `Polynomial.eval` and `Polynomial.__str__` against formulas over
   exponent tuples;
 - `differential` against the tangent block of `tangent_n(f, 1)` and against
@@ -754,6 +759,141 @@ def test_tensor_action_matches_the_structure_nat_route(name, make):
         row_sizes.update(sum(k == row for column in phi.columns for k, _ in column)
                          for row in range(phi.target.dim))
     assert {1, 2} <= coefficients and {0, 1, 2} <= row_sizes
+
+
+# -- the Weil push of the nerve generators -----------------------------------------
+
+
+def reference_relabel(src, tgt, assignment) -> PolyMap:
+    """Target block `label` copies source block assignment[label]; the rest 0."""
+    sources = []
+    for block in tgt.blocks:
+        source = assignment.get(block.label)
+        sources.extend([None] * block.size if source is None else src.indices_of(source))
+    return PolyMap.selection(src.dim, sources)
+
+
+def reference_head_generator(shape, kind, tail, i=None, n=None) -> PolyMap:
+    """A.(θ⊗tail) by the per-kind span formulas the Weil push replaced."""
+    def space(widths):
+        return FS.prolongation(shape, WeilAlgebra(widths).tensor(tail))
+
+    if kind == "p":
+        src, tgt = space((1,)), FS.prolongation(shape, tail)
+        return src.select([(0,) + b.label for b in tgt.blocks])
+    if kind == "zero":
+        src, tgt = FS.prolongation(shape, tail), space((1,))
+        return reference_relabel(src, tgt, {(0,) + b.label: b.label for b in src.blocks})
+    if kind == "proj":
+        src, tgt = space((n,)), space((1,))
+        return src.select([(i if b.label[0] else 0,) + b.label[1:] for b in tgt.blocks])
+    if kind == "plus":
+        src, tgt = space((2,)), space((1,))
+        comps = []
+        for block in tgt.blocks:
+            rest = block.label[1:]
+            if block.label[0] == 0:
+                comps.extend(src.vars_of((0,) + rest))
+            else:
+                comps.extend(a + b for a, b in zip(src.vars_of((1,) + rest),
+                                                   src.vars_of((2,) + rest)))
+        return PolyMap(src.dim, tgt.dim, comps)
+    assert kind == "ell"
+    src, tgt = space((1,)), space((1, 1))
+    assignment = {b.label: (b.label[0],) + b.label[2:] for b in tgt.blocks
+                  if b.label[0] == b.label[1]}
+    return reference_relabel(src, tgt, assignment)
+
+
+REFERENCE_WIDTHS = {"p": ((1,), ()), "zero": ((), (1,)), "plus": ((2,), (1,)),
+                    "ell": ((1,), (1, 1))}
+
+
+def reference_whiskered_generator(shape, kind, left, right, i=None, n=None) -> PolyMap:
+    """A.(left⊗θ⊗right): the head formula, whiskered by `left` one factor at a
+    time as id_{W_n} ⊠ g, joined from `proj0` and T_n g ∘ `proj1`."""
+    if left.n_factors == 0:
+        return reference_head_generator(shape, kind, right, i, n)
+    src_mid, tgt_mid = REFERENCE_WIDTHS[kind] if kind != "proj" else ((n,), (1,))
+    head, tail = WeilAlgebra(left.widths[:1]), WeilAlgebra(left.widths[1:])
+    inner = reference_whiskered_generator(shape, kind, tail, right, i, n)
+    src = FS.prolongation(shape, left.tensor(WeilAlgebra(src_mid)).tensor(right))
+    tgt_inner = tail.tensor(WeilAlgebra(tgt_mid)).tensor(right)
+    return FS.join_at(shape, head, tgt_inner, src.proj0,
+                      compose_maps(weil_prolong(head, inner), src.proj1))
+
+
+def levi_civita(a: int, b: int, c: int) -> int:
+    return (a - b) * (b - c) * (c - a) // 2
+
+
+def so3_on_q3() -> AL.AlgebroidData:
+    """so(3) acting on Q³ by rotations: d = r = 3 and an x-dependent anchor."""
+    rho = [["0", "x3", "-x2"], ["-x3", "0", "x1"], ["x2", "-x1", "0"]]
+    bracket = [[[-levi_civita(a, b, c) for c in range(3)] for b in range(3)]
+               for a in range(3)]
+    return AL.make_algebroid(3, 3, rho, bracket)
+
+
+PUSH_ALGEBROIDS = [("so3", ST.so3), ("heisenberg", ST.heisenberg),
+                   ("tangent d=1", lambda: AL.tangent_algebroid(1)),
+                   ("tangent d=2", lambda: AL.tangent_algebroid(2)),
+                   ("action x1", lambda: ST.action_algebroid("x1")),
+                   ("leibniz 4", lambda: ST.leibniz_family(random.Random(4))),
+                   ("leibniz 9", lambda: ST.leibniz_family(random.Random(9))),
+                   ("so3 on Q3", so3_on_q3)]
+PUSH_IDS = [name for name, _ in PUSH_ALGEBROIDS]
+WHISKERS = (weil.NAT, W, W2, WW)
+PUSH_KINDS = [("p", {}), ("zero", {}), ("plus", {}), ("ell", {}),
+              ("proj", {"i": 1, "n": 2}), ("proj", {"i": 2, "n": 3})]
+
+
+def test_so3_on_q3_is_a_valid_algebroid():
+    assert AL.check_structure_equations(so3_on_q3()).passed
+
+
+@pytest.mark.parametrize("name, make", PUSH_ALGEBROIDS, ids=PUSH_IDS)
+def test_whiskered_generators_match_the_span_formulas(name, make):
+    shape = make().shape
+    for (kind, args), left, right in itertools.product(PUSH_KINDS, WHISKERS, WHISKERS):
+        assert_same_map(FS.whiskered_generator(shape, kind, left, right, **args),
+                        reference_whiskered_generator(shape, kind, left, right, **args))
+
+
+def has_flip(t: wterm.WTerm) -> bool:
+    if isinstance(t, wterm.Gen):
+        return t.kind == "flip"
+    if isinstance(t, wterm.Compose):
+        return has_flip(t.outer) or has_flip(t.inner)
+    return has_flip(t.left) or has_flip(t.right)
+
+
+@pytest.mark.parametrize("name, make", PUSH_ALGEBROIDS, ids=PUSH_IDS)
+def test_the_push_of_a_flip_free_term_is_its_nerve_image(name, make):
+    A = make()
+    model = NV.NerveModel(A)
+    rng = random.Random(f"push:{name}")
+    # + . <id, id> is x -> 2x: a coefficient 2 in M.
+    terms = [wterm.parse_term("+ . <id{W}, id{W}>")]
+    while len(terms) < 13:
+        t = wterm.random_term(rng, depth=2)
+        if not has_flip(t):
+            terms.append(t)
+    for t in terms:
+        assert_same_map(FS.weil_push(A.shape, wterm.eval_weil(t)),
+                        wterm.eval_model(t, model))
+
+
+@pytest.mark.parametrize("name, make", PUSH_ALGEBROIDS, ids=PUSH_IDS)
+def test_the_push_of_the_flip_is_sigma_only_without_a_bracket(name, make):
+    # c carries the bracket through σ: its push, the plain swap, is σ
+    # exactly on the algebroids with C = 0.
+    A = make()
+    flip = wterm.parse_term("c")
+    bracket_free = all(e.is_zero() for row in A.bracket for cell in row for e in cell)
+    assert (FS.weil_push(A.shape, wterm.eval_weil(flip))
+            == wterm.eval_model(flip, NV.NerveModel(A))) is bracket_free
+    assert bracket_free is (name in ("tangent d=1", "tangent d=2", "action x1"))
 
 
 # -- kept splits and join plans ---------------------------------------------------

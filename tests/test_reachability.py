@@ -42,7 +42,6 @@ UNREACHED = {
     "tangent.interleaving_iso": "only `check_product_preservation` uses it",
     "poly.PolyMap.cross": "only `check_product_preservation` uses it",
     "weil.make_weil": "a test convenience",
-    "nerve.nerve_eval": "a test convenience",
     "poly.is_linear": "a test convenience",
     "poly.Polynomial.monomials":
         "the oracles read terms through it without the packed keys",

@@ -16,6 +16,11 @@ worse than the metric's bound in `BENCHMARK.json` (read, never written):
 `--workload` takes a comma-separated list: each pair runs every workload in
 turn, both sides of one workload back to back, and the tool prints one table
 per workload; the exit status is 1 if any workload fails a bound check.
+A metric not worse than its bound reads `unresolved` instead of `ok` when
+the parent's own runs spread wider than the bound (interquartile range over
+median) and not every change run beats every parent run: such runs cannot
+tell a loss within the bound from none.  `unresolved` does not change the
+exit status.
 
 The claim rule: the change wins at least 9 of every 10 pairs, and its median
 is better than the parent's by more than the parent's interquartile range.
@@ -86,6 +91,17 @@ def worse_than_bound(parent: list[float], change: list[float], better: str,
     return loss > bound
 
 
+def unresolved(parent: list[float], change: list[float], better: str, bound: float) -> bool:
+    """The parent's interquartile range, relative to its median, exceeds
+    `bound`, and not every change run is better than every parent run."""
+    q1, median, q3 = quartiles(parent)
+    if median == 0 or (q3 - q1) / abs(median) <= bound:
+        return False
+    if better == "lower":
+        return max(change) >= min(parent)
+    return min(change) <= max(parent)
+
+
 def runs_of(path: Path, workload: str) -> list[dict]:
     if not path.exists():
         return []
@@ -114,11 +130,12 @@ def summarize(parent_path: Path, change_path: Path, workload: str, spec: dict) -
         ratio = cq[1] / pq[1] if pq[1] else float("nan")
         over = worse_than_bound(a, b, better, bound)
         status |= over
+        verdict = "WORSE" if over else "unresolved" if unresolved(a, b, better, bound) else "ok"
         counts = f"  attempted {attempted[0]:g}/{attempted[1]:g}" if name == "peak_rss_mb" else ""
         print(f"  {name:14s} {'/'.join(f'{v:.4g}' for v in pq):>30s}"
               f" {'/'.join(f'{v:.4g}' for v in cq):>30s} {ratio:7.3f}"
               f" {wins(a, b, better):3d}/{n:<2d}  {'yes' if claim_holds(a, b, better) else 'no ':5s}"
-              f"  {'WORSE' if over else 'ok'}{counts}")
+              f"  {verdict}{counts}")
     warning = attempted_warning(*attempted)
     if warning:
         print(warning)
