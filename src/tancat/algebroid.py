@@ -19,13 +19,13 @@ with the flat ones, and the canonical involution is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 
 from . import bundle as bundle_mod
 from .flatspace import AnchoredShape, join_at, prolongation, whiskered_generator
+from .frozen import Frozen
 from .poly import PolyMap, Polynomial, compose_maps, parse_poly
 from .report import CheckReport
 from .tangent import generator_nat, weil_prolong
@@ -47,12 +47,12 @@ def _as_poly(entry, n_vars: int) -> Polynomial:
     raise ValueError(f"entry {entry!r} is not a polynomial, a string or a rational")
 
 
-@dataclass(frozen=True)
-class AlgebroidData:
-    base_dim: int
-    rank: int
-    rho: tuple[tuple[Polynomial, ...], ...]       # d rows × r cols
-    bracket: tuple[tuple[tuple[Polynomial, ...], ...], ...]  # C[α][β][γ]
+class AlgebroidData(Frozen):
+    """The fields (base_dim, rank, rho, bracket): d, r, the d × r anchor
+    matrix ρ and the bracket tensor C[α][β][γ], polynomials in the base
+    variables (`make_algebroid` builds and checks them)."""
+
+    _fields = ("base_dim", "rank", "rho", "bracket")
 
     @cached_property
     def shape(self) -> AnchoredShape:
@@ -69,20 +69,32 @@ class AlgebroidData:
         return PolyMap(self.base_dim + self.rank, 2 * self.base_dim,
                        x + self.shape.anchor_fiber(x, u))
 
+    @cached_property
+    def bracket_fiber_map(self) -> PolyMap:
+        """(x, u, v) -> C(x)(u, v) on Q^(d+2r), built on first use and kept."""
+        d, r = self.base_dim, self.rank
+        n = d + 2 * r
+        xs = PolyMap.identity(n).components
+        x, u, v = list(xs[:d]), xs[d:d + r], xs[d + r:]
+        comps = []
+        for gamma in range(r):
+            acc = Polynomial.zero(n)
+            for a, b in product(range(r), repeat=2):
+                entry = self.bracket[a][b][gamma]
+                if not entry.is_zero():
+                    acc = acc + entry.substitute(x, out_vars=n) * u[a] * v[b]
+            comps.append(acc)
+        return PolyMap(n, r, comps)
+
     def bracket_fiber(self, x: list[Polynomial], u: list[Polynomial],
                       v: list[Polynomial]) -> list[Polynomial]:
-        """C(x)(u, v) as polynomials in the ambient space of x, u, v."""
+        """C(x)(u, v) as polynomials in the ambient space of x, u, v: one
+        composite with `bracket_fiber_map`, so x is classed once."""
         n = x[0].n_vars if x else (u[0].n_vars if u else 0)
-        out = []
-        for gamma in range(self.rank):
-            acc = Polynomial.zero(n)
-            for a in range(self.rank):
-                for b in range(self.rank):
-                    entry = self.bracket[a][b][gamma]
-                    if not entry.is_zero():
-                        acc = acc + entry.substitute(x, out_vars=n) * u[a] * v[b]
-            out.append(acc)
-        return out
+        c_map = self.bracket_fiber_map
+        if c_map.is_zero():
+            return [Polynomial.zero(n)] * self.rank
+        return list(compose_maps(c_map, PolyMap(n, c_map.src_dim, x + u + v)).components)
 
     def __str__(self) -> str:
         return f"algebroid(d={self.base_dim}, r={self.rank})"

@@ -13,8 +13,7 @@ built and both round trips are verified symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .frozen import Frozen
 from .poly import PolyMap, Polynomial, compose_maps
 from .report import CheckReport
 from .tangent import certify_linear_pullback, generator_nat, weil_prolong
@@ -25,26 +24,25 @@ def _var(n: int, i: int) -> Polynomial:
     return Polynomial.var(n, i + 1)
 
 
-@dataclass(frozen=True)
-class Lift:
+class Lift(Frozen):
     """A candidate coalgebra map λ: E -> TE (coassociativity is a check)."""
 
-    total_dim: int
-    lam: PolyMap
+    __slots__ = _fields = ("total_dim", "lam")
 
-    def __post_init__(self):
-        if self.lam.src_dim != self.total_dim or self.lam.tgt_dim != 2 * self.total_dim:
+    def __init__(self, total_dim: int, lam: PolyMap):
+        if lam.src_dim != total_dim or lam.tgt_dim != 2 * total_dim:
             raise ValueError("lift must map E -> TE on flat coordinates")
+        Frozen.__init__(self, total_dim, lam)
 
     def idempotent(self) -> PolyMap:
         """e = p∘λ : E -> E."""
         return compose_maps(generator_nat("p", self.total_dim), self.lam)
 
 
-@dataclass(frozen=True)
-class TrivialBundle:
-    base_dim: int
-    rank: int
+class TrivialBundle(Frozen):
+    """Base Q^base_dim, fiber Q^rank."""
+
+    __slots__ = _fields = ("base_dim", "rank")
 
     @property
     def total_dim(self) -> int:
@@ -99,17 +97,15 @@ def add_over_tq(bundle: TrivialBundle, u: PolyMap, w: PolyMap) -> PolyMap:
 # -- scalar actions and the Euler vector field --------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarAction:
+class ScalarAction(Frozen):
     """A polynomial action a(t, e) of the multiplicative monoid on Q^total."""
 
-    total_dim: int
-    action: PolyMap
+    __slots__ = _fields = ("total_dim", "action")
 
-    def __post_init__(self):
-        if self.action.src_dim != 1 + self.total_dim or \
-                self.action.tgt_dim != self.total_dim:
+    def __init__(self, total_dim: int, action: PolyMap):
+        if action.src_dim != 1 + total_dim or action.tgt_dim != total_dim:
             raise ValueError("action must map (t, e) -> e'")
+        Frozen.__init__(self, total_dim, action)
 
 
 def scaling_action(bundle: TrivialBundle) -> ScalarAction:
@@ -260,19 +256,19 @@ def check_universality(bundle: TrivialBundle, lift: Lift | None = None,
 # -- connections ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Connection:
-    bundle: TrivialBundle
-    kappa: PolyMap   # TE -> E
-    nabla: PolyMap   # E x_M TM -> TE, domain flat (m, e, mdot)
+class Connection(Frozen):
+    """κ: TE -> E and ∇: E x_M TM -> TE, the domain of ∇ flat (m, e, mdot)."""
 
-    def __post_init__(self):
-        t = self.bundle.total_dim
-        d = self.bundle.base_dim
-        if (self.kappa.src_dim, self.kappa.tgt_dim) != (2 * t, t):
+    __slots__ = _fields = ("bundle", "kappa", "nabla")
+
+    def __init__(self, bundle: TrivialBundle, kappa: PolyMap, nabla: PolyMap):
+        t = bundle.total_dim
+        d = bundle.base_dim
+        if (kappa.src_dim, kappa.tgt_dim) != (2 * t, t):
             raise ValueError("κ must map TE -> E")
-        if (self.nabla.src_dim, self.nabla.tgt_dim) != (t + d, 2 * t):
+        if (nabla.src_dim, nabla.tgt_dim) != (t + d, 2 * t):
             raise ValueError("∇ must map E x_M TM -> TE")
+        Frozen.__init__(self, bundle, kappa, nabla)
 
 
 def trivial_connection(bundle: TrivialBundle) -> Connection:

@@ -45,68 +45,78 @@ the (shape, V) pair.  Nerve evaluation asks for the same few spaces tens of
 thousands of times, and a shared space computes its legs (`rho_leg`,
 `proj1`, `embedding`, its splits, ...) once.  Sharing is safe because a
 space is a pure function of (shape, V) and is never mutated once built:
-blocks are a tuple of frozen Blocks, the legs are PolyMaps whose
-polynomials are immutable, and the cache keys are frozen dataclasses
-compared by value.  The bound keeps the
-memory flat however many algebroids one process checks.
+blocks are a tuple of immutable Blocks, the legs are PolyMaps whose
+polynomials are immutable, and the cache keys are immutable values
+compared field by field (`frozen.Frozen`).  The bound keeps the memory
+flat however many algebroids one process checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 
 from . import weil
+from .frozen import Frozen
 from .poly import PolyMap, Polynomial, compose_maps
 from .tangent import weil_prolong
 from .weil import WeilAlgebra, WeilMorphism
 
 
-@dataclass(frozen=True)
-class AnchoredShape:
+class AnchoredShape(Frozen):
     """Base dimension, rank, and the anchor matrix (entries in the base vars)."""
 
-    base_dim: int
-    rank: int
-    rho: tuple[tuple[Polynomial, ...], ...]   # d rows, r columns
+    _fields = ("base_dim", "rank", "rho")
 
-    def __post_init__(self):
-        if len(self.rho) != self.base_dim:
-            raise ValueError(f"anchor needs {self.base_dim} rows")
-        for row in self.rho:
-            if len(row) != self.rank:
-                raise ValueError(f"anchor rows need {self.rank} entries")
+    def __init__(self, base_dim: int, rank: int,
+                 rho: tuple[tuple[Polynomial, ...], ...]):   # d rows, r columns
+        if len(rho) != base_dim:
+            raise ValueError(f"anchor needs {base_dim} rows")
+        for row in rho:
+            if len(row) != rank:
+                raise ValueError(f"anchor rows need {rank} entries")
             for entry in row:
-                if entry.n_vars != self.base_dim:
+                if entry.n_vars != base_dim:
                     raise ValueError("anchor entries are polynomials in the base variables")
+        Frozen.__init__(self, base_dim, rank, rho)
         # Hashed once: a shape keys every `prolongation` lookup, and hashing
         # the anchor means hashing each of its polynomials.
-        object.__setattr__(self, "_hash", hash((self.base_dim, self.rank, self.rho)))
+        object.__setattr__(self, "_hash", hash((base_dim, rank, rho)))
 
     def __hash__(self):
         return self._hash
 
-    def anchor_fiber(self, x: list[Polynomial], u: list[Polynomial]) -> list[Polynomial]:
-        """ρ(x)·u as polynomials in whatever space x, u live in."""
-        n = x[0].n_vars if x else (u[0].n_vars if u else 0)
-        out = []
+    @cached_property
+    def anchor_fiber_map(self) -> PolyMap:
+        """(x, u) -> ρ(x)·u on Q^(d+r), built on first use and kept."""
+        n = self.base_dim + self.rank
+        xs = PolyMap.identity(n).components
+        x, u = list(xs[:self.base_dim]), xs[self.base_dim:]
+        comps = []
         for row in self.rho:
             acc = Polynomial.zero(n)
             for entry, u_a in zip(row, u):
                 acc = acc + entry.substitute(x, out_vars=n) * u_a
-            out.append(acc)
-        return out
+            comps.append(acc)
+        return PolyMap(n, self.base_dim, comps)
+
+    def anchor_fiber(self, x: list[Polynomial], u: list[Polynomial]) -> list[Polynomial]:
+        """ρ(x)·u as polynomials in whatever space x, u live in: one
+        composite with `anchor_fiber_map`, so x is classed once."""
+        if not self.base_dim:
+            return []
+        n = x[0].n_vars
+        return list(compose_maps(self.anchor_fiber_map,
+                                 PolyMap(n, self.base_dim + self.rank, x + u)).components)
 
 
 Label = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Block:
-    label: Label
-    size: int
-    offset: int
+class Block(Frozen):
+    """Block `label` of a flat space: `size` coordinates from `offset` on."""
+
+    __slots__ = _fields = ("label", "size", "offset")
 
 
 PROLONGATION_CACHE_SIZE = 128

@@ -26,7 +26,7 @@ import random
 from . import wterm
 from .algebroid import (AlgebroidData, block_vars, bracket_from_involution,
                         check_structure_equations, involution_from_bracket,
-                        lift_prolongation_bundle, make_algebroid)
+                        lift_prolongation_bundle)
 from .flatspace import (AnchoredShape, Prolongation, join_at, pair_action,
                         prolongation, tensor_action, weil_push, whiskered_generator)
 from .poly import PolyMap, Polynomial, compose_maps
@@ -193,20 +193,18 @@ def check_cartesian_p(A: AlgebroidData) -> CheckReport:
 # -- the prolongation tangent structure -------------------------------------------
 
 
-def _lie_anchor(A: AlgebroidData):
-    """ρ' for L'(A): base (x, v), fiber (u, w); xdot = ρ(x)u, vdot = w."""
+def _lie_frame(A: AlgebroidData) -> AlgebroidData:
+    """L'(A) with a zero bracket: base (x, v), fiber (u, w) and the anchor
+    ρ' with xdot = ρ(x)u, vdot = w.  `lie_tangent` reads the bracket off σ'
+    through it, and its shape carries ρ' into the table check."""
     d, r = A.base_dim, A.rank
     base = d + r
-    rows = []
-    for i in range(d):
-        row = [A.rho[i][a].shift_vars(0, base) for a in range(r)]
-        row += [Polynomial.zero(base)] * r
-        rows.append(tuple(row))
-    for j in range(r):
-        row = [Polynomial.zero(base)] * r
-        row += [Polynomial.const(base, 1 if t == j else 0) for t in range(r)]
-        rows.append(tuple(row))
-    return tuple(rows)
+    zero = Polynomial.zero(base)
+    rows = [tuple(A.rho[i][a].shift_vars(0, base) for a in range(r)) + (zero,) * r
+            for i in range(d)]
+    rows += [(zero,) * r + tuple(Polynomial.const(base, 1 if t == j else 0) for t in range(r))
+             for j in range(r)]
+    return AlgebroidData(base, 2 * r, tuple(rows), (((zero,) * (2 * r),) * (2 * r),) * (2 * r))
 
 
 def _shift_labels(A: AlgebroidData, U: WeilAlgebra) -> list[tuple[int, ...]]:
@@ -245,18 +243,16 @@ def lie_tangent(A: AlgebroidData) -> AlgebroidData:
         failing = ", ".join(v.name for v in eqs.verdicts if not v.passed)
         raise ValueError(f"lie_tangent needs a valid algebroid; failing: {failing}")
     sigma_prime_l2 = _sigma_prime(A)
-    table = _check_lie_table(A, sigma_prime_l2)
+    frame = _lie_frame(A)
+    table = _check_lie_table(A, sigma_prime_l2, frame.shape)
     if not table.passed:
         failing = "; ".join(v.name for v in table.verdicts if not v.passed)
         raise ValueError(f"structure-map table failed: {failing}")
 
-    d, r = A.base_dim, A.rank
-    prime = make_algebroid(d + r, 2 * r, _lie_anchor(A),
-                           [[[Polynomial.zero(d + r)] * (2 * r)] * (2 * r)] * (2 * r))
     sigma_prime = compose_maps(shift_iso_inverse(A, WW),
                                compose_maps(sigma_prime_l2, shift_iso(A, WW)))
-    c_prime = bracket_from_involution(prime, sigma_prime)
-    return AlgebroidData(d + r, 2 * r, _lie_anchor(A), c_prime)
+    c_prime = bracket_from_involution(frame, sigma_prime)
+    return AlgebroidData(frame.base_dim, frame.rank, frame.rho, c_prime)
 
 
 def _sigma_prime(A: AlgebroidData) -> PolyMap:
@@ -266,11 +262,12 @@ def _sigma_prime(A: AlgebroidData) -> PolyMap:
 
 def check_lie_table(A: AlgebroidData) -> CheckReport:
     """Verify the prolongation-structure table coordinatewise."""
-    return _check_lie_table(A, _sigma_prime(A))
+    return _check_lie_table(A, _sigma_prime(A), _lie_frame(A).shape)
 
 
-def _check_lie_table(A: AlgebroidData, sigma_prime: PolyMap) -> CheckReport:
-    """`check_lie_table` with σ' = σ×c already built."""
+def _check_lie_table(A: AlgebroidData, sigma_prime: PolyMap,
+                     shape_prime: AnchoredShape) -> CheckReport:
+    """`check_lie_table` with σ' = σ×c and the shape of L'(A) already built."""
     report = CheckReport("prolongation tangent structure table")
     shape = A.shape
     d, r = A.base_dim, A.rank
@@ -303,10 +300,8 @@ def _check_lie_table(A: AlgebroidData, sigma_prime: PolyMap) -> CheckReport:
                  compose_maps(ell_a, space.proj1))
 
     # ϱ' = π₁ is proj1 by construction; record the anchor-matrix reading.
-    prime_rho = _lie_anchor(A)
     xv, uu, vv, ww = block_vars(A, WW)
-    shape_p = AnchoredShape(d + r, 2 * r, prime_rho)
-    fibers = shape_p.anchor_fiber(xv + vv, uu + ww)
+    fibers = shape_prime.anchor_fiber(xv + vv, uu + ww)
     report.equal("ϱ' = π₁ (anchor matrix reading)",
                  PolyMap(n, 2 * (d + r), xv + vv + fibers), space.proj1)
 

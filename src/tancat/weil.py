@@ -24,7 +24,8 @@ in which the Kronecker product lists the monomials of a tensor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+
+from .frozen import Frozen
 
 
 class WeilError(ValueError):
@@ -34,17 +35,23 @@ class WeilError(ValueError):
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WeilAlgebra:
+class WeilAlgebra(Frozen):
     """A tensor product of W_n factors; widths == () encodes N."""
 
-    widths: tuple[int, ...]
+    __slots__ = ("widths", "_hash")
+    _fields = ("widths",)
 
-    def __post_init__(self):
-        if any(n < 1 for n in self.widths):
+    def __init__(self, widths: tuple[int, ...]):
+        if any(n < 1 for n in widths):
             raise WeilError("factor widths must be >= 1 (use [] for N)")
+        object.__setattr__(self, "widths", widths)
         # Hashed once: algebras key the term memos and the prolongation cache.
-        object.__setattr__(self, "_hash", hash(self.widths))
+        object.__setattr__(self, "_hash", hash(widths))
+
+    def __eq__(self, other):
+        if type(other) is not WeilAlgebra:
+            return NotImplemented
+        return self.widths == other.widths
 
     def __hash__(self):
         return self._hash
@@ -438,8 +445,7 @@ def mu_morphism() -> WeilMorphism:
 # -- transverse squares -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransverseSquare:
+class TransverseSquare(Frozen):
     """A commuting square in the ⊗-closure of the three base pullbacks.
 
     Stored as apex --(left_leg)--> corner_l --(left_base)--> base and
@@ -448,17 +454,13 @@ class TransverseSquare:
     construction; membership in the transverse class is by provenance.
     """
 
-    left_leg: WeilMorphism
-    right_leg: WeilMorphism
-    left_base: WeilMorphism
-    right_base: WeilMorphism
-    provenance: str
+    __slots__ = _fields = ("left_leg", "right_leg", "left_base", "right_base", "provenance")
 
-    def __post_init__(self):
-        a = compose_morphisms(self.left_base, self.left_leg)
-        b = compose_morphisms(self.right_base, self.right_leg)
-        if a != b:
-            raise WeilError(f"square does not commute ({self.provenance})")
+    def __init__(self, left_leg: WeilMorphism, right_leg: WeilMorphism,
+                 left_base: WeilMorphism, right_base: WeilMorphism, provenance: str):
+        if compose_morphisms(left_base, left_leg) != compose_morphisms(right_base, right_leg):
+            raise WeilError(f"square does not commute ({provenance})")
+        Frozen.__init__(self, left_leg, right_leg, left_base, right_base, provenance)
 
     @property
     def apex(self) -> WeilAlgebra:

@@ -20,11 +20,10 @@ no rewriting to normal forms.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cache
-from typing import Protocol
 
 from . import weil
+from .frozen import Frozen
 from .weil import NAT, W, WW, WeilAlgebra, WeilMorphism, parse_algebra
 
 
@@ -41,41 +40,44 @@ class WTermError(ValueError):
 MAX_TERM_DIM = 65536
 
 
-@dataclass(frozen=True)
-class WTerm:
+class WTerm(Frozen):
     """A frozen term whose hash is computed once, as in hash-consing
     (Filliâtre & Conchon, "Type-safe modular hash-consing", ML Workshop 2006).
 
-    Every node computes its hash in `__post_init__` from its children's
-    cached hashes, so memo and cache lookups cost O(1) however deep the
-    term.  Each decorated subclass repeats `__hash__ = WTerm.__hash__` in its
-    body, since `dataclass(frozen=True)` would otherwise put a hash of all
-    fields back.  `_weil` holds the W1 denotation once `eval_weil` has
-    computed it.
+    Every node sets its fields, its boundary and its hash once, in
+    `_boundary`; the hash is taken from the children's cached hashes, so
+    memo and cache lookups cost O(1) however deep the term.  Two nodes are
+    equal when they are of one class and their hashes and fields (`_key`)
+    are.  `_weil` holds the W1 denotation once `eval_weil` has computed it.
     """
 
-    source: WeilAlgebra = field(init=False)
-    target: WeilAlgebra = field(init=False)
-    _weil = None
+    __slots__ = ("source", "target", "_key", "_hash", "_weil")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
 
     def __hash__(self):
         return self._hash
 
-    def _boundary(self, source: WeilAlgebra, target: WeilAlgebra, *parts) -> None:
-        """Set the boundary and the hash of a node built from `parts`."""
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_hash", hash((type(self).__name__, *parts)))
+    def _boundary(self, source: WeilAlgebra, target: WeilAlgebra, *key) -> None:
+        """Set the fields `key`, the boundary and the hash of a node."""
+        init = object.__setattr__
+        for name, value in zip(self._fields, key):
+            init(self, name, value)
+        init(self, "source", source)
+        init(self, "target", target)
+        init(self, "_key", key)
+        init(self, "_hash", hash((type(self).__name__, *key)))
+        init(self, "_weil", None)
 
 
-@dataclass(frozen=True)
 class Gen(WTerm):
-    kind: str
-    algebra: WeilAlgebra | None = None
-    i: int | None = None
-    n: int | None = None
+    __slots__ = _fields = ("kind", "algebra", "i", "n")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, algebra: WeilAlgebra | None = None,
+                 i: int | None = None, n: int | None = None):
         boundaries = {
             "p": (W, NAT),
             "zero": (NAT, W),
@@ -83,80 +85,66 @@ class Gen(WTerm):
             "ell": (W, WW),
             "flip": (WW, WW),
         }
-        if self.kind in boundaries:
-            src, tgt = boundaries[self.kind]
-        elif self.kind == "bang":
-            if self.algebra is None:
+        if kind in boundaries:
+            src, tgt = boundaries[kind]
+        elif kind == "bang":
+            if algebra is None:
                 raise WTermError("! needs an algebra annotation, e.g. !{W2}")
-            src, tgt = self.algebra, NAT
-        elif self.kind == "id":
-            if self.algebra is None:
+            src, tgt = algebra, NAT
+        elif kind == "id":
+            if algebra is None:
                 raise WTermError("id needs an algebra annotation, e.g. id{W}")
-            src, tgt = self.algebra, self.algebra
-        elif self.kind == "proj":
-            if self.i is None or self.n is None or not 1 <= self.i <= self.n:
-                raise WTermError(f"bad projection proj{{{self.i},{self.n}}}")
-            src, tgt = WeilAlgebra((self.n,)), W
+            src, tgt = algebra, algebra
+        elif kind == "proj":
+            if i is None or n is None or not 1 <= i <= n:
+                raise WTermError(f"bad projection proj{{{i},{n}}}")
+            src, tgt = WeilAlgebra((n,)), W
         else:
-            raise WTermError(f"unknown generator {self.kind!r}")
-        self._boundary(src, tgt, self.kind, self.algebra, self.i, self.n)
-
-    __hash__ = WTerm.__hash__
+            raise WTermError(f"unknown generator {kind!r}")
+        self._boundary(src, tgt, kind, algebra, i, n)
 
 
-@dataclass(frozen=True)
 class Compose(WTerm):
-    outer: WTerm
-    inner: WTerm
+    __slots__ = _fields = ("outer", "inner")
 
-    def __post_init__(self):
-        if self.inner.target != self.outer.source:
+    def __init__(self, outer: WTerm, inner: WTerm):
+        if inner.target != outer.source:
             raise WTermError(
-                f"boundary mismatch in composition: inner target {self.inner.target} "
-                f"vs outer source {self.outer.source}")
-        self._boundary(self.inner.source, self.outer.target, self.outer, self.inner)
-
-    __hash__ = WTerm.__hash__
+                f"boundary mismatch in composition: inner target {inner.target} "
+                f"vs outer source {outer.source}")
+        self._boundary(inner.source, outer.target, outer, inner)
 
 
-@dataclass(frozen=True)
 class Tensor(WTerm):
-    left: WTerm
-    right: WTerm
+    __slots__ = _fields = ("left", "right")
 
-    def __post_init__(self):
-        source = self.left.source.tensor(self.right.source)
-        target = self.left.target.tensor(self.right.target)
+    def __init__(self, left: WTerm, right: WTerm):
+        source = left.source.tensor(right.source)
+        target = left.target.tensor(right.target)
         for algebra in (source, target):
             if algebra.dim > MAX_TERM_DIM:
                 raise WTermError(f"tensor boundary {algebra} has dimension above the "
                                  f"limit MAX_TERM_DIM = {MAX_TERM_DIM}")
-        self._boundary(source, target, self.left, self.right)
-
-    __hash__ = WTerm.__hash__
+        self._boundary(source, target, left, right)
 
 
-@dataclass(frozen=True)
 class Pair(WTerm):
     """Induced map into the fibered sum W_{n+m} (a transverse pullback)."""
 
-    left: WTerm
-    right: WTerm
+    __slots__ = _fields = ("left", "right")
 
-    def __post_init__(self):
-        if self.left.source != self.right.source:
+    def __init__(self, left: WTerm, right: WTerm):
+        if left.source != right.source:
             raise WTermError(
-                f"pairing needs a common source: {self.left.source} vs {self.right.source}")
-        for part in (self.left, self.right):
+                f"pairing needs a common source: {left.source} vs {right.source}")
+        for part in (left, right):
             if part.target.n_factors > 1:
                 raise WTermError(
                     f"pairing needs targets of the form W_n, got {part.target}")
-        n = self.left.target.widths[0] if self.left.target.widths else 0
-        m = self.right.target.widths[0] if self.right.target.widths else 0
+        n = left.target.widths[0] if left.target.widths else 0
+        m = right.target.widths[0] if right.target.widths else 0
         total = WeilAlgebra((n + m,)) if n + m else NAT
-        self._boundary(self.left.source, total, self.left, self.right)
-
-    __hash__ = WTerm.__hash__
+        self._boundary(left.source, total, left, right)
 
 
 # -- printing -----------------------------------------------------------------
@@ -364,14 +352,15 @@ def terms_equal(t1: WTerm, t2: WTerm) -> bool:
     return eval_weil(t1) == eval_weil(t2)
 
 
-class ModelInterface(Protocol):
-    """What a tangent model must supply to evaluate terms.
+class ModelInterface:
+    """What a tangent model must supply to evaluate terms (`eval_model`).
 
-    Identities are the generator `id{V}`, so `generator_map` interprets them
-    along with p, 0, +, ℓ, c, `!{V}` and `proj{i,n}`.  `tensor` receives
-    the sub-terms as well as their evaluations because a strict model
-    implements f ⊗ g by whiskering, which needs the W1 boundaries (and
-    possibly the W1 denotation) of the factors.
+    A model need not inherit from this class: it documents the four
+    methods that `eval_model` calls.  Identities are the generator `id{V}`,
+    so `generator_map` interprets them along with p, 0, +, ℓ, c, `!{V}` and
+    `proj{i,n}`.  `tensor` receives the sub-terms as well as their
+    evaluations because a strict model implements f ⊗ g by whiskering, which
+    needs the W1 boundaries (and possibly the W1 denotation) of the factors.
     """
 
     def generator_map(self, term: Gen): ...

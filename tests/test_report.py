@@ -1,5 +1,6 @@
-"""Check reports: what importing them costs, and exact identities compared
-before they are subtracted (`CheckReport.equal`)."""
+"""Check reports and the value classes: what importing them costs, how the
+values compare, and exact identities compared before they are subtracted
+(`CheckReport.equal`)."""
 
 import os
 import random
@@ -10,11 +11,15 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from tancat import algebroid as AL
+from tancat import bundle as BD
+from tancat import flatspace as FS
 from tancat import nerve as NV
 from tancat import poly as poly_module
 from tancat import selftest as ST
-from tancat import wterm
+from tancat import weil, wterm
 from tancat.poly import PolyMap, Polynomial, check_cdc_axioms, parse_poly, random_map
 from tancat.report import CheckReport, Verdict
 
@@ -36,6 +41,108 @@ def test_importing_the_kernel_loads_no_dataclasses_json_or_inspect():
     added = set(proc.stdout.split())
     assert {"tancat.poly", "tancat.report"} <= added
     assert not added & {"dataclasses", "json", "inspect"}, sorted(added)
+
+
+@pytest.mark.parametrize("module", ["tancat.cli", "tancat.selftest"])
+def test_importing_the_commands_loads_no_dataclasses_inspect_or_typing(module):
+    # The value classes are written by hand, so the structural layer and the
+    # CLI start without `dataclasses` and the `inspect`, `ast`, `dis` and
+    # `tokenize` it pulls in.  `site` preloads `typing` here, so `typing` is
+    # checked in a run without `site` (`-S`).
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            f"import {module}\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    for flags, banned in (([], {"dataclasses", "inspect"}),
+                          (["-S"], {"dataclasses", "inspect", "typing"})):
+        proc = subprocess.run([sys.executable, *flags, "-c", code], cwd=ROOT, text=True,
+                              capture_output=True, check=False,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        added = set(proc.stdout.split())
+        assert {module, "tancat.wterm", "tancat.algebroid"} <= added
+        assert not added & banned, (flags, sorted(added & banned))
+
+
+def _value_instances():
+    """(class name, first instance, an equal one built apart, a field name)
+    for each value class of the structural layer."""
+    gen = lambda: wterm.Gen("proj", i=1, n=2)
+    ident = lambda: wterm.parse_term("id{W}")
+    bundle = lambda: BD.TrivialBundle(1, 2)
+    return [
+        ("WeilAlgebra", weil.WeilAlgebra((1, 1)), weil.make_weil([1, 1]), "widths"),
+        ("TransverseSquare", weil.transverse_square("vertical-lift"),
+         weil.transverse_square("vertical-lift"), "provenance"),
+        ("Gen", gen(), gen(), "kind"),
+        ("Compose", wterm.Compose(ident(), ident()), wterm.parse_term("id{W} . id{W}"),
+         "outer"),
+        ("Tensor", wterm.Tensor(ident(), ident()), wterm.parse_term("id{W} * id{W}"),
+         "left"),
+        ("Pair", wterm.Pair(ident(), ident()), wterm.parse_term("<id{W}, id{W}>"), "right"),
+        ("AnchoredShape", ST.action_algebroid("x1").shape,
+         ST.action_algebroid("x1").shape, "rho"),
+        ("Block", FS.Block((1, 0), 2, 3), FS.Block((1, 0), 2, 3), "offset"),
+        ("AlgebroidData", ST.so3(), ST.so3(), "bracket"),
+        ("Lift", bundle().lift, bundle().lift, "lam"),
+        ("TrivialBundle", bundle(), bundle(), "rank"),
+        ("ScalarAction", BD.scaling_action(bundle()), BD.scaling_action(bundle()), "action"),
+        ("Connection", BD.trivial_connection(bundle()), BD.trivial_connection(bundle()),
+         "kappa"),
+    ]
+
+
+def test_value_classes_compare_by_fields_within_one_class_and_refuse_assignment():
+    values = _value_instances()
+    assert len(values) == 13          # with the abstract WTerm, 14 classes
+    for name, a, b, field in values:
+        assert type(a).__name__ == name and type(b) is type(a)
+        assert a is not b and a == b and not a != b and hash(a) == hash(b), name
+        for target, value in ((field, getattr(a, field)), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(a, target, value)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert getattr(a, field) == getattr(b, field)
+        others = [other for other_name, other, _, _ in values if other_name != name]
+        assert all(a != other for other in others), name
+    # Term nodes of different classes over the same children are unequal.
+    ident = wterm.parse_term("id{W}")
+    nodes = [wterm.Compose(ident, ident), wterm.Tensor(ident, ident), wterm.Pair(ident, ident)]
+    assert all(isinstance(t, wterm.WTerm) for t in nodes)
+    assert [(s, t) for s in nodes for t in nodes if s == t] == [(t, t) for t in nodes]
+    assert len({*nodes, *(wterm.parse_term(wterm.print_term(t)) for t in nodes)}) == 3
+    assert FS.Block((1,), 2, 3) != ((1,), 2, 3)
+    assert weil.WeilAlgebra((1, 2)) != weil.WeilAlgebra((2, 1))
+    assert wterm.Gen("proj", i=1, n=2) != wterm.Gen("proj", i=2, n=2)
+    assert ST.so3() != ST.heisenberg()
+    # Each construction check still runs when a value is built.
+    with pytest.raises(weil.WeilError):
+        weil.WeilAlgebra((1, 0))
+    with pytest.raises(wterm.WTermError):
+        wterm.Compose(wterm.parse_term("p"), wterm.parse_term("p"))
+    with pytest.raises(ValueError):
+        FS.AnchoredShape(1, 1, ())
+    with pytest.raises(ValueError):
+        BD.Lift(2, PolyMap.identity(2))
+    with pytest.raises(ValueError):
+        BD.ScalarAction(2, PolyMap.identity(2))
+    with pytest.raises(ValueError):
+        BD.Connection(BD.TrivialBundle(1, 1), PolyMap.identity(2), PolyMap.identity(3))
+    p = weil.generator("p")
+    with pytest.raises(weil.WeilError):
+        weil.TransverseSquare(weil.generator("zero"), weil.generator("zero"), p,
+                              weil.compose_morphisms(p, weil.generator("plus")), "bad")
+    # The shape of an algebroid is built once and kept.
+    A = ST.so3()
+    assert A.shape is A.shape
+    # Printed forms are unchanged.
+    assert (str(weil.WW), repr(weil.WW), str(weil.NAT), str(weil.make_weil([2, 1]))) == \
+        ("W*W", "W*W", "N", "W2*W")
+    for text in ("+ . <0 . !{W}, id{W}>", "(c . l) * id{W2*W}", "proj{1,2} . id{W2}",
+                 "<p, p>", "l * (c . c)"):
+        assert wterm.print_term(wterm.parse_term(text)) == text
+    assert str(ST.so3()) == "algebroid(d=0, r=3)"
 
 
 def test_verdicts_are_immutable_and_reports_serialize_as_before():
