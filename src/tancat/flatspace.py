@@ -83,6 +83,14 @@ class AnchoredShape(Frozen):
         # the anchor means hashing each of its polynomials.
         object.__setattr__(self, "_hash", hash((base_dim, rank, rho)))
 
+    def __eq__(self, other):
+        # Algebroids built apart have equal shapes that are not one object,
+        # and each `prolongation` lookup then compares them.
+        if type(other) is not AnchoredShape:
+            return NotImplemented
+        return self._hash == other._hash and (self.base_dim, self.rank, self.rho) == \
+            (other.base_dim, other.rank, other.rho)
+
     def __hash__(self):
         return self._hash
 
@@ -117,6 +125,13 @@ class Block(Frozen):
     """Block `label` of a flat space: `size` coordinates from `offset` on."""
 
     __slots__ = _fields = ("label", "size", "offset")
+
+    def __init__(self, label: Label, size: int, offset: int):
+        # Set directly: a space builds one Block per basis monomial.
+        init = object.__setattr__
+        init(self, "label", label)
+        init(self, "size", size)
+        init(self, "offset", offset)
 
 
 PROLONGATION_CACHE_SIZE = 128

@@ -44,11 +44,12 @@ class WTerm(Frozen):
     """A frozen term whose hash is computed once, as in hash-consing
     (Filliâtre & Conchon, "Type-safe modular hash-consing", ML Workshop 2006).
 
-    Every node sets its fields, its boundary and its hash once, in
-    `_boundary`; the hash is taken from the children's cached hashes, so
-    memo and cache lookups cost O(1) however deep the term.  Two nodes are
-    equal when they are of one class and their hashes and fields (`_key`)
-    are.  `_weil` holds the W1 denotation once `eval_weil` has computed it.
+    A node keeps its fields as one tuple, `_key`, and sets it, its boundary
+    and its hash once, in `_boundary`; the hash is taken from the children's
+    cached hashes, so memo and cache lookups cost O(1) however deep the
+    term.  Two nodes are equal when they are of one class and their hashes
+    and keys are.  `_weil` holds the W1 denotation once `eval_weil` has
+    computed it.
     """
 
     __slots__ = ("source", "target", "_key", "_hash", "_weil")
@@ -62,10 +63,8 @@ class WTerm(Frozen):
         return self._hash
 
     def _boundary(self, source: WeilAlgebra, target: WeilAlgebra, *key) -> None:
-        """Set the fields `key`, the boundary and the hash of a node."""
+        """Set the key, the boundary and the hash of a node."""
         init = object.__setattr__
-        for name, value in zip(self._fields, key):
-            init(self, name, value)
         init(self, "source", source)
         init(self, "target", target)
         init(self, "_key", key)
@@ -73,8 +72,15 @@ class WTerm(Frozen):
         init(self, "_weil", None)
 
 
+def _field(index: int) -> property:
+    """The read-only field `index` of a node's key."""
+    return property(lambda self: self._key[index])
+
+
 class Gen(WTerm):
-    __slots__ = _fields = ("kind", "algebra", "i", "n")
+    __slots__ = ()
+    _fields = ("kind", "algebra", "i", "n")
+    kind, algebra, i, n = map(_field, range(4))
 
     def __init__(self, kind: str, algebra: WeilAlgebra | None = None,
                  i: int | None = None, n: int | None = None):
@@ -105,7 +111,9 @@ class Gen(WTerm):
 
 
 class Compose(WTerm):
-    __slots__ = _fields = ("outer", "inner")
+    __slots__ = ()
+    _fields = ("outer", "inner")
+    outer, inner = _field(0), _field(1)
 
     def __init__(self, outer: WTerm, inner: WTerm):
         if inner.target != outer.source:
@@ -116,7 +124,9 @@ class Compose(WTerm):
 
 
 class Tensor(WTerm):
-    __slots__ = _fields = ("left", "right")
+    __slots__ = ()
+    _fields = ("left", "right")
+    left, right = _field(0), _field(1)
 
     def __init__(self, left: WTerm, right: WTerm):
         source = left.source.tensor(right.source)
@@ -131,7 +141,9 @@ class Tensor(WTerm):
 class Pair(WTerm):
     """Induced map into the fibered sum W_{n+m} (a transverse pullback)."""
 
-    __slots__ = _fields = ("left", "right")
+    __slots__ = ()
+    _fields = ("left", "right")
+    left, right = _field(0), _field(1)
 
     def __init__(self, left: WTerm, right: WTerm):
         if left.source != right.source:
