@@ -44,12 +44,13 @@ class WTerm(Frozen):
     """A frozen term whose hash is computed once, as in hash-consing
     (Filliâtre & Conchon, "Type-safe modular hash-consing", ML Workshop 2006).
 
-    A node keeps its fields as one tuple, `_key`, and sets it, its boundary
-    and its hash once, in `_boundary`; the hash is taken from the children's
-    cached hashes, so memo and cache lookups cost O(1) however deep the
-    term.  Two nodes are equal when they are of one class and their hashes
-    and keys are.  `_weil` holds the W1 denotation once `eval_weil` has
-    computed it.
+    A node keeps its fields as one tuple, `_key`, read through properties
+    (`_field`), and sets it, its boundary and its hash once, in `_boundary`:
+    five slots per node, however many fields.  The hash is taken from the
+    children's cached hashes, so memo and cache lookups cost O(1) however
+    deep the term.  Two nodes are equal when they are of one class and
+    their hashes and keys are.  `_weil` holds the W1 denotation once
+    `eval_weil` has computed it.
     """
 
     __slots__ = ("source", "target", "_key", "_hash", "_weil")
