@@ -4,7 +4,7 @@ Weil algebras, terms, anchored shapes, algebroids and bundles are values:
 built once, never changed, compared by their fields.  They are written by
 hand on `Frozen` rather than with `dataclasses`, whose import (with
 `inspect`, `ast`, `dis` and `tokenize`) and per-class code generation were
-about a quarter of the cost of `import tancat.cli`.
+about a fifth of the cost of `import tancat.cli`.
 """
 
 
