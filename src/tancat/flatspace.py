@@ -104,7 +104,8 @@ class AnchoredShape(Frozen):
         for row in self.rho:
             acc = Polynomial.zero(n)
             for entry, u_a in zip(row, u):
-                acc = acc + entry.substitute(x, out_vars=n) * u_a
+                if not entry.is_zero():
+                    acc = acc + entry.substitute(x, out_vars=n) * u_a
             comps.append(acc)
         return PolyMap(n, self.base_dim, comps)
 
