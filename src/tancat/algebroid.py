@@ -64,10 +64,8 @@ class AlgebroidData(Frozen):
         return bundle_mod.TrivialBundle(self.base_dim, self.rank)
 
     def anchor_map(self) -> PolyMap:
-        """ϱ: A -> TM, (x, u) -> (x, ρ(x)·u)."""
-        x, u = block_vars(self, W)
-        return PolyMap(self.base_dim + self.rank, 2 * self.base_dim,
-                       x + self.shape.anchor_fiber(x, u))
+        """ϱ: A -> TM, (x, u) -> (x, ρ(x)·u): the right leg of A = A.W."""
+        return prolongation(self.shape, W).rho_leg
 
     @cached_property
     def bracket_fiber_map(self) -> PolyMap:
@@ -164,7 +162,9 @@ def sigma_hat(A: AlgebroidData) -> PolyMap:
     """σ̂(x; u, v, w) = (x; v, u, w + C(x)(u, v)) on hat coordinates."""
     n = A.base_dim + 3 * A.rank
     x, u, v, w = block_vars(A, WW)
-    cw = A.bracket_fiber(x, u, v)
+    # (x; u, v) are the leading coordinates of L(A), so C(x)(u, v) is the
+    # bracket fiber map read in n variables.
+    cw = [c.shift_vars(0, n) for c in A.bracket_fiber_map.components]
     return PolyMap(n, n, x + v + u + [a + b for a, b in zip(w, cw)])
 
 
