@@ -424,7 +424,8 @@ def _axiom_yang_baxter(A: AlgebroidData, sigma: PolyMap,
     the product σ₁∘σ₂, built once: three compositions instead of four.
     """
     sigma2 = whiskered_generator(A.shape, "flip", NAT, W, sigma=sigma)   # σ×c
-    # 1×T.σ, joined from the legs of L²(A) as `whisker_head` would, reusing T.σ.
+    # 1×T.σ, joined from the legs of L²(A) with the T.σ the caller has already
+    # built: cheaper than the whiskered flip, which would prolong σ again.
     l2 = prolongation(A.shape, L2_ALGEBRA)
     sigma1 = join_at(A.shape, W, WW, l2.proj0, compose_maps(t_sigma, l2.proj1))
     both = compose_maps(sigma1, sigma2)

@@ -17,16 +17,16 @@ The structural maps of the Weil nerve are built here.  A rig morphism
 φ: V -> U acts by its N-matrix M (`weil_push`): block μ of A.U is
 Σ_ν M[μ][ν]·(block ν of A.V), blocks matched by label (Leung, "Classifying
 tangent structures using Weil algebras", TAC 32, 2017).  This is A.θ for
-p, 0, +, ℓ, proj, ! and id and for every whiskering of them; only the flip
-carries the algebroid's bracket, through σ on its spine (`_flip_head`),
-and is whiskered head by head (`whisker_head`).  Span tensoring of
-evaluated maps and fibered-sum pairing complete the nerve.  One
-decomposition serves the tensor: `split_left` cuts A.(S1⊗S2) into its legs
-to A.S1 and T^{S1}(A.S2), and `join_at` assembles a map into A.(S1⊗S2)
-from two such legs.  The legs are coordinate selections built from index
-lists (`indices_of`, `PolyMap.selection`); only when d > 0 do the base
-slots of the non-unit copies in the right leg take the components of
-A.S1's right leg.  `tensor_action` pushes through the Weil morphism by
+p, 0, +, ℓ, proj, ! and id and for every whiskering of them.  Only the
+flip carries the algebroid's bracket: A.(L⊗c⊗R) is the block swap, with
+copy μ of T^L(σ) on the spine blocks (μ, β, 1) (`whiskered_generator`).
+Span tensoring of evaluated maps and fibered-sum pairing complete the
+nerve.  One decomposition serves the tensor: `split_left` cuts A.(S1⊗S2)
+into its legs to A.S1 and T^{S1}(A.S2), and `join_at` assembles a map
+into A.(S1⊗S2) from two such legs.  The legs are coordinate selections
+built from index lists (`indices_of`, `PolyMap.selection`); only when
+d > 0 do the base slots of the non-unit copies in the right leg take the
+components of A.S1's right leg.  `tensor_action` pushes through the Weil morphism by
 the same `matrix_action` as `weil_push`: target copy k of A.S2 is
 Σ_j M[k][j] · (copy j) of the moved right leg.  A space keeps its split
 at each factor boundary it is asked for, and the index plan of `join_at`
@@ -35,9 +35,10 @@ k) splits 1,661 times.  Kept legs are cheap because a selection shares the
 variables of its dimension (`PolyMap.selection`) instead of holding one
 new polynomial per coordinate, which made a per-space split cache cost
 3.5 MB of peak memory before.  The head leg `proj1` of a space is its
-split after the first factor, and a whisker id_{W_n} ⊠ g is joined from
-`proj0` and T_n g ∘ `proj1`.  The only constrained coordinates, ρ(x)·u,
-come from the right leg `rho_leg` of a single-factor space A.W_n.
+split after the first factor, and a whisker id_{W_n} ⊠ g can be joined
+from `proj0` and T_n g ∘ `proj1`, as `algebroid` joins 1×T.σ.  The only
+constrained coordinates, ρ(x)·u, come from the right leg `rho_leg` of a
+single-factor space A.W_n.
 
 Every space is obtained through `prolongation(shape, V)`, one
 least-recently-used cache of at most PROLONGATION_CACHE_SIZE spaces keyed on
@@ -321,54 +322,45 @@ def matrix_action(phi: WeilMorphism, copies: list, sizes: list[int],
     return out
 
 
-def whisker_head(space: Prolongation, inner_map: PolyMap) -> PolyMap:
-    """id_{W_n} ⊠ g on A.(W_n⊗V'), for an endomorphism g of A.V'."""
-    head = WeilAlgebra((space.head_width,))
-    lifted = weil_prolong(head, inner_map)
-    return join_at(space.shape, head, space.inner.V, space.proj0,
-                   compose_maps(lifted, space.proj1))
-
-
-def _flip_head(shape: AnchoredShape, tail: WeilAlgebra, sigma: PolyMap | None) -> PolyMap:
-    """A.(c⊗tail): σ on the spine blocks, the swap on the mixed ones."""
-    if sigma is None:
-        raise ValueError("the flip needs the algebroid involution σ")
-    space = prolongation(shape, weil.WW.tensor(tail))
-    l_space = prolongation(shape, weil.WW)
-    if sigma.src_dim != l_space.dim or sigma.tgt_dim != l_space.dim:
-        raise ValueError("σ must act on the flat first prolongation")
-    # σ applied to the spine blocks (x; u=(a), v=(b), w=(ab)): the blocks
-    # whose tail part is the unit, which come in σ's block order.
-    spine_out = iter(compose_maps(sigma, space.select(
-        [b.label for b in space.blocks if b.label[2:] == tail.unit_monomial])).components)
-    comps: list[Polynomial] = []
-    for block in space.blocks:
-        h1, h2, rest = block.label[0], block.label[1], block.label[2:]
-        if rest == tail.unit_monomial:
-            comps.extend(next(spine_out) for _ in range(block.size))
-        else:
-            comps.extend(space.vars_of((h2, h1) + rest))
-    return PolyMap(space.dim, space.dim, comps)
-
-
 def whiskered_generator(shape: AnchoredShape, kind: str, left: WeilAlgebra,
                         right: WeilAlgebra, sigma: PolyMap | None = None,
                         *, i: int | None = None, n: int | None = None) -> PolyMap:
     """A.(left ⊗ θ ⊗ right) for a generator θ.
 
-    Every θ but the flip is the push of id ⊗ θ ⊗ id (`weil_push`); the flip
-    acts at the head (`_flip_head`) and is whiskered by `left` one factor at
-    a time (`whisker_head`).
+    Every θ but the flip is the push of id ⊗ θ ⊗ id (`weil_push`).  The
+    flip is the block swap (μ, a, b, ν) <- (μ, b, a, ν) everywhere but on
+    the spine blocks (μ, β, 1), β a block of A.(W⊗W): there it is copy μ
+    of T^left(σ ∘ the head leg of A.(W⊗W⊗right)), read through the right
+    leg of `split_left` at boundary n_factors(left).  The base slot of a
+    copy μ ≠ 1 is constrained, so there only the fiber blocks β are
+    written.  σ must fix the base, as every `involution_from_bracket` σ
+    does: the base output of σ is written on the base block only.
     """
     if kind != "flip":
         phi = weil.tensor_morphisms(
             weil.tensor_morphisms(weil.identity_morphism(left), weil.generator(kind, i=i, n=n)),
             weil.identity_morphism(right))
         return weil_push(shape, phi)
-    if left.n_factors == 0:
-        return _flip_head(shape, right, sigma)
-    inner = whiskered_generator(shape, kind, WeilAlgebra(left.widths[1:]), right, sigma)
-    return whisker_head(prolongation(shape, left.tensor(weil.WW).tensor(right)), inner)
+    if sigma is None:
+        raise ValueError("the flip needs the algebroid involution σ")
+    pair = prolongation(shape, weil.WW)
+    if sigma.src_dim != pair.dim or sigma.tgt_dim != pair.dim:
+        raise ValueError("σ must act on the flat first prolongation")
+    space = prolongation(shape, left.tensor(weil.WW).tensor(right))
+    k = left.n_factors
+    # σ after the head leg of A.(W⊗W⊗right) at boundary 2, selected directly:
+    # `split_left` would also fill the ρ slots of the unused right leg.
+    on_spine = compose_maps(sigma, prolongation(shape, weil.WW.tensor(right)).select(
+        [b.label + right.unit_monomial for b in pair.blocks]))
+    moved = compose_maps(weil_prolong(left, on_spine), split_left(space, k)[1]).components
+    comps = list(space.select([b.label[:k] + (b.label[k + 1], b.label[k]) + b.label[k + 2:]
+                               for b in space.blocks]).components)
+    for pos, mu in enumerate(left.basis()):
+        for b in pair.fiber_blocks if pos else pair.blocks:
+            at = space.block(mu + b.label + right.unit_monomial).offset
+            src = pos * pair.dim + b.offset
+            comps[at:at + b.size] = moved[src:src + b.size]
+    return PolyMap(space.dim, space.dim, comps)
 
 
 def split_left(space: Prolongation, k: int) -> tuple[PolyMap, PolyMap, WeilAlgebra, WeilAlgebra]:

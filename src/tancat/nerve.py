@@ -57,7 +57,7 @@ class NerveModel:
 
     def _build_generator(self, term: wterm.Gen) -> PolyMap:
         if term.kind == "flip":
-            return whiskered_generator(self.shape, "flip", NAT, NAT, sigma=self.sigma)
+            return self.sigma
         return weil_push(self.shape, wterm.eval_weil(term))
 
     def compose(self, outer: PolyMap, inner: PolyMap) -> PolyMap:

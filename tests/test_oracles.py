@@ -39,6 +39,12 @@
   0, +, ℓ and two projections whiskered by N, W, W2 and W⊗W on eight
   algebroids; the push of a c-free term's denotation against its nerve
   image; and the push of c against σ, which it equals exactly when C = 0;
+- the flip (the block swap with T^L(σ) on the spine blocks) against the
+  head formula whiskered head by head that it replaced, with L and R in
+  N, W, W2 and W⊗W, for σ̂ and a base-fixing σ not of bracket form, on the
+  same eight algebroids (256 cases); three mutants (T^L dropped, σ's copy
+  also on a mixed block, the swap left out) must each fail it where
+  C ≠ 0, and a missing or misshapen σ is refused;
 - `Polynomial.eval` and `Polynomial.__str__` against formulas over
   exponent tuples;
 - `differential` against the tangent block of `tangent_n(f, 1)` and against
@@ -894,6 +900,162 @@ def test_the_push_of_the_flip_is_sigma_only_without_a_bracket(name, make):
     assert (FS.weil_push(A.shape, wterm.eval_weil(flip))
             == wterm.eval_model(flip, NV.NerveModel(A))) is bracket_free
     assert bracket_free is (name in ("tangent d=1", "tangent d=2", "action x1"))
+
+
+
+# -- the flip: the block swap with T^L(σ) on its spine ------------------------------
+
+
+def reference_flip_head(shape, tail, sigma) -> PolyMap:
+    """A.(c⊗tail): σ on the spine blocks, the swap on the mixed ones."""
+    if sigma is None:
+        raise ValueError("the flip needs the algebroid involution σ")
+    space = FS.prolongation(shape, WW.tensor(tail))
+    l_space = FS.prolongation(shape, WW)
+    if sigma.src_dim != l_space.dim or sigma.tgt_dim != l_space.dim:
+        raise ValueError("σ must act on the flat first prolongation")
+    spine_out = iter(compose_maps(sigma, space.select(
+        [b.label for b in space.blocks if b.label[2:] == tail.unit_monomial])).components)
+    comps = []
+    for block in space.blocks:
+        h1, h2, rest = block.label[0], block.label[1], block.label[2:]
+        if rest == tail.unit_monomial:
+            comps.extend(next(spine_out) for _ in range(block.size))
+        else:
+            comps.extend(space.vars_of((h2, h1) + rest))
+    return PolyMap(space.dim, space.dim, comps)
+
+
+def reference_flip(shape, left, right, sigma) -> PolyMap:
+    """A.(left⊗c⊗right): the head formula, whiskered by `left` one factor at
+    a time as id_{W_n} ⊠ g, joined from `proj0` and T_n g ∘ `proj1`."""
+    if left.n_factors == 0:
+        return reference_flip_head(shape, right, sigma)
+    inner = reference_flip(shape, WeilAlgebra(left.widths[1:]), right, sigma)
+    space = FS.prolongation(shape, left.tensor(WW).tensor(right))
+    head = WeilAlgebra((space.head_width,))
+    return FS.join_at(shape, head, space.inner.V, space.proj0,
+                      compose_maps(weil_prolong(head, inner), space.proj1))
+
+
+def bent_sigma(A: AL.AlgebroidData) -> PolyMap:
+    """σ̂ with x1·w1 (2·w1 when d = 0) added to u1 and u1·v1² to w1 on
+    A.(W⊗W) = (x; u, v, w): it fixes the base but is not of bracket form."""
+    sigma = AL.involution_from_bracket(A)
+    d, r = A.base_dim, A.rank
+    xs = PolyMap.identity(sigma.src_dim).components
+    u1, v1, w1 = xs[d], xs[d + r], xs[d + 2 * r]
+    comps = list(sigma.components)
+    comps[d] = comps[d] + (xs[0] * w1 if d else w1 * 2)
+    comps[d + 2 * r] = comps[d + 2 * r] + u1 * v1 * v1
+    return PolyMap(sigma.src_dim, sigma.tgt_dim, comps)
+
+
+def flip_cases(A: AL.AlgebroidData):
+    """The 32 flip cases of one algebroid: σ̂ and `bent_sigma`, each with L
+    and R in N, W, W2 and W⊗W."""
+    for sigma in (AL.involution_from_bracket(A), bent_sigma(A)):
+        for left, right in itertools.product(WHISKERS, WHISKERS):
+            yield left, right, sigma
+
+
+@pytest.mark.parametrize("name, make", PUSH_ALGEBROIDS, ids=PUSH_IDS)
+def test_the_flip_matches_the_head_formula_whiskered_head_by_head(name, make):
+    A = make()
+    cases = list(flip_cases(A))
+    assert len(cases) == 32
+    for left, right, sigma in cases:
+        got = FS.whiskered_generator(A.shape, "flip", left, right, sigma=sigma)
+        assert_same_map(got, reference_flip(A.shape, left, right, sigma))
+        if left == right == weil.NAT:
+            # The nerve interprets c by σ itself.
+            assert_same_map(got, sigma)
+
+
+def with_blocks(space, f: PolyMap, sources: dict) -> PolyMap:
+    """f with block `label` of its output replaced by the entries sources[label]."""
+    comps = list(f.components)
+    for label, entries in sources.items():
+        at = space.block(label).offset
+        comps[at:at + len(entries)] = entries
+    return PolyMap(f.src_dim, f.tgt_dim, comps)
+
+
+def swapped(space, label, k):
+    return space.vars_of(label[:k] + (label[k + 1], label[k]) + label[k + 2:])
+
+
+def entries(space, f: PolyMap, label) -> list:
+    block = space.block(label)
+    return f.components[block.offset:block.offset + block.size]
+
+
+def spine(space, left, right):
+    """The spine labels (μ, β, 1_R) of A.(L⊗W⊗W⊗R): every β for μ = 1,
+    the fiber blocks β otherwise."""
+    for mu in left.basis():
+        for beta in WW.basis():
+            if mu == left.unit_monomial or beta != WW.unit_monomial:
+                yield mu + beta + right.unit_monomial
+
+
+def mutant_unit_copy_only(space, f, left, right):
+    """T^L dropped: the copies μ ≠ 1 of the spine take the swap."""
+    k = left.n_factors
+    return with_blocks(space, f, {label: swapped(space, label, k)
+                                  for label in spine(space, left, right)
+                                  if label[:k] != left.unit_monomial})
+
+
+def mutant_mixed_copy(space, f, left, right):
+    """σ's copy μ also written on the blocks (μ, β, ν) with ν the last
+    monomial of R."""
+    nu = right.basis()[-1]
+    if nu == right.unit_monomial:
+        return f
+    n = len(right.unit_monomial)
+    return with_blocks(space, f, {label[:-n] + nu: entries(space, f, label)
+                                  for label in spine(space, left, right)
+                                  if label[-n - 2:-n] != (0, 0)})
+
+
+def mutant_no_swap(space, f, left, right):
+    """The swap left out: the blocks off the spine are copied in place."""
+    on_spine = set(spine(space, left, right))
+    return with_blocks(space, f, {b.label: space.vars_of(b.label)
+                                  for b in space.blocks if b.label not in on_spine})
+
+
+FLIP_MUTANTS = [mutant_unit_copy_only, mutant_mixed_copy, mutant_no_swap]
+
+
+@pytest.mark.parametrize("mutant", FLIP_MUTANTS, ids=lambda m: m.__name__)
+def test_each_flip_mutant_fails_the_reference_where_the_bracket_is_nonzero(mutant):
+    caught = []
+    for name, make in PUSH_ALGEBROIDS:
+        A = make()
+        if all(e.is_zero() for row in A.bracket for cell in row for e in cell):
+            continue
+        for left, right, sigma in flip_cases(A):
+            space = FS.prolongation(A.shape, left.tensor(WW).tensor(right))
+            got = mutant(space, FS.whiskered_generator(A.shape, "flip", left, right,
+                                                      sigma=sigma), left, right)
+            if got != reference_flip(A.shape, left, right, sigma):
+                caught.append((name, str(left), str(right)))
+    assert caught
+
+
+def test_the_flip_refuses_a_missing_or_misshapen_sigma():
+    A = ST.so3()
+    dim = FS.prolongation(A.shape, WW).dim
+    with pytest.raises(ValueError, match="needs the algebroid involution"):
+        FS.whiskered_generator(A.shape, "flip", weil.NAT, W)
+    with pytest.raises(ValueError, match="flat first prolongation"):
+        FS.whiskered_generator(A.shape, "flip", W, weil.NAT,
+                               sigma=PolyMap.identity(dim + 1))
+    with pytest.raises(ValueError, match="flat first prolongation"):
+        FS.whiskered_generator(A.shape, "flip", weil.NAT, weil.NAT,
+                               sigma=PolyMap(dim, dim - 1, PolyMap.identity(dim).components[1:]))
 
 
 # -- kept splits and join plans ---------------------------------------------------
