@@ -26,9 +26,9 @@ into its legs to A.S1 and T^{S1}(A.S2), and `join_at` assembles a map
 into A.(S1⊗S2) from two such legs.  The legs are coordinate selections
 built from index lists (`indices_of`, `PolyMap.selection`); only when
 d > 0 do the base slots of the non-unit copies in the right leg take the
-components of A.S1's right leg.  `tensor_action` pushes through the Weil morphism by
-the same `matrix_action` as `weil_push`: target copy k of A.S2 is
-Σ_j M[k][j] · (copy j) of the moved right leg.  A space keeps its split
+components of A.S1's right leg.  `tensor_action` pushes through the Weil
+morphism by the same `matrix_action` as `weil_push`: target copy k of A.S2
+is Σ_j M[k][j] · (copy j) of the moved right leg.  A space keeps its split
 at each factor boundary it is asked for, and the index plan of `join_at`
 into it, at most n_factors + 1 of each: AC8 asks for 231 distinct (space,
 k) splits 1,661 times.  Kept legs are cheap because a selection shares the

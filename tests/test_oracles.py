@@ -902,7 +902,6 @@ def test_the_push_of_the_flip_is_sigma_only_without_a_bracket(name, make):
     assert bracket_free is (name in ("tangent d=1", "tangent d=2", "action x1"))
 
 
-
 # -- the flip: the block swap with T^L(σ) on its spine ------------------------------
 
 
