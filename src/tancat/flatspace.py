@@ -346,11 +346,12 @@ def whiskered_generator(shape: AnchoredShape, kind: str, left: WeilAlgebra,
     pair = prolongation(shape, weil.WW)
     if sigma.src_dim != pair.dim or sigma.tgt_dim != pair.dim:
         raise ValueError("σ must act on the flat first prolongation")
-    space = prolongation(shape, left.tensor(weil.WW).tensor(right))
+    inner = weil.WW.tensor(right)
+    space = prolongation(shape, left.tensor(inner))
     k = left.n_factors
     # σ after the head leg of A.(W⊗W⊗right) at boundary 2, selected directly:
     # `split_left` would also fill the ρ slots of the unused right leg.
-    on_spine = compose_maps(sigma, prolongation(shape, weil.WW.tensor(right)).select(
+    on_spine = compose_maps(sigma, prolongation(shape, inner).select(
         [b.label + right.unit_monomial for b in pair.blocks]))
     moved = compose_maps(weil_prolong(left, on_spine), split_left(space, k)[1]).components
     comps = list(space.select([b.label[:k] + (b.label[k + 1], b.label[k]) + b.label[k + 2:]
