@@ -200,15 +200,14 @@ def bracket_from_involution(A: AlgebroidData, sigma: PolyMap,
     if base_out != PolyMap.projection(space.dim, 0, d):
         raise ValueError(f"σ is not base-preserving: base image {base_out}")
     n = d + 2 * r
+    # (x; u, v) -> (x; u, v, 0)
+    at_w_zero = PolyMap.selection(n, [*range(n)] + [None] * r)
     if conn is None:
-        c_map = compose_maps(PolyMap(space.dim, r, list(sigma.components[n:])),
-                             PolyMap.selection(n, list(range(n)) + [None] * r))
+        c_map = compose_maps(PolyMap(space.dim, r, list(sigma.components[n:])), at_w_zero)
     else:
         bar = bar_map(A, conn)
         hat = hat_map(A, conn)
-        x, u, v = block_vars(A, W2)
-        zero = [Polynomial.zero(n)] * r
-        nabla_hat = compose_maps(bar, PolyMap(n, d + 3 * r, x + u + v + zero))
+        nabla_hat = compose_maps(bar, at_w_zero)
         def kappa_hat_fiber(m: PolyMap) -> list[Polynomial]:
             return list(compose_maps(hat, m).components[n:])
         with_sigma = kappa_hat_fiber(compose_maps(sigma, nabla_hat))
@@ -354,22 +353,18 @@ def lambda_hat(A: AlgebroidData) -> PolyMap:
 
 def lift_pullback_bundle(A: AlgebroidData) -> PolyMap:
     """(0 × c∘T.λ): L(A) -> T.L(A), the lift over π₀."""
-    d, r = A.base_dim, A.rank
-    n = d + 3 * r
-    zero = [Polynomial.zero(n)] * r
-    x, u, v, w = block_vars(A, WW)
-    zd = [Polynomial.zero(n)] * d
-    return PolyMap(n, 2 * n, x + u + zero + zero + zd + zero + v + w)
+    space = prolongation(A.shape, WW)
+    x, u, v, w = ([*space.indices_of(b.label)] for b in space.blocks)
+    zero, zd = [None] * A.rank, [None] * A.base_dim
+    return PolyMap.selection(space.dim, x + u + zero + zero + zd + zero + v + w)
 
 
 def lift_prolongation_bundle(A: AlgebroidData) -> PolyMap:
     """(λ × ℓ): L(A) -> T.L(A), the lift over p∘π₁."""
-    d, r = A.base_dim, A.rank
-    n = d + 3 * r
-    zero = [Polynomial.zero(n)] * r
-    x, u, v, w = block_vars(A, WW)
-    zd = [Polynomial.zero(n)] * d
-    return PolyMap(n, 2 * n, x + zero + v + zero + zd + u + zero + w)
+    space = prolongation(A.shape, WW)
+    x, u, v, w = ([*space.indices_of(b.label)] for b in space.blocks)
+    zero, zd = [None] * A.rank, [None] * A.base_dim
+    return PolyMap.selection(space.dim, x + zero + v + zero + zd + u + zero + w)
 
 
 def check_involution_axioms(A: AlgebroidData, sigma: PolyMap) -> CheckReport:

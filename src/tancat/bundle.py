@@ -4,7 +4,10 @@ Everything lives over the polynomial model: a trivial bundle with base Q^d
 and fiber Q^k has total space E = Q^(d+k) with coordinates (m, e), tangent
 space TE = Q^(2(d+k)) with coordinates (m, e, mdot, edot), projection q
 (drop the fiber), zero section ξ (pad with zeros), and canonical lift
-λ(m, e) = (m, 0, 0, e).
+λ(m, e) = (m, 0, 0, e).  These maps, the trivial connection's κ and ∇, the
+two lifts of ∇'s linearity axioms and the coordinate maps the universality
+and connection checks compose with only move coordinates or write zeros, so
+each is one `PolyMap.selection`.
 
 Universality statements (non-singularity fork, the μ and ν equalizers) are
 certified constructively by exact linear algebra: an explicit retraction is
@@ -14,14 +17,10 @@ built and both round trips are verified symbolically.
 from __future__ import annotations
 
 from .frozen import Frozen
-from .poly import PolyMap, Polynomial, compose_maps
+from .poly import PolyMap, compose_maps
 from .report import CheckReport
 from .tangent import certify_linear_pullback, generator_nat, weil_prolong
 from .weil import W
-
-
-def _var(n: int, i: int) -> Polynomial:
-    return Polynomial.var(n, i + 1)
 
 
 class Lift(Frozen):
@@ -54,19 +53,14 @@ class TrivialBundle(Frozen):
 
     @property
     def xi(self) -> PolyMap:
-        n = self.base_dim
-        comps = [_var(n, i) for i in range(n)]
-        comps += [Polynomial.zero(n)] * self.rank
-        return PolyMap(n, self.total_dim, comps)
+        d = self.base_dim
+        return PolyMap.selection(d, [*range(d)] + [None] * self.rank)
 
     @property
     def lift(self) -> Lift:
         """Canonical lift (m, e) -> (m, 0, 0, e)."""
-        t = self.total_dim
-        comps = [_var(t, i) for i in range(self.base_dim)]
-        comps += [Polynomial.zero(t)] * (self.rank + self.base_dim)
-        comps += [_var(t, self.base_dim + j) for j in range(self.rank)]
-        return Lift(t, PolyMap(t, 2 * t, comps))
+        d, t = self.base_dim, self.total_dim
+        return Lift(t, PolyMap.selection(t, [*range(d)] + [None] * t + [*range(d, t)]))
 
 
 def add_over(block_split: int, u: PolyMap, w: PolyMap) -> PolyMap:
@@ -112,8 +106,8 @@ def scaling_action(bundle: TrivialBundle) -> ScalarAction:
     """The standard action: scale the fiber, fix the base."""
     d, k = bundle.base_dim, bundle.rank
     n = 1 + d + k
-    comps = [_var(n, 1 + i) for i in range(d)]
-    comps += [_var(n, 0) * _var(n, 1 + d + j) for j in range(k)]
+    xs = PolyMap.identity(n).components
+    comps = list(xs[1:1 + d]) + [xs[0] * e for e in xs[1 + d:]]
     return ScalarAction(d + k, PolyMap(n, d + k, comps))
 
 
@@ -127,11 +121,11 @@ def check_scalar_action(a: ScalarAction) -> CheckReport:
     # Both sides as maps of (s, t, e).
     big = 2 + n
     s = PolyMap.projection(big, 0, 1)
-    t = PolyMap.projection(big, 1, 1)
     e = PolyMap.projection(big, 2, n)
-    st = PolyMap(big, 1, [_var(big, 0) * _var(big, 1)])
+    xs = PolyMap.identity(big).components
+    st = PolyMap(big, 1, [xs[0] * xs[1]])
     lhs = compose_maps(a.action, PolyMap.pairing([st, e]))
-    inner = compose_maps(a.action, PolyMap.pairing([t, e]))
+    inner = compose_maps(a.action, PolyMap.projection(big, 1, 1 + n))
     rhs = compose_maps(a.action, PolyMap.pairing([s, inner]))
     report.equal("multiplicativity a(st,e) = a(s,a(t,e))", lhs, rhs)
     return report
@@ -155,16 +149,11 @@ def euler_vector_field(a: ScalarAction) -> Lift:
     if not laws.passed:
         raise ActionLawError(laws)
     n = a.total_dim
-    at_zero = PolyMap.pairing([PolyMap.constant(n, [0]), PolyMap.identity(n)])
+    at_zero = PolyMap.selection(n, [None, *range(n)])
     base = compose_maps(a.action, at_zero)
     # ∂_t a(t, e) evaluated at t = 0, as a polynomial in e.
-    fiber_comps = []
-    for comp in a.action.components:
-        dt = comp.partial(1)
-        zero_subst = [Polynomial.zero(n)] + [Polynomial.var(n, i + 1) for i in range(n)]
-        fiber_comps.append(dt.substitute(zero_subst))
-    fiber = PolyMap(n, n, fiber_comps)
-    return Lift(n, PolyMap.pairing([base, fiber]))
+    dt = PolyMap(1 + n, n, [comp.partial(1) for comp in a.action.components])
+    return Lift(n, PolyMap.pairing([base, compose_maps(dt, at_zero)]))
 
 
 # -- lift and universality checks ----------------------------------------------
@@ -219,10 +208,8 @@ def check_universality(bundle: TrivialBundle, lift: Lift | None = None,
 
     # μ(x, y) = 0∘x +_{T.q} λ∘y on E2, equalizing (T.q, 0∘q∘p).
     e2 = d + 2 * k
-    x_part = PolyMap.pairing([PolyMap.projection(e2, 0, d),
-                              PolyMap.projection(e2, d, k)])
-    y_part = PolyMap.pairing([PolyMap.projection(e2, 0, d),
-                              PolyMap.projection(e2, d + k, k)])
+    x_part = PolyMap.selection(e2, range(t))
+    y_part = PolyMap.selection(e2, [*range(d), *range(t, e2)])
     try:
         mu = add_over_tq(bundle, compose_maps(generator_nat("zero", t), x_part),
                          compose_maps(lam, y_part))
@@ -238,8 +225,7 @@ def check_universality(bundle: TrivialBundle, lift: Lift | None = None,
     # ν(v, y) = T.ξ∘v +_p λ∘y on TM x_M E, equalizing (p, ξ∘q∘p).
     dom = 2 * d + k
     v_part = PolyMap.projection(dom, 0, 2 * d)
-    y2 = PolyMap.pairing([PolyMap.projection(dom, 0, d),
-                          PolyMap.projection(dom, 2 * d, k)])
+    y2 = PolyMap.selection(dom, [*range(d), *range(2 * d, dom)])
     try:
         nu = add_over(t, compose_maps(weil_prolong(W, bundle.xi), v_part),
                       compose_maps(lam, y2))
@@ -274,15 +260,9 @@ class Connection(Frozen):
 def trivial_connection(bundle: TrivialBundle) -> Connection:
     d, k, t = bundle.base_dim, bundle.rank, bundle.total_dim
     # κ(m, e, mdot, edot) = (m, edot)
-    comps = [_var(2 * t, i) for i in range(d)]
-    comps += [_var(2 * t, t + d + j) for j in range(k)]
-    kappa = PolyMap(2 * t, t, comps)
+    kappa = PolyMap.selection(2 * t, [*range(d), *range(t + d, 2 * t)])
     # ∇((m,e), (m,mdot)) = (m, e, mdot, 0)
-    n = t + d
-    comps = [_var(n, i) for i in range(t)]
-    comps += [_var(n, t + i) for i in range(d)]
-    comps += [Polynomial.zero(n)] * k
-    nabla = PolyMap(n, 2 * t, comps)
+    nabla = PolyMap.selection(t + d, [*range(t + d)] + [None] * k)
     return Connection(bundle, kappa, nabla)
 
 
@@ -295,12 +275,9 @@ def _horizontal_lift_maps(bundle: TrivialBundle) -> tuple[PolyMap, PolyMap]:
     """
     d, k = bundle.base_dim, bundle.rank
     n = d + k + d
-    zero = Polynomial.zero(n)
-    m = [_var(n, i) for i in range(d)]
-    e = [_var(n, d + j) for j in range(k)]
-    mdot = [_var(n, d + k + i) for i in range(d)]
-    lift1 = PolyMap(n, 2 * n, m + [zero] * k + mdot + [zero] * d + e + [zero] * d)
-    lift2 = PolyMap(n, 2 * n, m + e + [zero] * d + [zero] * (d + k) + mdot)
+    m, e, mdot = [*range(d)], [*range(d, d + k)], [*range(d + k, n)]
+    lift1 = PolyMap.selection(n, m + [None] * k + mdot + [None] * d + e + [None] * d)
+    lift2 = PolyMap.selection(n, m + e + [None] * (2 * d + k) + mdot)
     return lift1, lift2
 
 
@@ -308,7 +285,7 @@ def check_connection(conn: Connection) -> CheckReport:
     """All the named connection laws, as exact identities."""
     report = CheckReport("connection laws")
     b = conn.bundle
-    d, k, t = b.base_dim, b.rank, b.total_dim
+    d, t = b.base_dim, b.total_dim
     lam = b.lift.lam
     kappa, nabla = conn.kappa, conn.nabla
     t_kappa, t_lam, t_nabla = (weil_prolong(W, f) for f in (kappa, lam, nabla))
@@ -320,12 +297,7 @@ def check_connection(conn: Connection) -> CheckReport:
     tq = weil_prolong(W, b.q)
     section = PolyMap.pairing([p_e, tq])
     # (p, T.q)∘∇ lands back on (m, e, m, mdot); collapse the duplicate base.
-    dom = t + d
-    expected = PolyMap.pairing([
-        PolyMap.projection(dom, 0, t),
-        PolyMap.projection(dom, 0, d),
-        PolyMap.projection(dom, t, d),
-    ])
+    expected = PolyMap.selection(t + d, [*range(t), *range(d), *range(t, t + d)])
     report.equal("horizontal section (p,T.q)∘∇ = id",
                  compose_maps(section, nabla), expected)
 
@@ -349,8 +321,7 @@ def check_connection(conn: Connection) -> CheckReport:
                  compose_maps(kappa, nabla),
                  compose_maps(b.xi, PolyMap.projection(t + d, 0, d)))
     # (p, T.q) composed into ∇'s domain (m, e, mdot) with the base collapsed.
-    into_dom = PolyMap.pairing([PolyMap.projection(2 * t, 0, t),
-                                PolyMap.projection(2 * t, t, d)])
+    into_dom = PolyMap.selection(2 * t, range(t + d))
     horizontal = compose_maps(nabla, into_dom)
     mu_of = add_over_tq(b, compose_maps(generator_nat("zero", t), p_e),
                         compose_maps(lam, kappa))

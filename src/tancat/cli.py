@@ -104,8 +104,8 @@ def cmd_algebroid(args) -> int:
         report.merge(AL.check_involution_axioms(A, sigma))
         report.merge(AL.check_lambda_hat_coassociativity(A))
         return _emit(report.sort(), args.json)
-    x_doc = specfiles.load_document(args.x)
-    y_doc = specfiles.load_document(args.y)
+    x_doc = specfiles.load_document(args.x, expect_kind="section")
+    y_doc = specfiles.load_document(args.y, expect_kind="section")
     X = specfiles.load_section(x_doc, A.base_dim)
     Y = specfiles.load_section(y_doc, A.base_dim)
     if X.tgt_dim != A.rank or Y.tgt_dim != A.rank:

@@ -246,8 +246,7 @@ def lie_tangent(A: AlgebroidData) -> AlgebroidData:
     frame = _lie_frame(A)
     table = _check_lie_table(A, sigma_prime_l2, frame.shape)
     if not table.passed:
-        failing = "; ".join(v.name for v in table.verdicts if not v.passed)
-        raise ValueError(f"structure-map table failed: {failing}")
+        raise ValueError(f"structure-map table failed: {table.failing()}")
 
     sigma_prime = compose_maps(shift_iso_inverse(A, WW),
                                compose_maps(sigma_prime_l2, shift_iso(A, WW)))
@@ -281,10 +280,9 @@ def _check_lie_table(A: AlgebroidData, sigma_prime: PolyMap,
 
     # ξ' = (ξ∘π, 0): A.(0⊗W) sends (x, v) to (x; 0, v, 0).
     xi_prime = whiskered_generator(shape, "zero", NAT, W)
-    x, v = block_vars(A, W)
-    zero = [Polynomial.zero(d + r)] * r
-    report.equal("ξ' = (ξ∘π, 0)",
-                 xi_prime, PolyMap(d + r, n, x + zero + v + zero))
+    zero = [None] * r
+    report.equal("ξ' = (ξ∘π, 0)", xi_prime,
+                 PolyMap.selection(d + r, [*range(d)] + zero + [*range(d, d + r)] + zero))
 
     # λ' = λ×ℓ: legs T.π₀∘λ' = λ∘π₀ and T.π₁∘λ' = ℓ∘π₁.
     lam_prime = lift_prolongation_bundle(A)

@@ -93,6 +93,10 @@ class CheckReport:
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
+    def failing(self) -> str:
+        """The names of the failing verdicts joined by "; ", "" when none fail."""
+        return "; ".join(v.name for v in self.verdicts if not v.passed)
+
     def sort(self) -> CheckReport:
         self.verdicts.sort(key=lambda v: v.name)
         return self

@@ -220,8 +220,7 @@ def criterion_3_cdc(seed: int, cases: int = 200) -> CheckReport:
     report = CheckReport("AC3 cartesian differential axioms")
     from .poly import check_cdc_axioms
     full = check_cdc_axioms(sample, seed=seed + 1)
-    report.add(f"CD.1–CD.7 on {cases} random maps", full.passed,
-               "; ".join(v.name for v in full.verdicts if not v.passed)[:400] or None)
+    report.add(f"CD.1–CD.7 on {cases} random maps", full.passed, full.failing()[:400] or None)
     return report
 
 
@@ -254,8 +253,7 @@ def criterion_4_tangent(seed: int) -> CheckReport:
     report = CheckReport("AC4 tangent model")
     for n in (1, 2, 3):
         rep = TG.check_tangent_axioms(n)
-        report.add(f"TC axioms at n={n}", rep.passed,
-                   "; ".join(v.name for v in rep.verdicts if not v.passed) or None)
+        report.add(f"TC axioms at n={n}", rep.passed, rep.failing() or None)
     rng = random.Random(seed)
     algebras = [W, WeilAlgebra((2,)), WW]
     ok, witness = True, None
@@ -271,8 +269,7 @@ def criterion_4_tangent(seed: int) -> CheckReport:
     report.add("action strictness on 50 random (U,V,f)", ok, witness)
     for sq in _generated_squares():
         rep = TG.check_square_preservation(sq, 1)
-        report.add(f"square {sq.provenance} preserved at n=1", rep.passed,
-                   "; ".join(v.name for v in rep.verdicts if not v.passed) or None)
+        report.add(f"square {sq.provenance} preserved at n=1", rep.passed, rep.failing() or None)
     return report
 
 
@@ -389,8 +386,7 @@ def criterion_7_sections(seed: int, per_algebroid: int = 20) -> CheckReport:
         else:
             scalars = [parse_poly("x1", A.base_dim)]
         rep = AL.check_section_laws(A, secs, scalars)
-        report.add(f"section laws on {name}", rep.passed,
-                   "; ".join(v.name for v in rep.verdicts if not v.passed)[:200] or None)
+        report.add(f"section laws on {name}", rep.passed, rep.failing()[:200] or None)
     e1 = PolyMap.from_strings(0, ["1", "0", "0"])
     e2 = PolyMap.from_strings(0, ["0", "1", "0"])
     e3 = PolyMap.from_strings(0, ["0", "0", "1"])
@@ -461,10 +457,10 @@ def criterion_9_lie_tangent(seed: int, count: int = 20) -> CheckReport:
                    prime.rho == expect.rho and prime.bracket == expect.bracket)
     table = NV.check_lie_table(so3())
     report.add("structure-map table verified coordinatewise (so3)", table.passed,
-               "; ".join(v.name for v in table.verdicts if not v.passed) or None)
+               table.failing() or None)
     table = NV.check_lie_table(action_algebroid("x1"))
     report.add("structure-map table verified coordinatewise (action)", table.passed,
-               "; ".join(v.name for v in table.verdicts if not v.passed) or None)
+               table.failing() or None)
     return report
 
 

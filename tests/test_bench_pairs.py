@@ -243,3 +243,48 @@ def test_a_module_only_one_checkout_has_counts_as_zero_tokens(tmp_path, monkeypa
                       "--pairs", "1", "--parent-out", str(tmp_path / "p.json"),
                       "--change-out", str(tmp_path / "c.json")])
     assert warning in capsys.readouterr().err
+
+
+def test_summary_refuses_files_with_different_run_counts(tmp_path, capsys):
+    # An interrupted run leaves one parent run without its change run; the
+    # k-th runs of the two files would then be shifted pairs.
+    def results(path, walls):
+        path.write_text(json.dumps({"meta": {}, "runs": [
+            {"workload": "cdc", "trace": 0, "attempted": 10, "failed": 0,
+             "metrics": {"wall_s": w}} for w in walls]}))
+        return path
+
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
+    parent = results(tmp_path / "p.json", PARENT + [0.5])
+    change = results(tmp_path / "c.json", PARENT)
+    assert bench_pairs.summarize(parent, change, "cdc", spec) == 1
+    out = capsys.readouterr().out
+    assert f"cdc: 11 runs in {parent} but 10 in {change}" in out
+    assert "pairs (parent" not in out
+    assert bench_pairs.summarize(change, parent, "cdc", spec) == 1
+    assert f"cdc: 10 runs in {change} but 11 in {parent}" in capsys.readouterr().out
+
+
+def test_a_run_refuses_to_start_on_a_file_holding_runs_of_its_workload(tmp_path, monkeypatch,
+                                                                       capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir(), change.mkdir()
+    run_side, calls = fake_side({("parent", "cdc"): [1.0], ("change", "cdc"): [1.0]})
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+    held = tmp_path / "c.json"
+    held.write_text(json.dumps({"meta": {}, "runs": [
+        {"workload": "selftest", "trace": 0, "attempted": 10, "failed": 0,
+         "metrics": {"wall_s": 1.0}}]}))
+    argv = ["--parent", str(parent), "--change", str(change), "--pairs", "1",
+            "--parent-out", str(tmp_path / "p.json"), "--change-out", str(held)]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv + ["--workload", "cdc,selftest"])
+    assert exit_info.value.code == 2
+    assert f"{held} already holds selftest runs" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "p.json").exists()
+    # Runs of another workload in the file do not stop a run.
+    assert bench_pairs.main(argv + ["--workload", "cdc"]) == 0
+    assert calls == [("parent", "cdc"), ("change", "cdc")]

@@ -311,6 +311,18 @@ def test_section_above_the_degree_limit_exits_two(tmp_path):
                              "exceeds the limit of 128")
 
 
+@pytest.mark.parametrize("kind", ["map", "bundle"])
+def test_bracket_refuses_a_file_that_is_not_a_section(tmp_path, kind):
+    # Only the components are read, so a map or bundle file with a section's
+    # components would otherwise be bracketed as if it were one.
+    document = tmp_path / "x.json"
+    document.write_text(json.dumps({"kind": kind, "src_dim": 0, "tgt_dim": 3,
+                                    "components": ["1", "0", "0"]}))
+    proc = run_cli("algebroid", "bracket", str(EXAMPLES / "so3.json"),
+                   str(document), str(document))
+    assert_input_error(proc, f"expected kind 'section', found {kind!r}")
+
+
 @pytest.mark.parametrize("command, document, message", [
     (("cdc", "check"), {"kind": "map", "src_dim": 1, "tgt_dim": 1, "components": [5]},
      "map.components[0] must be a polynomial string, got 5"),

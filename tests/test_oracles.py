@@ -45,6 +45,11 @@
   same eight algebroids (256 cases); three mutants (T^L dropped, σ's copy
   also on a mixed block, the swap left out) must each fail it where
   C ≠ 0, and a missing or misshapen σ is refused;
+- the fixed coordinate maps that `PolyMap.selection` builds against the
+  per-variable lists they replaced: ξ, λ, the trivial connection's κ and ∇
+  and the two lifts of ∇'s linearity axioms for 0 ≤ d, k ≤ 3, and the lifts
+  (0×c∘T.λ) and (λ×ℓ) of L(A) on the same eight algebroids; one shifted
+  index in any of them must fail the comparison;
 - `Polynomial.eval` and `Polynomial.__str__` against formulas over
   exponent tuples;
 - `differential` against the tangent block of `tangent_n(f, 1)` and against
@@ -1055,6 +1060,132 @@ def test_the_flip_refuses_a_missing_or_misshapen_sigma():
     with pytest.raises(ValueError, match="flat first prolongation"):
         FS.whiskered_generator(A.shape, "flip", weil.NAT, weil.NAT,
                                sigma=PolyMap(dim, dim - 1, PolyMap.identity(dim).components[1:]))
+
+
+# -- fixed coordinate maps: selections against per-variable lists -------------------
+
+
+def var(n: int, i: int) -> Polynomial:
+    return Polynomial.var(n, i + 1)
+
+
+def reference_xi(bundle: BD.TrivialBundle) -> PolyMap:
+    n = bundle.base_dim
+    comps = [var(n, i) for i in range(n)]
+    comps += [Polynomial.zero(n)] * bundle.rank
+    return PolyMap(n, bundle.total_dim, comps)
+
+
+def reference_lift(bundle: BD.TrivialBundle) -> PolyMap:
+    """(m, e) -> (m, 0, 0, e)."""
+    t = bundle.total_dim
+    comps = [var(t, i) for i in range(bundle.base_dim)]
+    comps += [Polynomial.zero(t)] * (bundle.rank + bundle.base_dim)
+    comps += [var(t, bundle.base_dim + j) for j in range(bundle.rank)]
+    return PolyMap(t, 2 * t, comps)
+
+
+def reference_trivial_connection(bundle: BD.TrivialBundle) -> tuple[PolyMap, PolyMap]:
+    """κ(m, e, mdot, edot) = (m, edot) and ∇((m,e), (m,mdot)) = (m, e, mdot, 0)."""
+    d, k, t = bundle.base_dim, bundle.rank, bundle.total_dim
+    comps = [var(2 * t, i) for i in range(d)]
+    comps += [var(2 * t, t + d + j) for j in range(k)]
+    kappa = PolyMap(2 * t, t, comps)
+    n = t + d
+    comps = [var(n, i) for i in range(t)]
+    comps += [var(n, t + i) for i in range(d)]
+    comps += [Polynomial.zero(n)] * k
+    return kappa, PolyMap(n, 2 * t, comps)
+
+
+def reference_horizontal_lift_maps(bundle: BD.TrivialBundle) -> tuple[PolyMap, PolyMap]:
+    """(λ ×_M 0.TM) and (0.E ×_M ℓ.M) on (m, e, mdot)."""
+    d, k = bundle.base_dim, bundle.rank
+    n = d + k + d
+    zero = Polynomial.zero(n)
+    m = [var(n, i) for i in range(d)]
+    e = [var(n, d + j) for j in range(k)]
+    mdot = [var(n, d + k + i) for i in range(d)]
+    lift1 = PolyMap(n, 2 * n, m + [zero] * k + mdot + [zero] * d + e + [zero] * d)
+    lift2 = PolyMap(n, 2 * n, m + e + [zero] * d + [zero] * (d + k) + mdot)
+    return lift1, lift2
+
+
+def reference_lift_pullback_bundle(A: AL.AlgebroidData) -> PolyMap:
+    """(0 × c∘T.λ): (x; u, v, w) -> (x; u, 0, 0; 0; 0, v, w)."""
+    d, r = A.base_dim, A.rank
+    n = d + 3 * r
+    zero = [Polynomial.zero(n)] * r
+    x, u, v, w = AL.block_vars(A, WW)
+    zd = [Polynomial.zero(n)] * d
+    return PolyMap(n, 2 * n, x + u + zero + zero + zd + zero + v + w)
+
+
+def reference_lift_prolongation_bundle(A: AL.AlgebroidData) -> PolyMap:
+    """(λ × ℓ): (x; u, v, w) -> (x; 0, v, 0; 0; u, 0, w)."""
+    d, r = A.base_dim, A.rank
+    n = d + 3 * r
+    zero = [Polynomial.zero(n)] * r
+    x, u, v, w = AL.block_vars(A, WW)
+    zd = [Polynomial.zero(n)] * d
+    return PolyMap(n, 2 * n, x + zero + v + zero + zd + u + zero + w)
+
+
+def shifted_index(f: PolyMap) -> PolyMap | None:
+    """The selection f with its last variable component x_j moved to x_(j-1)
+    (x_2 for x_1); None when f has no variable component or one variable."""
+    xs = PolyMap.identity(f.src_dim).components
+    picks = [at for at, c in enumerate(f.components) if c in xs]
+    if not picks or f.src_dim < 2:
+        return None
+    comps = list(f.components)
+    j = xs.index(comps[picks[-1]])
+    comps[picks[-1]] = xs[j - 1 if j else 1]
+    return PolyMap(f.src_dim, f.tgt_dim, comps)
+
+
+BUNDLE_DIMS = list(itertools.product(range(4), repeat=2))
+
+
+def bundle_maps(bundle: BD.TrivialBundle) -> dict:
+    """Each fixed map of a trivial bundle, with its per-variable reference."""
+    conn = BD.trivial_connection(bundle)
+    kappa, nabla = reference_trivial_connection(bundle)
+    lift1, lift2 = BD._horizontal_lift_maps(bundle)
+    ref1, ref2 = reference_horizontal_lift_maps(bundle)
+    return {"ξ": (bundle.xi, reference_xi(bundle)),
+            "λ": (bundle.lift.lam, reference_lift(bundle)),
+            "κ": (conn.kappa, kappa), "∇": (conn.nabla, nabla),
+            "λ×0": (lift1, ref1), "0×ℓ": (lift2, ref2)}
+
+
+@pytest.mark.parametrize("d, k", BUNDLE_DIMS)
+def test_bundle_selections_match_the_per_variable_maps(d, k):
+    for got, expected in bundle_maps(BD.TrivialBundle(d, k)).values():
+        assert_same_map(got, expected)
+
+
+def test_an_index_shift_in_a_bundle_map_fails_the_reference():
+    caught = {}
+    for d, k in BUNDLE_DIMS:
+        for name, (got, expected) in bundle_maps(BD.TrivialBundle(d, k)).items():
+            mutant = shifted_index(got)
+            if mutant is not None:
+                assert mutant != expected, (name, d, k)
+                caught[name] = caught.get(name, 0) + 1
+    # A mutant exists where the source has two variables: Q^d for ξ, Q^(d+k)
+    # for λ, Q^(2(d+k)) for κ and Q^(2d+k) for ∇ and the two lifts.
+    assert caught == {"ξ": 8, "λ": 13, "κ": 15, "∇": 14, "λ×0": 14, "0×ℓ": 14}
+
+
+@pytest.mark.parametrize("name, make", PUSH_ALGEBROIDS, ids=PUSH_IDS)
+def test_the_lifts_of_the_prolongation_match_the_block_variable_lists(name, make):
+    A = make()
+    for got, expected in [(AL.lift_pullback_bundle(A), reference_lift_pullback_bundle(A)),
+                          (AL.lift_prolongation_bundle(A),
+                           reference_lift_prolongation_bundle(A))]:
+        assert_same_map(got, expected)
+        assert shifted_index(got) != expected
 
 
 # -- kept splits and join plans ---------------------------------------------------

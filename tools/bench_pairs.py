@@ -25,7 +25,9 @@ exit status.
 The claim rule: the change wins at least 9 of every 10 pairs, and its median
 is better than the parent's by more than the parent's interquartile range.
 The k-th run of a workload in one file is paired with the k-th in the other,
-so start from empty results files.  The side that runs first alternates
+so a run refuses to start when a results file already holds runs of a
+requested workload, and the summary fails a workload whose two files hold
+different numbers of runs.  The side that runs first alternates
 from pair to pair.  Compare checkouts in the same bytecode state: a stale
 `__pycache__` changes what an import costs, so the tool warns when only one
 checkout has `src/tancat/__pycache__`.  It also warns when a module of
@@ -110,13 +112,17 @@ def runs_of(path: Path, workload: str) -> list[dict]:
 
 
 def summarize(parent_path: Path, change_path: Path, workload: str, spec: dict) -> int:
-    """Print the table; 1 if some metric is worse than its bound, else 0."""
+    """Print the table; 1 if the two files hold no runs or different numbers
+    of runs of `workload`, or if some metric is worse than its bound, else 0."""
     parent, change = runs_of(parent_path, workload), runs_of(change_path, workload)
-    n = min(len(parent), len(change))
+    n = len(parent)
+    if len(change) != n:
+        print(f"{workload}: {n} runs in {parent_path} but {len(change)} in {change_path}, "
+              "so the k-th runs of the two files are not pairs")
+        return 1
     if n == 0:
         print(f"{workload}: no paired runs in {parent_path} and {change_path}")
         return 1
-    parent, change = parent[:n], change[:n]
     print(f"{workload}: {n} pairs (parent {parent_path}, change {change_path})")
     print(f"  {'metric':14s} {'parent q1/median/q3':>30s} {'change q1/median/q3':>30s}"
           f" {'ratio':>7s} {'wins':>6s}  claim  bound")
@@ -222,6 +228,10 @@ def main(argv=None) -> int:
     if not args.summarize:
         if args.parent is None or args.change is None:
             parser.error("--parent and --change are required unless --summarize")
+        held = [f"{out} already holds {workload} runs" for out in (parent_out, change_out)
+                for workload in workloads if runs_of(out, workload)]
+        if held:
+            parser.error("; ".join(held) + "; start from empty results files")
         sides = [(args.parent.resolve(), parent_out), (args.change.resolve(), change_out)]
         warnings = token_step_warnings(sides[0][0], sides[1][0])
         warnings += filter(None, [bytecode_warning(sides[0][0], sides[1][0])])
