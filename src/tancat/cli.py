@@ -13,7 +13,8 @@ Subcommands:
   lie-tangent FILE           derive L'(A) and check it
   selftest                   the full acceptance suite (seeded, deterministic)
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 input error.
+Exit codes: 0 all checks passed, 1 some check failed, 2 input error, 141
+the reader closed standard output early (128 + SIGPIPE, as in `| head`).
 `--random`, `--pairs` and `--cases` are at most MAX_COUNT, `-n` at most
 MAX_TANGENT_DIM and the flat dimension of `nerve object` at most
 MAX_FLAT_DIM; a value out of range is an input error.
@@ -326,7 +327,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser(env_seed()).parse_args(argv)
         check_bounds(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush at
+        # exit cannot fail again, and exit as a process killed by SIGPIPE
+        # would, without a traceback (see the note on SIGPIPE in the Python
+        # `signal` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

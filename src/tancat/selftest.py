@@ -495,7 +495,7 @@ def run_selftest(seed: int = DEFAULT_SEED, cases: int = 200,
         return report
     # Longest first, by in-process CPU time at the default seed, each
     # criterion alone in a fresh process, median of 9 on 2 vCPUs (AC8
-    # 0.22 s, AC3 0.14, AC9 0.056, AC4 0.040, AC7 0.031, AC6 0.030, the rest
+    # 0.23 s, AC3 0.11, AC9 0.055, AC4 0.044, AC7 0.034, AC6 0.032, the rest
     # under 0.004), so that a pool starts the critical path at once.
     jobs = [("criterion_8_nerve", (seed + 4,)),
             ("criterion_3_cdc", (seed, cases)),

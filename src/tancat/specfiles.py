@@ -41,12 +41,13 @@ MAX_DEGREE = 128
 # file (216,000 strings) took 3.3 s.  Both dimensions are checked before any
 # polynomial is parsed.
 MAX_ALGEBROID_DIM = 16
-# `cdc check` on a map from Q^n checks CD.6 and CD.7 on maps out of Q^(4n),
-# so its cost grows faster than n.  On 2 vCPUs the whole command on a map
-# with the one component x1 takes 0.23 s at n = 128, 0.34 s at 256, 1.0 s at
-# 512 and 6.2 s (45 MB) at 1,000; with n components of two or three terms
-# each it takes 2.1 s (37 MB) at 256 and 9.2 s (88 MB) at 512.  Both
-# dimensions are checked before any polynomial is parsed.
+# `cdc check` on a map from Q^n checks CD.2 on maps out of Q^(3n) and CD.6
+# and CD.7 on maps out of Q^(4n), so its cost grows faster than n.  On 2
+# vCPUs the whole command on a map with the one component x1 takes 0.23 s at
+# n = 128, 0.34 s at 256, 1.0 s at 512 and 6.2 s (45 MB) at 1,000; with n
+# components of two or three terms each it takes 1.05-1.76 s (median 1.17 s
+# of 9 runs, 26 MB) at 256, and the check alone takes 7.3 s (53 MB) at 512.
+# Both dimensions are checked before any polynomial is parsed.
 MAX_MAP_DIM = 256
 
 

@@ -97,6 +97,32 @@ def test_cdc_check_file_and_random():
     assert proc.returncode == 0
 
 
+def test_cdc_check_refuses_a_map_into_q0(tmp_path):
+    spec = tmp_path / "map.json"
+    spec.write_text(json.dumps({"kind": "map", "src_dim": 1, "tgt_dim": 0,
+                                "components": []}))
+    assert_input_error(run_cli("cdc", "check", str(spec)), "map#0 maps to Q^0")
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
+    # The report (about 318 KB) is larger than a pipe buffer, so the write
+    # meets the closed pipe, as it does under `| head -5`.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tancat.cli", "--json", "cdc", "check",
+         str(EXAMPLES / "map.json"), "--random", "500"],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline().strip() == b"{"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in stderr
+    assert stderr == ""
+
+
 def test_tangent_check():
     proc = run_cli("tangent", "check", "-n", "2")
     assert proc.returncode == 0
@@ -432,7 +458,7 @@ def test_map_above_the_dimension_limit_exits_two(tmp_path, field, value):
 
 def test_cdc_check_at_the_map_dimension_limit_is_within_budget(tmp_path):
     # Two or three terms in every component, 256 components out of Q^256:
-    # about 2 s on 2 vCPUs.
+    # about 1.2 s on 2 vCPUs.
     n = 256
     spec = tmp_path / "wide.json"
     spec.write_text(json.dumps({"kind": "map", "src_dim": n, "tgt_dim": n, "components": [

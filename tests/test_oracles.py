@@ -58,7 +58,14 @@
   (same maps, same generator state afterwards, same PolyError);
 - `random_polynomial`, which draws from `getrandbits`, against the same
   draws made through `rng.randrange`, over up to 8 variables, degree 6 and
-  single-value (0 included) and all-negative coefficient ranges.
+  single-value (0 included) and all-negative coefficient ranges;
+- CD.2 as `check_cdc_axioms` checks it, on the generic point and
+  directions, against the form it replaced, on three random maps a, h, k
+  per map (`reference_cd2`): both pass on 300 maps drawn as AC3 draws them;
+  a differential with a term quadratic in the direction added fails the
+  additive verdict, and one with a constant or x₁ added the zero-direction
+  verdict, in the generic form on every map and in the random form wherever
+  the drawn companions do not hide the term (the constant: every map).
 """
 
 import itertools
@@ -76,8 +83,9 @@ from tancat import nerve as NV
 from tancat import selftest as ST
 from tancat import weil, wterm
 from tancat.poly import (MAX_EXPONENT, VARIABLE_CACHE_SIZE, PolyError, PolyMap,
-                         Polynomial, _selection_images, _substitute, compose_maps,
-                         differential, random_map, random_polynomial, tangent_n)
+                         Polynomial, _selection_images, _substitute, check_cdc_axioms,
+                         compose_maps, differential, random_map, random_polynomial,
+                         tangent_n)
 from tancat.report import CheckReport
 from tancat.tangent import W2, structure_nat, weil_prolong
 from tancat.weil import W, WW, WeilAlgebra
@@ -1839,3 +1847,87 @@ def test_random_polynomial_rejects_an_exponent_that_carries(n_vars, exponent):
     assert random_polynomial(rng, n_vars, MAX_EXPONENT, (-3, 3), 1) == \
         Polynomial(n_vars, {(MAX_EXPONENT,) + (0,) * (n_vars - 1): 1})
     assert rng.script == []
+
+
+# -- CD.2: the random companions the generic check replaced ----------------------
+
+
+def cd2_companions(sample: list[PolyMap], seed: int) -> list[tuple[PolyMap, ...]]:
+    """The random degree-2 maps a, h, k: Q^n -> Q^n drawn for each map."""
+    rng = random.Random(seed)
+    return [tuple(random_map(rng, f.src_dim, f.src_dim, 2) for _ in range(3)) for f in sample]
+
+
+def reference_cd2(sample: list[PolyMap], seed: int, derive=differential) -> CheckReport:
+    """CD.2 on the companions a, h, k of each map: D[f]∘⟨a, h+k⟩ =
+    D[f]∘⟨a, h⟩ + D[f]∘⟨a, k⟩ and D[f]∘⟨a, 0⟩ = 0, with `derive` for D."""
+    report = CheckReport("CD.2 on random companions")
+    for idx, (f, (a, h, k)) in enumerate(zip(sample, cd2_companions(sample, seed))):
+        n = f.src_dim
+        df = derive(f)
+        report.equal(f"CD.2 additive direction [map#{idx}]",
+                     compose_maps(df, PolyMap.pairing([a, h + k])),
+                     compose_maps(df, PolyMap.pairing([a, h]))
+                     + compose_maps(df, PolyMap.pairing([a, k])))
+        report.check(f"CD.2 zero direction [map#{idx}]",
+                     compose_maps(df, PolyMap.pairing([a, PolyMap.zero(n, n)])))
+    return report
+
+
+def ac3_maps(count: int = 300, seed: int = 24) -> list[PolyMap]:
+    """Maps drawn as AC3 draws them: dimensions 1-3, degree 3."""
+    rng = random.Random(seed)
+    return [random_map(rng, rng.randint(1, 3), rng.randint(1, 3), 3) for _ in range(count)]
+
+
+def cd2_verdicts(report: CheckReport) -> dict[str, bool]:
+    return {v.name: v.passed for v in report.verdicts if v.name.startswith("CD.2")}
+
+
+def direction_square(n: int, tgt: int) -> PolyMap:
+    """e(x, v) = v₁² in every component, plus v₁v₂ where n ≥ 2."""
+    text = f"x{n + 1}^2" + (f" + x{n + 1}*x{n + 2}" if n >= 2 else "")
+    return PolyMap.from_strings(2 * n, [text] * tgt)
+
+
+def constant_one(n: int, tgt: int) -> PolyMap:
+    return PolyMap.constant(2 * n, [1] * tgt)
+
+
+def first_point_coordinate(n: int, tgt: int) -> PolyMap:
+    """e(x, v) = x₁: zero at the origin, but not along the zero direction."""
+    return PolyMap.selection(2 * n, [0] * tgt)
+
+
+def test_generic_cd2_and_random_companions_pass_on_ac3_maps():
+    sample = ac3_maps()
+    assert {f.src_dim for f in sample} == {1, 2, 3}
+    generic = cd2_verdicts(check_cdc_axioms(sample, seed=25))
+    reference = cd2_verdicts(reference_cd2(sample, seed=25))
+    assert len(generic) == len(reference) == 2 * len(sample)
+    assert all(generic.values()) and all(reference.values())
+
+
+@pytest.mark.parametrize("term, verdict, most_hidden", [
+    (direction_square, "CD.2 additive direction", 3),
+    (constant_one, "CD.2 zero direction", 0),
+    (first_point_coordinate, "CD.2 zero direction", 3),
+])
+def test_a_term_added_to_the_differential_fails_cd2(monkeypatch, term, verdict, most_hidden):
+    sample = ac3_maps()
+
+    def broken(g: PolyMap) -> PolyMap:
+        return differential(g) + term(g.src_dim, g.tgt_dim)
+
+    reference = cd2_verdicts(reference_cd2(sample, 25, broken))
+    monkeypatch.setattr("tancat.poly.differential", broken)
+    generic = cd2_verdicts(check_cdc_axioms(sample, seed=25))
+    names = [f"{verdict} [map#{idx}]" for idx in range(len(sample))]
+    assert not any(generic[name] for name in names)
+    # The random form sees the term e only at the drawn companions, and both
+    # sides of CD.2 are linear in D, so it passes D + e exactly where it
+    # passes e alone: where the companions hide e (h = 0 on one map of this
+    # sample hides v₁²).  The generic form has no such blind spot.
+    hidden = cd2_verdicts(reference_cd2(sample, 25, lambda g: term(g.src_dim, g.tgt_dim)))
+    assert [reference[name] for name in names] == [hidden[name] for name in names]
+    assert sum(hidden[name] for name in names) <= most_hidden

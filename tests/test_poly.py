@@ -176,6 +176,18 @@ def test_cdc_axioms_on_seeded_sample():
     assert report.passed, [v.name for v in report.verdicts if not v.passed]
 
 
+def test_cdc_axioms_refuse_an_empty_sample():
+    with pytest.raises(PolyError, match="no maps to check"):
+        check_cdc_axioms([])
+
+
+def test_cdc_axioms_refuse_a_map_into_q0():
+    # Every verdict on a map into Q^0 compares maps with no components.
+    f = PolyMap(2, 0, [])
+    with pytest.raises(PolyError, match="map#1 maps to Q\\^0"):
+        check_cdc_axioms([PolyMap.identity(2), f])
+
+
 def test_cd6_example_x_cubed():
     f = PolyMap.from_strings(1, ["x1^3"])
     df = differential(f)
