@@ -481,13 +481,14 @@ def tensor_action(shape: AnchoredShape,
 
 
 def pair_action(shape: AnchoredShape, left_map: PolyMap, right_map: PolyMap,
-                n: int, m: int) -> PolyMap:
-    """Tupling into the fibered sum A.W_{n+m} (shared base, stacked fibers)."""
+                target: WeilAlgebra) -> PolyMap:
+    """Tupling into the fibered sum A.W_{n+m} = A.target (shared base,
+    stacked fibers)."""
     d = shape.base_dim
     if left_map.components[:d] != right_map.components[:d]:
         raise ValueError("fibered pairing needs equal base components")
     comps = list(left_map.components) + list(right_map.components[d:])
-    target = prolongation(shape, WeilAlgebra((n + m,)) if n + m else WeilAlgebra(()))
-    if len(comps) != target.dim:
+    space = prolongation(shape, target)
+    if len(comps) != space.dim:
         raise ValueError("fibered pairing received maps of the wrong shapes")
-    return PolyMap(left_map.src_dim, target.dim, comps)
+    return PolyMap(left_map.src_dim, space.dim, comps)

@@ -32,7 +32,7 @@ from .flatspace import (AnchoredShape, Prolongation, join_at, pair_action,
 from .poly import PolyMap, Polynomial, compose_maps
 from .report import CheckReport
 from .tangent import generator_nat, weil_prolong
-from .weil import NAT, W, WW, WeilAlgebra
+from .weil import NAT, W, WW, WeilAlgebra, fibered_sum
 
 
 class NerveModel:
@@ -70,9 +70,8 @@ class NerveModel:
 
     def pair(self, left_term: wterm.WTerm, left_mor: PolyMap,
              right_term: wterm.WTerm, right_mor: PolyMap) -> PolyMap:
-        n = left_term.target.widths[0] if left_term.target.widths else 0
-        m = right_term.target.widths[0] if right_term.target.widths else 0
-        return pair_action(self.shape, left_mor, right_mor, n, m)
+        return pair_action(self.shape, left_mor, right_mor,
+                           fibered_sum(left_term.target, right_term.target))
 
 
 def nerve_object(A: AlgebroidData, V: WeilAlgebra) -> Prolongation:
@@ -178,10 +177,10 @@ def check_cartesian_p(A: AlgebroidData) -> CheckReport:
                      section, iota)
     # Redundant naturality assertions at V = N for the other generators.
     model = NerveModel(A)
-    for text, kind in (("0", "zero"), ("+", "plus"), ("l", "ell"), ("c", "flip")):
+    for text in ("0", "+", "l", "c"):
         term = wterm.parse_term(text)
         gen = wterm.eval_weil(term)
-        whiskered = whiskered_generator(shape, kind, W, NAT, sigma=model.sigma)
+        whiskered = whiskered_generator(shape, term.kind, W, NAT, sigma=model.sigma)
         lhs = compose_maps(prolongation(shape, W.tensor(gen.target)).proj1, whiskered)
         rhs = compose_maps(
             weil_prolong(W, wterm.eval_model(term, model)),

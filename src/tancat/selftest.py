@@ -224,9 +224,10 @@ def criterion_3_cdc(seed: int, cases: int = 200) -> CheckReport:
     return report
 
 
-def _generated_squares(max_total_dim: int = 16) -> list[weil.TransverseSquare]:
-    squares = []
-    candidates = [
+def _generated_squares() -> list[weil.TransverseSquare]:
+    """The ten squares AC4 checks: those generated of total dimension (the
+    apex's, the three corners') at most 16."""
+    return [
         weil.transverse_square("fibered-sum", n=1, m=1),
         weil.transverse_square("fibered-sum", n=1, m=2),
         weil.transverse_square("fibered-sum", n=2, m=1),
@@ -237,14 +238,7 @@ def _generated_squares(max_total_dim: int = 16) -> list[weil.TransverseSquare]:
         weil.transverse_square("fibered-sum", n=1, m=1, whisker_left=W),
         weil.transverse_square("fibered-sum", n=1, m=1, whisker_right=W),
         weil.transverse_square("identity", algebra=W, whisker_left=W),
-        weil.transverse_square("vertical-lift", whisker_left=W),
     ]
-    for sq in candidates:
-        total = (sq.apex.dim + sq.left_leg.target.dim + sq.right_leg.target.dim
-                 + sq.left_base.target.dim)
-        if total <= max_total_dim:
-            squares.append(sq)
-    return squares
 
 
 def criterion_4_tangent(seed: int) -> CheckReport:

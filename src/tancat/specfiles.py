@@ -19,8 +19,8 @@ SpecFileError naming the field.  Every polynomial has total degree at most
 MAX_DEGREE, and so has every product and power written inside it; the parser
 rejects a larger one before computing it, with a SpecFileError naming the
 field and the limit.  An algebroid's base_dim and rank are each at most
-MAX_ALGEBROID_DIM, and a map's src_dim and tgt_dim at most MAX_MAP_DIM, both
-checked before any polynomial is parsed.
+MAX_ALGEBROID_DIM, and its rank at least 1, and a map's src_dim and tgt_dim
+at most MAX_MAP_DIM, all checked before any polynomial is parsed.
 """
 
 from __future__ import annotations
@@ -122,10 +122,16 @@ def _bounded_dims(data: dict, kind: str, fields: tuple[str, str], limit: int,
 def algebroid_dims(data: dict) -> tuple[int, int]:
     """(base_dim, rank) of an algebroid document, read before its polynomials.
 
-    Each is at most MAX_ALGEBROID_DIM.
+    Each is at most MAX_ALGEBROID_DIM, and the rank is at least 1: over an
+    empty fiber every structure equation and involution axiom would pass
+    without comparing a polynomial.
     """
-    return _bounded_dims(data, "algebroid", ("base_dim", "rank"), MAX_ALGEBROID_DIM,
+    d, r = _bounded_dims(data, "algebroid", ("base_dim", "rank"), MAX_ALGEBROID_DIM,
                          "MAX_ALGEBROID_DIM")
+    if r == 0:
+        raise SpecFileError("algebroid.rank is 0; it must be at least 1, as every "
+                            "check over an empty fiber would pass vacuously")
+    return d, r
 
 
 def load_algebroid(data: dict) -> algebroid_mod.AlgebroidData:

@@ -14,6 +14,9 @@ be nilpotent and to kill the source relations.  Composition is then the
 matrix product, the tensor the Kronecker product, and application a
 matrix-vector product.
 
+W1's vocabulary lives here alone: its generators (`generator`) and its
+transverse pullbacks, among them the fibered sums W_{n+m} (`fibered_sum`).
+
 Basis order: monomial tuples compared lexicographically with the FIRST
 factor most significant and 0 (unit) < 1 < ... < n inside a factor.  This is
 the order that makes the tensor act strictly, T^{U⊗V} = T^U ∘ T^V, once the
@@ -124,9 +127,10 @@ def make_weil(widths) -> WeilAlgebra:
 
 
 # The largest dimension of a Weil algebra written as text (`-V`, `id{V}`,
-# `!{V}`).  A nerve object A.V has d + (dim V - 1)·r coordinates, and its
-# cost grows faster than that: `nerve object -V` on so(3) takes 0.6 s for
-# W^8 (dimension 256), 7.8 s for W^10 and over 25 s for W^11.
+# `!{V}`, W_n in `proj{i,n}`).  A nerve object A.V has d + (dim V - 1)·r
+# coordinates, and its cost grows faster than that: `nerve object -V` on
+# so(3) takes 0.6 s for W^8 (dimension 256), 7.8 s for W^10 and over 25 s
+# for W^11.
 MAX_ALGEBRA_DIM = 256
 
 
@@ -372,6 +376,16 @@ def tensor_morphisms(f: WeilMorphism, g: WeilMorphism) -> WeilMorphism:
     return _from_columns(f.source.tensor(g.source), f.target.tensor(g.target), columns)
 
 
+def fibered_sum(V: WeilAlgebra, U: WeilAlgebra) -> WeilAlgebra:
+    """W_n x_N W_m = W_{n+m} for V = W_n and U = W_m, with W_0 = N; any other
+    V or U raises WeilError."""
+    for part in (V, U):
+        if part.n_factors > 1:
+            raise WeilError(f"pairing needs targets of the form W_n, got {part}")
+    width = sum(V.widths + U.widths)
+    return WeilAlgebra((width,)) if width else NAT
+
+
 def fibered_pair(f: WeilMorphism, g: WeilMorphism) -> WeilMorphism:
     """Induced map into the fibered sum W_{n+m} = W_n x_N W_m.
 
@@ -382,11 +396,8 @@ def fibered_pair(f: WeilMorphism, g: WeilMorphism) -> WeilMorphism:
     """
     if f.source != g.source:
         raise WeilError("fibered pairing needs a common source")
-    if f.target.n_factors > 1 or g.target.n_factors > 1:
-        raise WeilError("fibered pairing needs targets of the form W_n")
-    n = f.target.widths[0] if f.target.widths else 0
-    m = g.target.widths[0] if g.target.widths else 0
-    target = WeilAlgebra((n + m,)) if n + m else NAT
+    target = fibered_sum(f.target, g.target)
+    n = f.target.dim - 1
     columns = tuple(f_col + tuple((n + k, c) for k, c in g_col if k)
                     for f_col, g_col in zip(f.columns, g.columns))
     return _from_columns(f.source, target, columns)
@@ -431,6 +442,10 @@ def generator(kind: str, *, algebra: WeilAlgebra | None = None,
             raise WeilError("proj needs i and n")
         if not 1 <= i <= n:
             raise WeilError(f"proj index {i} out of range 1..{n}")
+        # Checked before the images: their relation check is quadratic in n.
+        if n + 1 > MAX_ALGEBRA_DIM:
+            raise WeilError(f"proj source W{n} has dimension above the limit "
+                            f"MAX_ALGEBRA_DIM = {MAX_ALGEBRA_DIM}")
         images = [WeilElement.variable(W, 0, 1) if j == i else WeilElement.zero(W)
                   for j in range(1, n + 1)]
         return WeilMorphism(WeilAlgebra((n,)), W, images)
@@ -474,9 +489,8 @@ def _identity_square(algebra: WeilAlgebra) -> TransverseSquare:
 
 def _fibered_sum_square(n: int, m: int) -> TransverseSquare:
     """W_{n+m} as the pullback of W_n --bang--> N <--bang-- W_m."""
-    apex = WeilAlgebra((n + m,)) if n + m else NAT
-    wn = WeilAlgebra((n,)) if n else NAT
-    wm = WeilAlgebra((m,)) if m else NAT
+    wn, wm = (WeilAlgebra((k,)) if k else NAT for k in (n, m))
+    apex = fibered_sum(wn, wm)
     left = WeilMorphism(apex, wn, [
         WeilElement.variable(wn, 0, j) if j <= n else WeilElement.zero(wn)
         for j in range(1, n + m + 1)])

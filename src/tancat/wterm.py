@@ -7,10 +7,11 @@ Grammar (used verbatim by the CLI):
     atom    := generator | '<' term ',' term '>' | '(' term ')'
     gens    : p  0  +  l  c  !{V}  id{V}  proj{i,n}
 
+The generators are those of `SYMBOLS` (`!` and `id` take an algebra `{V}`)
+and `proj{i,n}`; their boundaries and denotations are `weil.generator`'s.
 Objects are written `N`, `W`, `W2`, `W2*W`, ...  Every term is boundary
-checked at construction: Compose needs matching middle objects, Pair needs
-single-factor targets W_n, W_m (the fibered-sum transverse square) and a
-common source, and denotes the induced map into W_{n+m}.
+checked at construction: Compose needs matching middle objects, Pair a
+common source and targets W_n, W_m, and lands in `weil.fibered_sum`, W_{n+m}.
 
 Equality of terms is semantic: evaluate both into W1 and compare the
 matrices of the denoted morphisms (`terms_equal`).  There is deliberately
@@ -24,7 +25,7 @@ from functools import cache
 
 from . import weil
 from .frozen import Frozen
-from .weil import NAT, W, WW, WeilAlgebra, WeilMorphism, parse_algebra
+from .weil import W, WW, WeilAlgebra, WeilMorphism, parse_algebra
 
 
 class WTermError(ValueError):
@@ -49,8 +50,8 @@ class WTerm(Frozen):
     five slots per node, however many fields.  The hash is taken from the
     children's cached hashes, so memo and cache lookups cost O(1) however
     deep the term.  Two nodes are equal when they are of one class and
-    their hashes and keys are.  `_weil` holds the W1 denotation once
-    `eval_weil` has computed it.
+    their hashes and keys are.  `_weil` holds the W1 denotation: a `Gen`'s
+    from when it is built, any other node's once `eval_weil` has computed it.
     """
 
     __slots__ = ("source", "target", "_key", "_hash", "_weil")
@@ -85,30 +86,12 @@ class Gen(WTerm):
 
     def __init__(self, kind: str, algebra: WeilAlgebra | None = None,
                  i: int | None = None, n: int | None = None):
-        boundaries = {
-            "p": (W, NAT),
-            "zero": (NAT, W),
-            "plus": (WeilAlgebra((2,)), W),
-            "ell": (W, WW),
-            "flip": (WW, WW),
-        }
-        if kind in boundaries:
-            src, tgt = boundaries[kind]
-        elif kind == "bang":
-            if algebra is None:
-                raise WTermError("! needs an algebra annotation, e.g. !{W2}")
-            src, tgt = algebra, NAT
-        elif kind == "id":
-            if algebra is None:
-                raise WTermError("id needs an algebra annotation, e.g. id{W}")
-            src, tgt = algebra, algebra
-        elif kind == "proj":
-            if i is None or n is None or not 1 <= i <= n:
-                raise WTermError(f"bad projection proj{{{i},{n}}}")
-            src, tgt = WeilAlgebra((n,)), W
-        else:
-            raise WTermError(f"unknown generator {kind!r}")
-        self._boundary(src, tgt, kind, algebra, i, n)
+        try:
+            value = weil.generator(kind, algebra=algebra, i=i, n=n)
+        except weil.WeilError as exc:
+            raise WTermError(str(exc)) from None
+        self._boundary(value.source, value.target, kind, algebra, i, n)
+        object.__setattr__(self, "_weil", value)
 
 
 class Compose(WTerm):
@@ -150,17 +133,21 @@ class Pair(WTerm):
         if left.source != right.source:
             raise WTermError(
                 f"pairing needs a common source: {left.source} vs {right.source}")
-        for part in (left, right):
-            if part.target.n_factors > 1:
-                raise WTermError(
-                    f"pairing needs targets of the form W_n, got {part.target}")
-        n = left.target.widths[0] if left.target.widths else 0
-        m = right.target.widths[0] if right.target.widths else 0
-        total = WeilAlgebra((n + m,)) if n + m else NAT
+        try:
+            total = weil.fibered_sum(left.target, right.target)
+        except weil.WeilError as exc:
+            raise WTermError(str(exc)) from None
         self._boundary(left.source, total, left, right)
 
 
 # -- printing -----------------------------------------------------------------
+
+
+# The generator symbols of the grammar and their `weil.generator` kinds;
+# those in `ANNOTATED` are followed by an algebra `{V}`.
+SYMBOLS = {"p": "p", "0": "zero", "+": "plus", "l": "ell", "c": "flip",
+           "!": "bang", "id": "id"}
+ANNOTATED = ("bang", "id")
 
 
 def print_term(t: WTerm) -> str:
@@ -168,13 +155,10 @@ def print_term(t: WTerm) -> str:
     def go(term: WTerm, level: int) -> str:
         # level 0: composition context, 1: tensor context, 2: atom context.
         if isinstance(term, Gen):
-            if term.kind == "bang":
-                return f"!{{{term.algebra}}}"
-            if term.kind == "id":
-                return f"id{{{term.algebra}}}"
             if term.kind == "proj":
                 return f"proj{{{term.i},{term.n}}}"
-            return {"p": "p", "zero": "0", "plus": "+", "ell": "l", "flip": "c"}[term.kind]
+            symbol = next(s for s, kind in SYMBOLS.items() if kind == term.kind)
+            return f"{symbol}{{{term.algebra}}}" if term.kind in ANNOTATED else symbol
         if isinstance(term, Pair):
             return f"<{go(term.left, 0)}, {go(term.right, 0)}>"
         if isinstance(term, Compose):
@@ -251,70 +235,48 @@ class _TermParser:
                 right = self.term()
                 self.expect(">")
                 return Pair(left, right)
-            if ch == "p":
-                self.pos += 1
-                if self.text[self.pos:self.pos + 3] == "roj":
-                    self.pos += 3
-                    self.expect("{")
-                    i = self.nat()
-                    self.expect(",")
-                    n = self.nat()
-                    self.expect("}")
-                    return Gen("proj", i=i, n=n)
-                return Gen("p")
-            if ch == "0":
-                self.pos += 1
-                return Gen("zero")
-            if ch == "+":
-                self.pos += 1
-                return Gen("plus")
-            if ch == "l":
-                self.pos += 1
-                return Gen("ell")
-            if ch == "c":
-                self.pos += 1
-                return Gen("flip")
-            if ch == "!":
-                self.pos += 1
-                return Gen("bang", algebra=self.braced_algebra())
-            if ch == "i" and self.text[self.pos:self.pos + 2] == "id":
-                self.pos += 2
-                return Gen("id", algebra=self.braced_algebra())
+            if self.text.startswith("proj", self.pos):
+                self.pos += 4
+                self.expect("{")
+                i = self.nat()
+                self.expect(",")
+                n = self.nat()
+                self.expect("}")
+                return Gen("proj", i=i, n=n)
+            for symbol, kind in SYMBOLS.items():
+                if self.text.startswith(symbol, self.pos):
+                    self.pos += len(symbol)
+                    if kind in ANNOTATED:
+                        return Gen(kind, algebra=self.braced_algebra())
+                    return Gen(kind)
         except WTermError:
             raise
         except ValueError as exc:
             raise WTermError(str(exc), pos)
         self.error("expected a term")
 
-    def tensor(self) -> WTerm:
-        parts = [self.atom()]
+    def chain(self, sep: str, part, build) -> WTerm:
+        """`part (sep part)*`, folded to the right by `build`; an error in
+        `build` is placed at its right operand."""
+        parts = [part()]
         positions = []
-        while self.peek() == "*":
-            self.expect("*")
+        while self.peek() == sep:
+            self.expect(sep)
             positions.append(self.pos)
-            parts.append(self.atom())
+            parts.append(part())
         t = parts[-1]
-        for part, pos in zip(reversed(parts[:-1]), reversed(positions)):
+        for left, pos in zip(reversed(parts[:-1]), reversed(positions)):
             try:
-                t = Tensor(part, t)
+                t = build(left, t)
             except ValueError as exc:
                 raise WTermError(str(exc), pos)
         return t
 
+    def tensor(self) -> WTerm:
+        return self.chain("*", self.atom, Tensor)
+
     def term(self) -> WTerm:
-        parts = [self.tensor()]
-        positions = []
-        while self.peek() == ".":
-            self.expect(".")
-            positions.append(self.pos)
-            parts.append(self.tensor())
-        t = parts[-1]
-        for part, pos in zip(reversed(parts[:-1]), reversed(positions)):
-            try:
-                t = Compose(part, t)
-            except ValueError as exc:
-                raise WTermError(str(exc), pos)
-        return t
+        return self.chain(".", self.tensor, Compose)
 
 
 def parse_term(text: str) -> WTerm:
@@ -333,19 +295,13 @@ def eval_weil(t: WTerm) -> WeilMorphism:
     """The denoted rig morphism in W1.
 
     It is computed once per term and kept on the term: terms are frozen, so
-    the value is the term's for as long as the term lives.
+    the value is the term's for as long as the term lives.  A generator's is
+    set when it is built.
     """
     value = t._weil
     if value is not None:
         return value
-    if isinstance(t, Gen):
-        if t.kind in ("bang", "id"):
-            value = weil.generator(t.kind, algebra=t.algebra)
-        elif t.kind == "proj":
-            value = weil.generator("proj", i=t.i, n=t.n)
-        else:
-            value = weil.generator(t.kind)
-    elif isinstance(t, Compose):
+    if isinstance(t, Compose):
         value = weil.compose_morphisms(eval_weil(t.outer), eval_weil(t.inner))
     elif isinstance(t, Tensor):
         value = weil.tensor_morphisms(eval_weil(t.left), eval_weil(t.right))
@@ -365,32 +321,16 @@ def terms_equal(t1: WTerm, t2: WTerm) -> bool:
     return eval_weil(t1) == eval_weil(t2)
 
 
-class ModelInterface:
-    """What a tangent model must supply to evaluate terms (`eval_model`).
-
-    A model need not inherit from this class: it documents the four
-    methods that `eval_model` calls.  Identities are the generator `id{V}`,
-    so `generator_map` interprets them along with p, 0, +, ℓ, c, `!{V}` and
-    `proj{i,n}`.  `tensor` receives the sub-terms as well as their
-    evaluations because a strict model implements f ⊗ g by whiskering, which
-    needs the W1 boundaries (and possibly the W1 denotation) of the factors.
-    """
-
-    def generator_map(self, term: Gen): ...
-
-    def compose(self, outer, inner): ...
-
-    def tensor(self, left_term: WTerm, left_mor, right_term: WTerm, right_mor): ...
-
-    def pair(self, left_term: WTerm, left_mor, right_term: WTerm, right_mor): ...
-
-
-class UnsupportedLimit(ValueError):
-    """Raised by models that cannot interpret a required fiber product."""
-
-
-def eval_model(t: WTerm, model: ModelInterface, memo: dict | None = None):
+def eval_model(t: WTerm, model, memo: dict | None = None):
     """Evaluate a term in any model, structurally.
+
+    A model supplies four methods.  `generator_map(term)` interprets a `Gen`
+    (identities are the generator `id{V}`, so it interprets them too);
+    `compose(outer, inner)` composes two values; `tensor(left_term,
+    left_value, right_term, right_value)` and `pair(...)`, with the same
+    arguments, receive the sub-terms as well as their values, because a
+    strict model implements f ⊗ g by whiskering, which needs the W1
+    boundaries (and possibly the W1 denotation) of the factors.
 
     `memo`, if given, maps terms already evaluated in `model` to their
     values; it is read before each subterm is evaluated and filled with every

@@ -434,6 +434,17 @@ def test_algebroid_above_the_dimension_limit_exits_two(tmp_path, command, field,
                                        "MAX_ALGEBROID_DIM = 16")
 
 
+@pytest.mark.parametrize("command", ALGEBROID_COMMANDS, ids=lambda command: "-".join(
+    a for a in command[:2] if a != "FILE"))
+def test_algebroid_of_rank_0_exits_two(tmp_path, command):
+    # It used to pass all 9 verdicts of `algebroid check` and of `lie-tangent`:
+    # each ranges over an empty fiber.
+    spec = tmp_path / "rank0.json"
+    spec.write_text(json.dumps(algebroid_document(1, 0)))
+    args = [str(spec) if a == "FILE" else a for a in command]
+    assert_input_error(run_cli(*args), "algebroid.rank is 0; it must be at least 1")
+
+
 def test_algebroid_at_the_dimension_limit_is_accepted(tmp_path):
     spec = tmp_path / "zero.json"
     spec.write_text(json.dumps(algebroid_document(16, 16)))
@@ -484,6 +495,23 @@ def test_seed_variable_sets_the_default_seed():
     by_flag = run_cli("--json", "cdc", "check", "--random", "3", "--seed", "7")
     assert by_env.returncode == by_flag.returncode == 0
     assert by_env.stdout == by_flag.stdout
+
+
+def test_projection_out_of_w255_is_accepted():
+    proc = run_cli("wone", "eval", "proj{1,255}")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("proj{1,255} : W255 -> W\n")
+
+
+@pytest.mark.parametrize("n", [256, 40000])
+def test_projection_above_the_dimension_limit_exits_two_at_once(n):
+    # proj{1,10000} took 56 s before the limit, as the relation check on the
+    # images is quadratic in n; the limit is checked before they are built.
+    start = time.perf_counter()
+    code, out, err = run_in_process(("wone", "eval", f"proj{{1,{n}}}"))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
+    assert f"W{n} has dimension above the limit MAX_ALGEBRA_DIM = 256" in err
 
 
 def test_tensor_term_above_the_dimension_limit_exits_two():

@@ -65,7 +65,14 @@
   a differential with a term quadratic in the direction added fails the
   additive verdict, and one with a constant or x₁ added the zero-direction
   verdict, in the generic form on every map and in the random form wherever
-  the drawn companions do not hide the term (the constant: every map).
+  the drawn companions do not hide the term (the constant: every map);
+- the W1 vocabulary that the terms now read off `weil` against the tables
+  they kept: `Gen`'s boundary table (`reference_gen_boundary`), the
+  generator images written out per kind, and `print_term`'s symbol branches
+  (`reference_symbol`), for every kind, `!{V}` and `id{V}` with V in N, W,
+  W2 and W*W, and `proj{i,n}` for n ≤ 3; and `weil.fibered_sum` against the
+  W_{n+m} formula that pairing terms, `fibered_pair` and the nerve each
+  wrote, as the target of every pairing of p, id{W} and <id{W}, id{W}>.
 """
 
 import itertools
@@ -1931,3 +1938,136 @@ def test_a_term_added_to_the_differential_fails_cd2(monkeypatch, term, verdict, 
     hidden = cd2_verdicts(reference_cd2(sample, 25, lambda g: term(g.src_dim, g.tgt_dim)))
     assert [reference[name] for name in names] == [hidden[name] for name in names]
     assert sum(hidden[name] for name in names) <= most_hidden
+
+
+# -- the W1 vocabulary: the tables the terms kept before reading `weil` ----------
+
+
+def reference_gen_boundary(kind: str, algebra=None, i=None, n=None) -> tuple:
+    """(source, target) of a generator, from the table `Gen` kept."""
+    boundaries = {
+        "p": (W, weil.NAT),
+        "zero": (weil.NAT, W),
+        "plus": (W2, W),
+        "ell": (W, WW),
+        "flip": (WW, WW),
+    }
+    if kind in boundaries:
+        return boundaries[kind]
+    if kind == "bang":
+        return algebra, weil.NAT
+    if kind == "id":
+        return algebra, algebra
+    if kind == "proj":
+        return WeilAlgebra((n,)), W
+    raise ValueError(kind)
+
+
+def reference_symbol(gen: wterm.Gen) -> str:
+    """A generator as `print_term` wrote it by its own branches."""
+    if gen.kind == "bang":
+        return f"!{{{gen.algebra}}}"
+    if gen.kind == "id":
+        return f"id{{{gen.algebra}}}"
+    if gen.kind == "proj":
+        return f"proj{{{gen.i},{gen.n}}}"
+    return {"p": "p", "zero": "0", "plus": "+", "ell": "l", "flip": "c"}[gen.kind]
+
+
+def reference_gen_images(kind: str, algebra=None, i=None, n=None) -> list:
+    """The images of a generator's source variables, written out per kind."""
+    x, y = (weil.WeilElement.variable(WW, f, 1) for f in (0, 1))
+    on_w = weil.WeilElement.variable(W, 0, 1)
+    if kind in ("p", "bang"):
+        source = W if kind == "p" else algebra
+        return [weil.WeilElement.zero(weil.NAT)] * len(source.generators())
+    if kind == "id":
+        return [weil.WeilElement.variable(algebra, f, j) for f, j in algebra.generators()]
+    if kind == "proj":
+        return [on_w if j == i else weil.WeilElement.zero(W) for j in range(1, n + 1)]
+    return {"zero": [], "plus": [on_w, on_w], "ell": [x * y], "flip": [y, x]}[kind]
+
+
+def vocabulary_generators() -> list[tuple]:
+    """(kind, algebra, i, n) for each kind: `!{V}` and `id{V}` for V in N, W,
+    W2 and W*W, and `proj{i,n}` for n ≤ 3."""
+    gens = [(kind, None, None, None) for kind in ("p", "zero", "plus", "ell", "flip")]
+    gens += [(kind, V, None, None) for kind in ("bang", "id")
+             for V in (weil.NAT, W, W2, WW)]
+    gens += [("proj", None, i, n) for n in (1, 2, 3) for i in range(1, n + 1)]
+    return gens
+
+
+@pytest.mark.parametrize("kind, algebra, i, n", vocabulary_generators())
+def test_generators_match_the_boundary_table_and_their_images(kind, algebra, i, n):
+    gen = wterm.Gen(kind, algebra, i, n)
+    source, target = reference_gen_boundary(kind, algebra, i, n)
+    assert (gen.source, gen.target) == (source, target)
+    expected = weil.WeilMorphism(source, target, reference_gen_images(kind, algebra, i, n))
+    assert wterm.eval_weil(gen) == expected
+    assert wterm.eval_weil(gen).matrix() == expected.matrix()
+
+
+@pytest.mark.parametrize("kind, algebra, i, n", vocabulary_generators())
+def test_every_symbol_round_trips_through_the_parser_and_the_printer(kind, algebra, i, n):
+    gen = wterm.Gen(kind, algebra, i, n)
+    text = reference_symbol(gen)
+    assert wterm.print_term(gen) == text
+    parsed = wterm.parse_term(text)
+    assert parsed == gen and wterm.eval_weil(parsed) == wterm.eval_weil(gen)
+
+
+def test_the_symbol_table_names_every_kind_once():
+    kinds = {kind for kind, *_ in vocabulary_generators()}
+    assert sorted(wterm.SYMBOLS.values()) == sorted(kinds - {"proj"})
+    for symbol, kind in wterm.SYMBOLS.items():
+        algebra = W if kind in wterm.ANNOTATED else None
+        assert reference_symbol(wterm.Gen(kind, algebra)).startswith(symbol)
+
+
+def reference_fibered_sum(V: WeilAlgebra, U: WeilAlgebra) -> WeilAlgebra:
+    """W_{n+m} by the formula `Pair`, `fibered_pair` and the nerve each wrote."""
+    n = V.widths[0] if V.widths else 0
+    m = U.widths[0] if U.widths else 0
+    return WeilAlgebra((n + m,)) if n + m else weil.NAT
+
+
+@pytest.mark.parametrize("V, U, expected", [
+    (weil.NAT, weil.NAT, weil.NAT),
+    (W, weil.NAT, W),
+    (weil.NAT, W, W),
+    (W2, W, WeilAlgebra((3,))),
+])
+def test_fibered_sum_adds_the_widths(V, U, expected):
+    assert weil.fibered_sum(V, U) == reference_fibered_sum(V, U) == expected
+
+
+@pytest.mark.parametrize("V, U", [(WW, W), (W, WW), (weil.NAT, WW)])
+def test_fibered_sum_refuses_a_target_of_two_factors(V, U):
+    with pytest.raises(weil.WeilError, match=r"pairing needs targets of the form W_n, got W\*W"):
+        weil.fibered_sum(V, U)
+
+
+def test_pairings_into_two_factors_are_refused_with_one_message():
+    ell = weil.generator("ell")
+    with pytest.raises(weil.WeilError, match=r"got W\*W"):
+        weil.fibered_pair(ell, ell)
+    with pytest.raises(wterm.WTermError) as info:
+        wterm.parse_term("<l, p>")
+    assert str(info.value) == "pairing needs targets of the form W_n, got W*W"
+
+
+def test_fibered_sum_is_the_target_of_every_pairing():
+    """Out of W: p, id and <id, id> (targets N, W and W2), paired both ways,
+    as W1 morphisms, as terms and in the nerve."""
+    texts = ("p", "id{W}", "<id{W}, id{W}>")
+    model = NV.NerveModel(AL.tangent_algebroid(1))
+    for left, right in itertools.product(texts, repeat=2):
+        f, g = wterm.parse_term(left), wterm.parse_term(right)
+        target = weil.fibered_sum(f.target, g.target)
+        assert target == reference_fibered_sum(f.target, g.target)
+        assert weil.fibered_pair(wterm.eval_weil(f), wterm.eval_weil(g)).target == target
+        pair = wterm.Pair(f, g)
+        assert pair.target == wterm.eval_weil(pair).target == target
+        image = wterm.eval_model(pair, model)
+        assert image.tgt_dim == NV.nerve_object(model.A, target).dim

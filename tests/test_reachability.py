@@ -46,9 +46,6 @@ UNREACHED = {
     "poly.Polynomial.monomials":
         "the oracles read terms through it without the packed keys",
     "poly._unpack": "only `Polynomial.monomials` uses it",
-    "wterm.UnsupportedLimit":
-        "the error a model raises for a fiber product it cannot interpret; "
-        "only a test model raises it",
 }
 
 

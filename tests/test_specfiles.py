@@ -118,3 +118,17 @@ def test_map_at_the_dimension_limit_loads(tmp_path):
     path.write_text(json.dumps({"kind": "map", "src_dim": n, "tgt_dim": n,
                                 "components": [f"x{i + 1}" for i in range(n)]}))
     assert specfiles.load(path) == PolyMap.identity(n)
+
+
+@pytest.mark.parametrize("base_dim", [0, 1])
+def test_an_algebroid_of_rank_0_is_refused_before_parsing(base_dim):
+    # Over an empty fiber every structure equation and involution axiom passed
+    # vacuously.  The anchor is not a list of strings, so reaching the parser
+    # would fail otherwise.
+    document = {"kind": "algebroid", "base_dim": base_dim, "rank": 0,
+                "anchor": True, "bracket": []}
+    with pytest.raises(SpecFileError, match="algebroid.rank is 0; it must be at least 1"):
+        specfiles.load_algebroid(document)
+    document["rank"] = 1
+    with pytest.raises(SpecFileError, match="algebroid.anchor must be a list"):
+        specfiles.load_algebroid(document)

