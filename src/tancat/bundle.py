@@ -10,8 +10,10 @@ and connection checks compose with only move coordinates or write zeros, so
 each is one `PolyMap.selection`.
 
 Universality statements (non-singularity fork, the μ and ν equalizers) are
-certified constructively by exact linear algebra: an explicit retraction is
-built and both round trips are verified symbolically.
+certified by `tangent.certify_linear_pullback`: the equalizer is
+parametrised by the nullspace basis of its constraints, the retraction
+inverts the comparison on the free coordinates, and both round trips are
+checked as exact identities.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines (rref, rank, nullspace, inverse) used by the
-universality checkers: every pullback/equalizer certificate in this package
-is an exact linear-algebra construction, never a numerical one.
+Three small dense routines, `rref`, `nullspace` and `invert`, serve
+`tangent.certify_linear_pullback`: every linear pullback/equalizer
+certificate in this package is an exact construction from one nullspace
+and one inverse, never a numerical one.
 """
 
 from __future__ import annotations
@@ -14,22 +15,6 @@ Matrix = list[list[Fraction]]
 
 def identity(n: int) -> Matrix:
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += c * bt[j]
-    return out
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -57,16 +42,11 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     return r, pivots
 
 
-def rank(a: Matrix) -> int:
-    return len(rref(a)[1]) if a else 0
-
-
-def nullspace(a: Matrix) -> list[list[Fraction]]:
-    """Basis of the kernel of A."""
-    if not a:
-        return []
+def nullspace(a: Matrix, cols: int) -> tuple[list[int], list[list[Fraction]]]:
+    """(free, basis): the free columns of A, which has `cols` columns, and
+    the kernel basis with one vector per free column f, 1 at f and 0 at the
+    other free columns.  A matrix with no rows has all of Q^cols as kernel."""
     r, pivots = rref(a)
-    cols = len(a[0])
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
@@ -75,7 +55,7 @@ def nullspace(a: Matrix) -> list[list[Fraction]]:
         for i, col in enumerate(pivots):
             v[col] = -r[i][f]
         basis.append(v)
-    return basis
+    return free, basis
 
 
 def invert(a: Matrix) -> Matrix | None:
@@ -86,16 +66,3 @@ def invert(a: Matrix) -> Matrix | None:
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in r]
-
-
-def left_inverse(a: Matrix) -> Matrix | None:
-    """L with L·A = id (exists iff A has full column rank)."""
-    gram = mat_mul(transpose(a), a)
-    gram_inv = invert(gram)
-    if gram_inv is None:
-        return None
-    return mat_mul(gram_inv, transpose(a))
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []

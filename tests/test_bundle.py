@@ -4,6 +4,7 @@ import pytest
 
 from tancat import bundle as BD
 from tancat.poly import PolyMap, compose_maps
+from tancat.report import CheckReport
 from tancat.tangent import generator_nat
 
 
@@ -62,6 +63,27 @@ def test_universality_canonical():
     for d, k in ((1, 1), (2, 1), (1, 2)):
         report = BD.check_universality(BD.TrivialBundle(d, k))
         assert report.passed, [v.name for v in report.verdicts if not v.passed]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_universality_over_a_point_checks_the_whole_subspace(monkeypatch, k):
+    """Over Q^0 the μ equalizer's constraints have no rows, so its subspace
+    is all of T^depth(E2): each second round trip runs on a parametrisation
+    of dimension 2k·2^depth."""
+    sources = {}
+    equal = CheckReport.equal
+
+    def spy(report, name, lhs, rhs, context=""):
+        sources[name] = rhs.src_dim
+        equal(report, name, lhs, rhs, context)
+
+    monkeypatch.setattr(CheckReport, "equal", spy)
+    report = BD.check_universality(BD.TrivialBundle(0, k))
+    assert report.passed, report.failing()
+    subspace = {name: dim for name, dim in sources.items() if "on the subspace" in name}
+    assert len(subspace) == 9 and all(subspace.values())
+    assert [subspace[f"{prefix}μ equalizer: retraction inverts on the subspace"]
+            for prefix in ("", "T^1 ", "T^2 ")] == [2 * k, 4 * k, 8 * k]
 
 
 def rebuilt_fork(comparison, left, right, report, name, depths=1):

@@ -72,9 +72,17 @@
   (`reference_symbol`), for every kind, `!{V}` and `id{V}` with V in N, W,
   W2 and W*W, and `proj{i,n}` for n ≤ 3; and `weil.fibered_sum` against the
   W_{n+m} formula that pairing terms, `fibered_pair` and the nerve each
-  wrote, as the target of every pairing of p, id{W} and <id{W}, id{W}>.
+  wrote, as the target of every pairing of p, id{W} and <id{W}, id{W}>;
+- `certify_linear_pullback`, its retraction and parametrisation read off one
+  nullspace, against the Gram left inverse and per-vector evaluation it
+  replaced (`reference_certify_linear_pullback`), on TC.3(iv) at n ≤ 3 and
+  depths 0-2, AC4's ten squares, the three forks of four bundles and three
+  hand-made failures; sympy checks that every parametrisation is an
+  injective kernel basis of the constraints with m - rank(C) columns, and a
+  retraction without G⁻¹ or a basis missing a vector must fail.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -87,7 +95,9 @@ from tancat import algebroid as AL
 from tancat import bundle as BD
 from tancat import flatspace as FS
 from tancat import nerve as NV
+from tancat import linalg
 from tancat import selftest as ST
+from tancat import tangent as TG
 from tancat import weil, wterm
 from tancat.poly import (MAX_EXPONENT, VARIABLE_CACHE_SIZE, PolyError, PolyMap,
                          Polynomial, _selection_images, _substitute, check_cdc_axioms,
@@ -2071,3 +2081,265 @@ def test_fibered_sum_is_the_target_of_every_pairing():
         assert pair.target == wterm.eval_weil(pair).target == target
         image = wterm.eval_model(pair, model)
         assert image.tgt_dim == NV.nerve_object(model.A, target).dim
+
+
+# -- linear pullback certificates: the Gram left inverse they replaced ------------
+
+
+def _mat_mul(a: list, b: list) -> list:
+    m = len(b[0]) if b else 0
+    return [[sum((ai[t] * b[t][j] for t in range(len(b))), Fraction(0)) for j in range(m)]
+            for ai in a]
+
+
+def _transpose(a: list) -> list:
+    return [list(col) for col in zip(*a)] if a else []
+
+
+def _left_inverse(a: list) -> list | None:
+    """(AᵀA)⁻¹Aᵀ, or None when AᵀA is singular."""
+    gram_inv = linalg.invert(_mat_mul(_transpose(a), a))
+    return None if gram_inv is None else _mat_mul(gram_inv, _transpose(a))
+
+
+def _rank(a: list) -> int:
+    return len(linalg.rref(a)[1]) if a else 0
+
+
+def _reference_nullspace(a: list) -> list:
+    """The kernel basis as it was read, empty for a matrix with no rows."""
+    return linalg.nullspace(a, len(a[0]))[1] if a else []
+
+
+def reference_certify_linear_pullback(comparison: PolyMap, constraints: PolyMap,
+                                      report: CheckReport, name: str) -> None:
+    """The certificate by a Gram left inverse, its second round trip checked
+    at each vector of a nullspace basis of the constraints."""
+    report.check(f"{name}: image satisfies the constraints",
+                 compose_maps(constraints, comparison))
+    matrix, offset = comparison.linear_part()
+    if any(offset):
+        report.add(f"{name}: comparison is linear", False, f"unexpected affine offset {offset}")
+        return
+    kernel = _reference_nullspace(matrix)
+    report.add(f"{name}: comparison is injective", not kernel,
+               None if not kernel else f"kernel vector {kernel[0]}")
+    if kernel:
+        return
+    cons_matrix, cons_offset = constraints.linear_part()
+    if any(cons_offset):
+        report.add(f"{name}: constraints are linear", False,
+                   f"unexpected affine offset {cons_offset}")
+        return
+    sub_dim = comparison.tgt_dim - _rank(cons_matrix)
+    if sub_dim != comparison.src_dim:
+        report.add(f"{name}: dimensions match", False,
+                   f"subspace dimension {sub_dim} vs source {comparison.src_dim}")
+        return
+    left = _left_inverse(matrix)
+    if left is None:
+        report.add(f"{name}: retraction exists", False, "no left inverse")
+        return
+    retraction = PolyMap.linear(comparison.tgt_dim,
+                                [{j: c for j, c in enumerate(row) if c} for row in left])
+    report.equal(f"{name}: retraction inverts on the source",
+                 compose_maps(retraction, comparison), PolyMap.identity(comparison.src_dim))
+    section = compose_maps(comparison, retraction)
+    witness = next((f"subspace vector {vec} maps to {section.eval(vec)}"
+                    for vec in _reference_nullspace(cons_matrix) if section.eval(vec) != vec),
+                   None)
+    report.add(f"{name}: retraction inverts on the subspace", witness is None, witness)
+
+
+def _recorded_pullbacks(run) -> list[tuple[str, PolyMap, PolyMap]]:
+    """(name, comparison, constraints) of each certificate `run()` asks for."""
+    cases = []
+
+    def record(comparison, constraints, report, name):
+        cases.append((name, comparison, constraints))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TG, "certify_linear_pullback", record)
+        mp.setattr(BD, "certify_linear_pullback", record)
+        run()
+    return cases
+
+
+def _zero_lift() -> BD.Lift:
+    """The lift of the t² action, coassociative but singular."""
+    return BD.euler_vector_field(BD.ScalarAction(1, PolyMap.from_strings(2, ["x1^2*x2"])))
+
+
+@functools.cache
+def tc3_pullbacks() -> tuple:
+    """TC.3(iv) at n ∈ {1, 2, 3}, depths 0-2, n-major."""
+    return tuple(case for n in (1, 2, 3) for case in _recorded_pullbacks(
+        lambda: TG.check_tangent_axioms(n, universality_depth=2)))
+
+
+@functools.cache
+def square_pullbacks() -> tuple:
+    """AC4's ten squares at n = 1."""
+    return tuple(case for sq in ST._generated_squares() for case in _recorded_pullbacks(
+        lambda: TG.check_square_preservation(sq, 1)))
+
+
+@functools.cache
+def fork_pullbacks() -> tuple:
+    """The three forks at depths 0-2 on (1,1), (2,1), (1,2) and on the t² zero lift."""
+    runs = [(BD.TrivialBundle(d, k), None) for d, k in ((1, 1), (2, 1), (1, 2))]
+    runs.append((BD.TrivialBundle(0, 1), _zero_lift()))
+    return tuple(case for bundle, lift in runs for case in _recorded_pullbacks(
+        lambda: BD.check_universality(bundle, lift=lift)))
+
+
+def handmade_pullbacks() -> list[tuple[str, PolyMap, PolyMap]]:
+    return [
+        ("kernel", PolyMap.from_strings(2, ["x1 + x2", "x1 + x2"]),
+         PolyMap.from_strings(2, ["x1 - x2"])),
+        ("dimension mismatch", PolyMap.from_strings(1, ["x1", "0", "0"]),
+         PolyMap.from_strings(3, ["x3"])),
+        ("image outside", PolyMap.from_strings(1, ["x1", "x1"]),
+         PolyMap.from_strings(2, ["x2"])),
+    ]
+
+
+def all_pullbacks() -> list[tuple[str, PolyMap, PolyMap]]:
+    return [*tc3_pullbacks(), *square_pullbacks(), *fork_pullbacks(), *handmade_pullbacks()]
+
+
+class RecordingReport(CheckReport):
+    """A report that keeps the sides of every identity it is asked for."""
+
+    def __init__(self, title: str):
+        super().__init__(title)
+        self.sides = {}
+
+    def equal(self, name, lhs, rhs, context=""):
+        self.sides[name] = (lhs, rhs)
+        super().equal(name, lhs, rhs, context)
+
+
+def certify(comparison: PolyMap, constraints: PolyMap, certifier=None) -> RecordingReport:
+    report = RecordingReport("pullback")
+    (certifier or TG.certify_linear_pullback)(comparison, constraints, report, "case")
+    return report
+
+
+def param_of(report: RecordingReport) -> PolyMap | None:
+    """The parametrisation, the right side of the second round trip."""
+    return report.sides.get("case: retraction inverts on the subspace", (None, None))[1]
+
+
+def sympy_param_faults(sp, constraints: PolyMap, param: PolyMap) -> list[str]:
+    """What sympy finds wrong with `param` as a parametrisation of the kernel
+    of `constraints`: not injective, not in the kernel, or too few columns."""
+    def matrix(f: PolyMap):
+        rows = f.linear_part()[0]
+        return sp.Matrix(len(rows), f.src_dim, [sp.Rational(c.numerator, c.denominator)
+                                                for row in rows for c in row])
+    C, P = matrix(constraints), matrix(param)
+    faults = []
+    if P.rank() != P.cols:
+        faults.append("not injective")
+    if C.rows and any(C * P):
+        faults.append("constraints ∘ param ≠ 0")
+    if P.cols != constraints.src_dim - C.rank():
+        faults.append(f"{P.cols} columns, not m - rank(C) = {constraints.src_dim - C.rank()}")
+    return faults
+
+
+def test_the_pullback_cases_are_the_ones_named():
+    assert len(tc3_pullbacks()) == 9
+    assert len(square_pullbacks()) == 10
+    assert len(fork_pullbacks()) == 36
+    assert len(all_pullbacks()) == 58  # the cases of the parametrised comparison
+    # Every comparison has rows; only the t² lift's μ forks (TM = Q^0) have
+    # constraints without rows, and their comparisons have a kernel.
+    assert all(comparison.tgt_dim for _, comparison, _ in all_pullbacks())
+    assert [name for name, _, constraints in all_pullbacks() if not constraints.tgt_dim] == \
+        [name for name, _, _ in fork_pullbacks()[30:33]]
+    assert all("μ" in name for name, _, _ in fork_pullbacks()[30:33])
+
+
+@pytest.mark.parametrize("case", range(58))
+def test_certificate_matches_the_gram_left_inverse(case):
+    name, comparison, constraints = all_pullbacks()[case]
+    new = certify(comparison, constraints)
+    old = certify(comparison, constraints, reference_certify_linear_pullback)
+    assert [(v.name, v.passed) for v in new.verdicts] == \
+        [(v.name, v.passed) for v in old.verdicts], name
+    for v, w in zip(new.verdicts, old.verdicts):
+        if v.name.endswith(("comparison is injective", "dimensions match")):
+            assert v.witness == w.witness, name
+
+
+def test_certificate_verdicts_on_the_handmade_cases():
+    failing = [certify(c, k).failing() for _, c, k in handmade_pullbacks()]
+    assert failing == [
+        "case: comparison is injective",
+        "case: dimensions match",
+        "case: image satisfies the constraints; case: retraction inverts on the subspace",
+    ]
+    report = certify(*handmade_pullbacks()[0][1:])
+    assert report.verdicts[1].witness == "kernel vector [Fraction(-1, 1), Fraction(1, 1)]"
+
+
+def test_every_parametrisation_is_a_kernel_basis_by_sympy():
+    sp = pytest.importorskip("sympy")
+    checked = 0
+    for name, comparison, constraints in all_pullbacks():
+        param = param_of(certify(comparison, constraints))
+        if param is not None:
+            assert sympy_param_faults(sp, constraints, param) == [], name
+            checked += 1
+    assert checked == 9 + 10 + 27 + 1
+
+
+def test_a_comparison_into_q0_has_a_kernel_the_reference_missed():
+    comparison, constraints = PolyMap.zero(2, 0), PolyMap.zero(0, 0)
+    old = certify(comparison, constraints, reference_certify_linear_pullback)
+    assert old.failing() == "case: dimensions match"
+    new = certify(comparison, constraints)
+    assert new.failing() == "case: comparison is injective"
+    assert new.verdicts[1].witness == "kernel vector [Fraction(1, 1), Fraction(0, 1)]"
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_mu_round_trips_over_q0_run_on_the_whole_subspace(k):
+    sp = pytest.importorskip("sympy")
+    cases = _recorded_pullbacks(lambda: BD.check_universality(BD.TrivialBundle(0, k)))
+    mus = [(c, cons) for name, c, cons in cases if "μ" in name]
+    assert [cons.tgt_dim for _, cons in mus] == [0, 0, 0]
+    for depth, (comparison, constraints) in enumerate(mus):
+        assert _reference_nullspace(constraints.linear_part()[0]) == []
+        new = certify(comparison, constraints)
+        old = certify(comparison, constraints, reference_certify_linear_pullback)
+        assert new.passed and old.passed
+        param = param_of(new)
+        assert param.src_dim == param.tgt_dim == 2 * k * 2 ** depth
+        assert sympy_param_faults(sp, constraints, param) == []
+
+
+def test_a_retraction_without_the_inverse_of_g_fails(monkeypatch):
+    monkeypatch.setattr(linalg, "invert", lambda a: linalg.identity(len(a)))
+    source = "case: retraction inverts on the source"
+    tc3 = [certify(c, k) for name, c, k in tc3_pullbacks() if "T^2" not in name]
+    assert len(tc3) == 6
+    assert all(source in r.failing() for r in tc3)
+    squares = [certify(c, k) for _, c, k in square_pullbacks()]
+    assert sum(source in r.failing() for r in squares) == 6
+
+
+def test_a_parametrisation_missing_a_column_is_caught_by_sympy(monkeypatch):
+    sp = pytest.importorskip("sympy")
+    nullspace = linalg.nullspace
+
+    def drop_last(a, cols):
+        free, basis = nullspace(a, cols)
+        return free, basis[:-1]
+
+    monkeypatch.setattr(linalg, "nullspace", drop_last)
+    for name, comparison, constraints in [*tc3_pullbacks(), *square_pullbacks()]:
+        param = param_of(certify(comparison, constraints))
+        assert any("columns" in f for f in sympy_param_faults(sp, constraints, param)), name

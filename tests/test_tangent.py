@@ -9,6 +9,7 @@ import random
 
 from tancat import tangent, weil
 from tancat.poly import PolyMap, compose_maps, differential, random_map
+from tancat.report import CheckReport
 from tancat.tangent import (check_naturality, check_product_preservation,
                             check_square_preservation, check_tangent_axioms,
                             generator_nat, structure_nat, weil_prolong)
@@ -170,5 +171,15 @@ def test_product_preservation():
 def test_universality_comparison_invertible():
     report = check_tangent_axioms(1, universality_depth=2)
     names = [v.name for v in report.verdicts if "universality" in v.name]
-    assert len(names) >= 9  # three verdicts per depth 0..2
+    assert len(names) == 12  # four verdicts per depth 0..2
     assert report.passed
+
+
+def test_a_comparison_into_q0_is_not_injective():
+    report = CheckReport("into Q^0")
+    tangent.certify_linear_pullback(PolyMap.zero(2, 0), PolyMap.zero(0, 0), report, "Q^2 -> Q^0")
+    assert [(v.name, v.passed) for v in report.verdicts] == [
+        ("Q^2 -> Q^0: image satisfies the constraints", True),
+        ("Q^2 -> Q^0: comparison is injective", False),
+    ]
+    assert report.verdicts[1].witness == "kernel vector [Fraction(1, 1), Fraction(0, 1)]"
